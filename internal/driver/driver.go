@@ -233,36 +233,40 @@ func (d *Driver) submitJob(a *app.Application, j *app.Job) {
 }
 
 // dispatch offers idle executors to their owners' schedulers until no more
-// tasks launch, then arms the wake-up timer for locality-wait expiries.
+// tasks launch, then arms the wake-up timer for locality-wait expiries. The
+// flows of every launch start in one fabric batch: one rate recompute for
+// the whole pass.
 func (d *Driver) dispatch() {
 	now := d.eng.Now()
-	progress := true
-	for progress {
-		progress = false
-		for _, a := range d.apps {
-			sched := d.scheds[a.ID]
-			if sched.Pending() == 0 {
-				continue
-			}
-			for _, e := range d.cl.Owned(a.ID) {
-				if e.FreeSlots() <= 0 {
+	d.fabric.Batch(func() {
+		progress := true
+		for progress {
+			progress = false
+			for _, a := range d.apps {
+				sched := d.scheds[a.ID]
+				if sched.Pending() == 0 {
 					continue
 				}
-				if d.execReady[e.ID] > now {
-					continue // still starting up
+				for _, e := range d.cl.Owned(a.ID) {
+					if e.FreeSlots() <= 0 {
+						continue
+					}
+					if d.execReady[e.ID] > now {
+						continue // still starting up
+					}
+					if d.nodeExcluded(e.Node.ID, now) {
+						continue // blacklisted after repeated failures
+					}
+					t := sched.Offer(e, now)
+					if t == nil {
+						continue
+					}
+					d.launch(t, e, false)
+					progress = true
 				}
-				if d.nodeExcluded(e.Node.ID, now) {
-					continue // blacklisted after repeated failures
-				}
-				t := sched.Offer(e, now)
-				if t == nil {
-					continue
-				}
-				d.launch(t, e, false)
-				progress = true
 			}
 		}
-	}
+	})
 	d.armWake()
 }
 

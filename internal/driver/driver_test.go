@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/cluster"
 	"repro/internal/hdfs"
 	"repro/internal/manager"
 	"repro/internal/netsim"
@@ -391,5 +392,45 @@ func TestReplicaSelectionConfig(t *testing.T) {
 		if len(col.Jobs) != 4 {
 			t.Fatalf("[%s] jobs = %d", sel.Name(), len(col.Jobs))
 		}
+	}
+}
+
+// TestShuffleFetchOnePass: a reduce task's k fetch flows start in one fabric
+// batch, so they cost one rate recompute, not k.
+func TestShuffleFetchOnePass(t *testing.T) {
+	d := New(smallConfig(custodyMgr()))
+	f, err := d.CreateInput("in", 256<<20) // 4 blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := d.RegisterApp("test")
+	d.Start()
+	b := app.NewJob(1, "Sort", "in")
+	in := b.AddInputStage("map", f.Blocks, app.TaskSpec{ComputeSec: 1, OutputBytes: 32 << 20})
+	b.AddShuffleStage("reduce", []*app.Stage{in}, 2, 64<<20, app.TaskSpec{ComputeSec: 0.5})
+	j := b.Build()
+	d.SubmitJobAt(1.0, a, j)
+	d.Run()
+
+	// Re-fetch one reduce partition from four distinct map nodes into an
+	// executor on a fifth.
+	for i, pt := range j.Stages[0].Tasks {
+		pt.RanOnNode = 1 + i
+	}
+	var exec *cluster.Executor
+	for _, e := range d.Cluster().Executors() {
+		if e.Node.ID == 0 {
+			exec = e
+			break
+		}
+	}
+	at := &attempt{task: j.Stages[1].Tasks[0], exec: exec}
+	before := d.Fabric().Reallocations
+	d.startShuffleFetch(at)
+	if len(at.flows) != 4 {
+		t.Fatalf("%d fetch flows, want 4", len(at.flows))
+	}
+	if got := d.Fabric().Reallocations - before; got != 1 {
+		t.Fatalf("4 fetches cost %d rate recomputes, want 1", got)
 	}
 }

@@ -169,18 +169,21 @@ func (d *Driver) startShuffleFetch(at *attempt) {
 	}
 
 	at.remaining = groups
-	if regen > 0 {
-		at.remaining++
-		at.flows = append(at.flows, d.fabric.LocalRead(dst, regen/float64(width), func() {
-			d.readFinished(at)
-		}))
-	}
-	for g := 0; g < groups; g++ {
-		share := groupBytes[g] / float64(width)
-		at.flows = append(at.flows, d.fabric.Transfer(groupSrc[g], dst, share, func() {
-			d.readFinished(at)
-		}))
-	}
+	// All fetches start at this instant: one rate recompute for the set.
+	d.fabric.Batch(func() {
+		if regen > 0 {
+			at.remaining++
+			at.flows = append(at.flows, d.fabric.LocalRead(dst, regen/float64(width), func() {
+				d.readFinished(at)
+			}))
+		}
+		for g := 0; g < groups; g++ {
+			share := groupBytes[g] / float64(width)
+			at.flows = append(at.flows, d.fabric.Transfer(groupSrc[g], dst, share, func() {
+				d.readFinished(at)
+			}))
+		}
+	})
 }
 
 // readFinished fires once per completed fetch flow; when all input is in,
@@ -246,13 +249,7 @@ func (d *Driver) attemptFinished(at *attempt) {
 		t.RanLocal = false
 	} else if at.spec {
 		// Re-derive locality for the winning (speculative) attempt.
-		t.RanLocal = false
-		for _, n := range d.nn.Locations(t.Block) {
-			if n == e.Node.ID {
-				t.RanLocal = true
-				break
-			}
-		}
+		t.RanLocal = d.localTo(t, e.Node.ID)
 	}
 
 	d.col.AddTask(metrics.TaskRecord{
@@ -442,10 +439,5 @@ func (d *Driver) cacheTouch(node int, id hdfs.BlockID, size int64) bool {
 
 // localTo reports whether the task's block has a replica on the node.
 func (d *Driver) localTo(t *app.Task, node int) bool {
-	for _, n := range d.nn.Locations(t.Block) {
-		if n == node {
-			return true
-		}
-	}
-	return false
+	return d.nn.ReplicaOn(t.Block, node)
 }

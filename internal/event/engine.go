@@ -33,6 +33,9 @@ func (t *Timer) Time() float64 { return t.time }
 // Cancelled reports whether Cancel was called on the timer.
 func (t *Timer) Cancelled() bool { return t.cancelled }
 
+// Stamp is a tie-stamp: the order in which events sharing an instant fire.
+type Stamp uint64
+
 // Engine is a discrete-event simulation engine.
 //
 // The zero value is not usable; construct with NewEngine.
@@ -81,14 +84,31 @@ func (e *Engine) Schedule(delay float64, fn func()) *Timer {
 
 // At schedules fn to run at absolute time t, which must not be in the past.
 func (e *Engine) At(t float64, fn func()) *Timer {
+	return e.AtStamp(t, e.Reserve(), fn)
+}
+
+// Reserve claims the next tie-stamp without scheduling anything. An event
+// scheduled later with that stamp (AtStamp) fires, among the events at its
+// instant, where it would have fired had it been scheduled at the
+// reservation.
+func (e *Engine) Reserve() Stamp {
+	s := Stamp(e.seq)
+	e.seq++
+	return s
+}
+
+// AtStamp is At with a tie-stamp claimed earlier by Reserve.
+func (e *Engine) AtStamp(t float64, s Stamp, fn func()) *Timer {
 	if fn == nil {
 		panic("event: At called with nil function")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("event: At called with time %v < now %v", t, e.now))
 	}
-	tm := &Timer{time: t, seq: e.seq, fn: fn, inQueue: true}
-	e.seq++
+	if uint64(s) >= e.seq {
+		panic(fmt.Sprintf("event: AtStamp with unreserved stamp %d", s))
+	}
+	tm := &Timer{time: t, seq: uint64(s), fn: fn, inQueue: true}
 	e.push(tm)
 	return tm
 }

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -333,6 +334,28 @@ func TestCancelledPendingLazy(t *testing.T) {
 	if e.Executed() != 1 {
 		t.Fatalf("Executed() = %d, want 1 (discarded cancel must not count)", e.Executed())
 	}
+}
+
+// TestReservedStampOrdersAtReservation: an event scheduled with a stamp
+// reserved earlier fires before same-instant events scheduled after the
+// reservation, as if it had been scheduled then.
+func TestReservedStampOrdersAtReservation(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.Schedule(5, func() { order = append(order, "before") })
+	s := e.Reserve()
+	e.Schedule(5, func() { order = append(order, "after") })
+	e.AtStamp(5, s, func() { order = append(order, "reserved") })
+	e.Run()
+	if got := fmt.Sprint(order); got != "[before reserved after]" {
+		t.Fatalf("firing order %s, want [before reserved after]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtStamp accepted a stamp that was never reserved")
+		}
+	}()
+	e.AtStamp(6, Stamp(1<<40), func() {})
 }
 
 // BenchmarkTimerChurn measures the netsim/chaos pattern the 4-ary heap and

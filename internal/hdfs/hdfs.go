@@ -12,6 +12,7 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/xrand"
@@ -306,6 +307,29 @@ func (nn *NameNode) liveLocations(id BlockID) []int {
 		}
 	}
 	return out
+}
+
+// ReplicaOn reports whether Locations(id) would name node, stale-metadata
+// window included, without building the list.
+func (nn *NameNode) ReplicaOn(id BlockID, node int) bool {
+	if locs, ok := nn.stale[id]; ok {
+		return slices.Contains(locs, node)
+	}
+	return slices.Contains(nn.locations[id], node) && nn.datanodes[node].Alive()
+}
+
+// HasReplica reports whether Locations(id) would be non-empty, stale-metadata
+// window included, without building the list.
+func (nn *NameNode) HasReplica(id BlockID) bool {
+	if locs, ok := nn.stale[id]; ok {
+		return len(locs) > 0
+	}
+	for _, node := range nn.locations[id] {
+		if nn.datanodes[node].Alive() {
+			return true
+		}
+	}
+	return false
 }
 
 // BeginStale freezes the metadata clients see: subsequent Locations calls

@@ -10,6 +10,11 @@
 // flows crossing it at the fair share, and continue with the residual
 // capacities. The result is the classic max-min fair allocation.
 //
+// The pass runs on dense state: every resource keeps its active flows in an
+// ID-ordered slice and carries its own per-pass residual and unfrozen count,
+// so freezing a bottleneck walks only that resource's flows. Batch defers
+// the pass across a burst of changes at one instant.
+//
 // Flow completions are event-driven: after every rate change the fabric
 // advances each flow's remaining bytes and reschedules a single timer for the
 // earliest completion.
@@ -18,7 +23,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/event"
 )
@@ -62,7 +67,13 @@ type Resource struct {
 	Node     int
 	Capacity float64 // bytes per second
 
-	flows map[*Flow]struct{}
+	flows []*Flow // active flows crossing the resource, in ID order, once each
+
+	// Progressive-filling state, meaningful while epoch equals the fabric's
+	// current pass.
+	epoch    uint64
+	residual float64 // capacity not yet handed to frozen flows
+	unfrozen int     // unfrozen flows crossing, counted once per listing
 }
 
 // Flow is an in-progress transfer across a set of resources.
@@ -72,6 +83,7 @@ type Flow struct {
 	remaining float64
 	rate      float64
 	resources []*Resource
+	cap       Resource // private rate cap; listed in resources when set
 	done      func()
 	started   float64
 	finished  bool
@@ -104,12 +116,24 @@ type Fabric struct {
 	down    []*Resource
 	disk    []*Resource
 	mem     []*Resource
-	flows   map[*Flow]struct{}
+	flows   []*Flow // active flows in ID order
 	nextID  int64
 	latency float64
 
 	lastUpdate float64
 	timer      *event.Timer
+	onTimer    func() // onCompletion, bound once so a pass allocates only its timer
+	stamp      event.Stamp
+
+	// Scratch reused across passes: the pass counter that validates
+	// Resource state, and the resources a pass touched in first-touch order.
+	epoch   uint64
+	touched []*Resource
+
+	// batch is the Batch nesting depth; dirty records a change inside it
+	// whose pass is still owed.
+	batch int
+	dirty bool
 
 	// baseCap remembers a resource's nominal capacity while it is scaled
 	// away from it (degraded links, slow disks). Populated lazily on the
@@ -126,6 +150,8 @@ type Fabric struct {
 	TotalBytesMoved float64
 	// CompletedFlows counts flows that ran to completion.
 	CompletedFlows int64
+	// Reallocations counts progressive-filling passes.
+	Reallocations int64
 }
 
 // Config describes per-node capacities in bytes per second.
@@ -168,19 +194,19 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 	}
 	f := &Fabric{
 		eng:     eng,
-		flows:   make(map[*Flow]struct{}),
 		latency: cfg.LatencySec,
 		baseCap: make(map[*Resource]float64),
 	}
+	f.onTimer = f.onCompletion
 	memBps := cfg.MemoryBps
 	if memBps <= 0 {
 		memBps = DefaultMemoryBps
 	}
 	for i := 0; i < n; i++ {
-		f.up = append(f.up, &Resource{Kind: Uplink, Node: i, Capacity: cfg.UplinkBps, flows: map[*Flow]struct{}{}})
-		f.down = append(f.down, &Resource{Kind: Downlink, Node: i, Capacity: cfg.DownlinkBps, flows: map[*Flow]struct{}{}})
-		f.disk = append(f.disk, &Resource{Kind: Disk, Node: i, Capacity: cfg.DiskBps, flows: map[*Flow]struct{}{}})
-		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, Capacity: memBps, flows: map[*Flow]struct{}{}})
+		f.up = append(f.up, &Resource{Kind: Uplink, Node: i, Capacity: cfg.UplinkBps})
+		f.down = append(f.down, &Resource{Kind: Downlink, Node: i, Capacity: cfg.DownlinkBps})
+		f.disk = append(f.disk, &Resource{Kind: Disk, Node: i, Capacity: cfg.DiskBps})
+		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, Capacity: memBps})
 	}
 	return f
 }
@@ -218,7 +244,7 @@ func (fb *Fabric) LocalRead(n int, bytes float64, done func()) *Flow {
 // flow consumes the node's disk (TierDisk) or its cache-memory bandwidth
 // (TierMemory, a warm block-cache hit).
 func (fb *Fabric) LocalReadTier(n int, bytes float64, tier Tier, done func()) *Flow {
-	return fb.start(n, n, bytes, done, fb.serving(n, tier))
+	return fb.start(n, n, bytes, 0, done, fb.serving(n, tier))
 }
 
 // RemoteRead starts a read of a block stored on src delivered to dst:
@@ -232,8 +258,8 @@ func (fb *Fabric) RemoteRead(src, dst int, bytes float64, done func()) *Flow {
 // bytes/second (0 = uncapped), modeling protocol overhead on single-stream
 // remote block reads (HDFS remote reads do not reach line rate; the paper
 // cites network reads as "as much as 20 times slower than local data
-// access", §III-C). The cap is realized as a private resource of the flow,
-// so max-min fairness still applies below it.
+// access", §III-C). The cap is realized as a private resource embedded in
+// the flow, so max-min fairness still applies below it.
 func (fb *Fabric) RemoteReadCap(src, dst int, bytes, capBps float64, done func()) *Flow {
 	return fb.RemoteReadCapTier(src, dst, bytes, capBps, TierDisk, done)
 }
@@ -247,11 +273,7 @@ func (fb *Fabric) RemoteReadCapTier(src, dst int, bytes, capBps float64, tier Ti
 	if src == dst {
 		return fb.LocalReadTier(src, bytes, tier, done)
 	}
-	res := []*Resource{fb.serving(src, tier), fb.up[src], fb.down[dst]}
-	if capBps > 0 {
-		res = append(res, &Resource{Kind: FlowCap, Node: dst, Capacity: capBps, flows: map[*Flow]struct{}{}})
-	}
-	return fb.start(src, dst, bytes, done, res...)
+	return fb.start(src, dst, bytes, capBps, done, fb.serving(src, tier), fb.up[src], fb.down[dst])
 }
 
 // Transfer starts a memory-to-memory network transfer (e.g., a shuffle
@@ -262,14 +284,14 @@ func (fb *Fabric) Transfer(src, dst int, bytes float64, done func()) *Flow {
 		// (fast) local disk read of the map output.
 		return fb.LocalRead(src, bytes, done)
 	}
-	return fb.start(src, dst, bytes, done, fb.up[src], fb.down[dst])
+	return fb.start(src, dst, bytes, 0, done, fb.up[src], fb.down[dst])
 }
 
 // StartCustom starts a flow over an explicit resource set. Intended for
 // tests and extensions. Custom flows carry no endpoints and are exempt from
 // partitions.
 func (fb *Fabric) StartCustom(bytes float64, done func(), resources ...*Resource) *Flow {
-	return fb.start(-1, -1, bytes, done, resources...)
+	return fb.start(-1, -1, bytes, 0, done, resources...)
 }
 
 // UplinkResource exposes node n's uplink (for StartCustom and tests).
@@ -284,27 +306,33 @@ func (fb *Fabric) DiskResource(n int) *Resource { return fb.disk[n] }
 // MemoryResource exposes node n's cache-memory bandwidth.
 func (fb *Fabric) MemoryResource(n int) *Resource { return fb.mem[n] }
 
-func (fb *Fabric) start(src, dst int, bytes float64, done func(), resources ...*Resource) *Flow {
+// start creates a flow over resources, followed by its private cap when
+// capBps > 0 and by the partition choke when it crosses the partition.
+func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resources ...*Resource) *Flow {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("netsim: flow with invalid size %v", bytes))
 	}
 	if len(resources) == 0 {
 		panic("netsim: flow with no resources")
 	}
-	if fb.crossesPartition(src, dst) {
-		resources = append(resources, fb.choke)
-	}
 	fb.nextID++
 	fl := &Flow{
 		ID:        fb.nextID,
 		Bytes:     bytes,
 		remaining: bytes,
-		resources: resources,
 		done:      done,
 		started:   fb.eng.Now(),
 		src:       src,
 		dst:       dst,
 	}
+	if capBps > 0 {
+		fl.cap = Resource{Kind: FlowCap, Node: dst, Capacity: capBps}
+		resources = append(resources, &fl.cap)
+	}
+	if fb.crossesPartition(src, dst) {
+		resources = append(resources, fb.choke)
+	}
+	fl.resources = resources
 	if bytes == 0 {
 		// Zero-byte flows complete after the setup latency without
 		// touching the rate allocation.
@@ -337,11 +365,11 @@ func (fb *Fabric) start(src, dst int, bytes float64, done func(), resources ...*
 // activate admits a flow into the fluid rate allocation.
 func (fb *Fabric) activate(fl *Flow) {
 	fb.advance()
-	fb.flows[fl] = struct{}{}
+	fb.flows = insertFlow(fb.flows, fl)
 	for _, r := range fl.resources {
-		r.flows[fl] = struct{}{}
+		r.flows = insertFlow(r.flows, fl)
 	}
-	fb.reallocate()
+	fb.changed()
 }
 
 // Cancel aborts a flow in flight. Its done callback never runs. Cancelling a
@@ -352,15 +380,50 @@ func (fb *Fabric) Cancel(fl *Flow) {
 	}
 	fl.cancelled = true
 	fb.advance()
+	fb.flows = removeFlow(fb.flows, fl)
 	fb.detach(fl)
-	fb.reallocate()
+	fb.changed()
 }
 
+// detach takes fl off its resources' flow lists.
 func (fb *Fabric) detach(fl *Flow) {
-	delete(fb.flows, fl)
 	for _, r := range fl.resources {
-		delete(r.flows, fl)
+		r.flows = removeFlow(r.flows, fl)
 	}
+}
+
+// flowIndex returns the position of the flow with the given ID in an
+// ID-ordered list, or where it would be inserted, and whether it is there.
+func flowIndex(list []*Flow, id int64) (int, bool) {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if list[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(list) && list[lo].ID == id
+}
+
+// insertFlow adds fl to an ID-ordered list unless it is already there. Flows
+// activate in ID order, so this is an append in practice.
+func insertFlow(list []*Flow, fl *Flow) []*Flow {
+	i, ok := flowIndex(list, fl.ID)
+	if ok {
+		return list
+	}
+	return slices.Insert(list, i, fl)
+}
+
+// removeFlow drops fl from an ID-ordered list, if it is there.
+func removeFlow(list []*Flow, fl *Flow) []*Flow {
+	i, ok := flowIndex(list, fl.ID)
+	if !ok {
+		return list
+	}
+	return slices.Delete(list, i, i+1)
 }
 
 // advance applies elapsed progress to every active flow at the current rates.
@@ -371,7 +434,7 @@ func (fb *Fabric) advance() {
 	if dt <= 0 {
 		return
 	}
-	for fl := range fb.flows {
+	for _, fl := range fb.flows {
 		fl.remaining -= fl.rate * dt
 		if fl.remaining < 0 {
 			fl.remaining = 0
@@ -379,8 +442,48 @@ func (fb *Fabric) advance() {
 	}
 }
 
+// Batch runs fn and recomputes rates once when it returns, instead of after
+// every flow start, cancel or capacity change inside it. Batches nest; the
+// outermost one recomputes. fn must not read rates, which are stale inside
+// it, nor move the clock.
+//
+// Deferring changes nothing but the work. The clock cannot move inside fn,
+// so the deferred pass sees the same flows and remaining bytes the last
+// immediate pass would have seen, and computes the same rates. Every change
+// claims its completion timer's tie-stamp when it happens, as an immediate
+// pass would; the deferred timer takes the last one, so it fires in the same
+// order relative to other events at its instant.
+func (fb *Fabric) Batch(fn func()) {
+	fb.batch++
+	fn()
+	fb.batch--
+	if fb.batch == 0 && fb.dirty {
+		fb.dirty = false
+		fb.reallocate()
+	}
+}
+
+// changed records a change to the flow set or to a capacity: it claims the
+// tie-stamp of the completion timer the change reschedules, then recomputes
+// rates now, or at the end of the enclosing Batch.
+func (fb *Fabric) changed() {
+	if len(fb.flows) > 0 {
+		fb.stamp = fb.eng.Reserve()
+	}
+	if fb.batch > 0 {
+		fb.dirty = true
+		return
+	}
+	fb.reallocate()
+}
+
 // reallocate recomputes max-min fair rates via progressive filling and
 // reschedules the completion timer.
+//
+// Every resource sees its subtractions in a fixed order (bottleneck by
+// bottleneck, and within one bottleneck in flow-ID order), and ties between
+// equal shares go to the resource touched first in flow-ID order, so the
+// rates are reproducible bit for bit.
 func (fb *Fabric) reallocate() {
 	if fb.timer != nil {
 		fb.eng.Cancel(fb.timer)
@@ -389,47 +492,44 @@ func (fb *Fabric) reallocate() {
 	if len(fb.flows) == 0 {
 		return
 	}
+	fb.Reallocations++
 
-	// Progressive filling. residual[r] tracks unallocated capacity;
-	// unfrozen[r] the number of still-unfrozen flows on r. All iteration
-	// happens over deterministically ordered slices so tie-breaking (and
-	// floating-point accumulation order) is reproducible run to run.
-	type rstate struct {
-		residual float64
-		unfrozen int
-	}
-	states := make(map[*Resource]*rstate)
-	var active []*Resource // deterministic order of first touch
-	flows := fb.sortedFlows()
-	for _, fl := range flows {
+	// Progressive filling. Each touched resource starts the pass with its
+	// full capacity as residual and counts its unfrozen flows.
+	fb.epoch++
+	touched := fb.touched[:0]
+	for _, fl := range fb.flows {
 		fl.rate = -1 // unfrozen marker
 		for _, r := range fl.resources {
-			st, ok := states[r]
-			if !ok {
-				st = &rstate{residual: r.Capacity}
-				states[r] = st
-				active = append(active, r)
+			if r.epoch != fb.epoch {
+				r.epoch = fb.epoch
+				r.residual = r.Capacity
+				r.unfrozen = 0
+				touched = append(touched, r)
 			}
-			st.unfrozen++
+			r.unfrozen++
 		}
 	}
-	remaining := len(flows)
-	for remaining > 0 {
+	fb.touched = touched
+	for remaining := len(fb.flows); remaining > 0; {
 		// Find the bottleneck: the resource with the smallest fair share
-		// (first touched wins ties).
+		// (first touched wins ties). Resources with no unfrozen flows left
+		// drop out of the scan for the rest of the pass.
 		var bottleneck *Resource
 		best := math.Inf(1)
-		for _, r := range active {
-			st := states[r]
-			if st.unfrozen == 0 {
+		live := touched[:0]
+		for _, r := range touched {
+			if r.unfrozen == 0 {
 				continue
 			}
-			share := st.residual / float64(st.unfrozen)
+			live = append(live, r)
+			share := r.residual / float64(r.unfrozen)
 			if share < best {
 				best = share
 				bottleneck = r
 			}
 		}
+		touched = live
 		if bottleneck == nil {
 			// No contended resources left; should not happen since every
 			// flow crosses at least one resource.
@@ -437,26 +537,28 @@ func (fb *Fabric) reallocate() {
 		}
 		// Freeze every unfrozen flow crossing the bottleneck at the share,
 		// in flow-ID order.
-		for _, fl := range flows {
-			if fl.rate >= 0 || !crosses(fl, bottleneck) {
+		for _, fl := range bottleneck.flows {
+			if fl.rate >= 0 {
 				continue
 			}
 			fl.rate = best
 			remaining--
 			for _, r := range fl.resources {
-				st := states[r]
-				st.residual -= best
-				if st.residual < 0 {
-					st.residual = 0
+				r.residual -= best
+				if r.residual < 0 {
+					r.residual = 0
 				}
-				st.unfrozen--
+				r.unfrozen--
 			}
 		}
 	}
+	// Drop the scratch pointers so per-flow caps do not keep finished flows
+	// reachable.
+	clear(fb.touched)
 
 	// Schedule the earliest completion.
 	soonest := math.Inf(1)
-	for fl := range fb.flows {
+	for _, fl := range fb.flows {
 		if fl.rate <= 0 {
 			continue
 		}
@@ -468,27 +570,7 @@ func (fb *Fabric) reallocate() {
 	if math.IsInf(soonest, 1) {
 		panic("netsim: active flows but no positive rates")
 	}
-	fb.timer = fb.eng.Schedule(soonest, fb.onCompletion)
-}
-
-// sortedFlows returns the active flows ordered by ID.
-func (fb *Fabric) sortedFlows() []*Flow {
-	out := make([]*Flow, 0, len(fb.flows))
-	for fl := range fb.flows {
-		out = append(out, fl)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// crosses reports whether fl uses resource r.
-func crosses(fl *Flow, r *Resource) bool {
-	for _, rr := range fl.resources {
-		if rr == r {
-			return true
-		}
-	}
-	return false
+	fb.timer = fb.eng.AtStamp(fb.eng.Now()+soonest, fb.stamp, fb.onTimer)
 }
 
 // onCompletion fires when at least one flow should have drained.
@@ -497,11 +579,16 @@ func (fb *Fabric) onCompletion() {
 	fb.advance()
 	const eps = 1e-9
 	var finished []*Flow
-	for _, fl := range fb.sortedFlows() {
+	kept := fb.flows[:0]
+	for _, fl := range fb.flows {
 		if fl.remaining <= fl.Bytes*eps+eps {
 			finished = append(finished, fl)
+		} else {
+			kept = append(kept, fl)
 		}
 	}
+	clear(fb.flows[len(kept):])
+	fb.flows = kept
 	for _, fl := range finished {
 		fl.remaining = 0
 		fl.finished = true
@@ -509,7 +596,7 @@ func (fb *Fabric) onCompletion() {
 		fb.TotalBytesMoved += fl.Bytes
 		fb.CompletedFlows++
 	}
-	fb.reallocate()
+	fb.changed()
 	// Run callbacks after rates are consistent so callbacks that start new
 	// flows observe a clean state.
 	for _, fl := range finished {
@@ -520,7 +607,7 @@ func (fb *Fabric) onCompletion() {
 }
 
 // Flows returns the active flows ordered by ID (audits and tests).
-func (fb *Fabric) Flows() []*Flow { return fb.sortedFlows() }
+func (fb *Fabric) Flows() []*Flow { return slices.Clone(fb.flows) }
 
 // Partitioned reports whether a network partition is in effect.
 func (fb *Fabric) Partitioned() bool { return fb.partition != nil }
@@ -548,14 +635,14 @@ func (fb *Fabric) SetPartition(groups []int, chokeBps float64) {
 	}
 	fb.advance()
 	fb.partition = append([]int(nil), groups...)
-	fb.choke = &Resource{Kind: FlowCap, Node: -1, Capacity: chokeBps, flows: map[*Flow]struct{}{}}
-	for _, fl := range fb.sortedFlows() {
+	fb.choke = &Resource{Kind: FlowCap, Node: -1, Capacity: chokeBps}
+	for _, fl := range fb.flows {
 		if fb.crossesPartition(fl.src, fl.dst) {
 			fl.resources = append(fl.resources, fb.choke)
-			fb.choke.flows[fl] = struct{}{}
+			fb.choke.flows = append(fb.choke.flows, fl)
 		}
 	}
-	fb.reallocate()
+	fb.changed()
 }
 
 // ClearPartition heals the partition: choked flows regain their normal
@@ -565,20 +652,17 @@ func (fb *Fabric) ClearPartition() {
 		return
 	}
 	fb.advance()
-	for _, fl := range fb.sortedFlows() {
-		if _, ok := fb.choke.flows[fl]; !ok {
-			continue
-		}
-		for i, r := range fl.resources {
-			if r == fb.choke {
-				fl.resources = append(fl.resources[:i], fl.resources[i+1:]...)
-				break
-			}
+	for _, fl := range fb.choke.flows {
+		if i := slices.Index(fl.resources, fb.choke); i >= 0 {
+			fl.resources = slices.Delete(fl.resources, i, i+1)
 		}
 	}
+	// Flows still in setup latency keep the choke and join it when they
+	// activate, so its list must not keep the flows just released.
+	fb.choke.flows = nil
 	fb.partition = nil
 	fb.choke = nil
-	fb.reallocate()
+	fb.changed()
 }
 
 // scale sets a resource's capacity to factor × its nominal capacity,
@@ -605,7 +689,7 @@ func (fb *Fabric) ScaleLinks(node int, factor float64) {
 	fb.advance()
 	fb.scale(fb.up[node], factor)
 	fb.scale(fb.down[node], factor)
-	fb.reallocate()
+	fb.changed()
 }
 
 // ScaleDisk degrades (or restores, with factor 1) a node's disk bandwidth
@@ -613,14 +697,15 @@ func (fb *Fabric) ScaleLinks(node int, factor float64) {
 func (fb *Fabric) ScaleDisk(node int, factor float64) {
 	fb.advance()
 	fb.scale(fb.disk[node], factor)
-	fb.reallocate()
+	fb.changed()
 }
 
 // Utilization returns the fraction of a resource's capacity currently
-// allocated; useful in tests and metrics.
+// allocated; useful in tests and metrics. Rates are summed in flow-ID order,
+// so the result is the same on every run.
 func (fb *Fabric) Utilization(r *Resource) float64 {
 	sum := 0.0
-	for fl := range r.flows {
+	for _, fl := range r.flows {
 		sum += fl.rate
 	}
 	return sum / r.Capacity

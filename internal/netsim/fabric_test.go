@@ -198,7 +198,7 @@ func TestQuickCapacityRespected(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for _, r := range []*Resource{fb.UplinkResource(i), fb.DownlinkResource(i), fb.DiskResource(i)} {
 				sum := 0.0
-				for fl := range r.flows {
+				for _, fl := range r.flows {
 					if fl.rate < -1e-9 {
 						return false // unfrozen flow escaped
 					}
@@ -210,7 +210,7 @@ func TestQuickCapacityRespected(t *testing.T) {
 			}
 		}
 		// Every flow must have a strictly positive rate.
-		for fl := range fb.flows {
+		for _, fl := range fb.flows {
 			if fl.rate <= 0 {
 				return false
 			}

@@ -17,8 +17,14 @@ import (
 )
 
 // Locator answers block-location queries; satisfied by *hdfs.NameNode.
+// ReplicaOn and HasReplica answer what Locations would, without building the
+// list: they are the per-offer probes.
 type Locator interface {
 	Locations(hdfs.BlockID) []int
+	// ReplicaOn reports whether Locations(id) names node.
+	ReplicaOn(id hdfs.BlockID, node int) bool
+	// HasReplica reports whether Locations(id) is non-empty.
+	HasReplica(id hdfs.BlockID) bool
 }
 
 // RackLocator additionally answers node→rack queries; *hdfs.NameNode
@@ -53,22 +59,14 @@ type Scheduler interface {
 // localOn reports whether one of the task's input-block replicas lives on
 // the node.
 func localOn(loc Locator, t *app.Task, node int) bool {
-	if !t.IsInput() {
-		return false
-	}
-	for _, n := range loc.Locations(t.Block) {
-		if n == node {
-			return true
-		}
-	}
-	return false
+	return t.IsInput() && loc.ReplicaOn(t.Block, node)
 }
 
 // hasPreference reports whether the task constrains placement at all: input
 // tasks with at least one live replica do, everything else launches anywhere
 // immediately (Spark's "no-pref"/ANY level).
 func hasPreference(loc Locator, t *app.Task) bool {
-	return t.IsInput() && len(loc.Locations(t.Block)) > 0
+	return t.IsInput() && loc.HasReplica(t.Block)
 }
 
 // Delay implements delay scheduling (Zaharia et al., EuroSys'10; Spark's

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/app"
@@ -11,7 +12,9 @@ import (
 // fakeLoc maps block → replica nodes.
 type fakeLoc map[hdfs.BlockID][]int
 
-func (f fakeLoc) Locations(b hdfs.BlockID) []int { return f[b] }
+func (f fakeLoc) Locations(b hdfs.BlockID) []int          { return f[b] }
+func (f fakeLoc) ReplicaOn(b hdfs.BlockID, node int) bool { return slices.Contains(f[b], node) }
+func (f fakeLoc) HasReplica(b hdfs.BlockID) bool          { return len(f[b]) > 0 }
 
 func mkCluster() *cluster.Cluster {
 	return cluster.New(cluster.Config{Nodes: 4, ExecutorsPerNode: 1})

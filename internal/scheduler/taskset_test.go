@@ -248,5 +248,7 @@ type rackLoc struct {
 	rackSize int
 }
 
-func (r rackLoc) Locations(b hdfs.BlockID) []int { return r.replicas[b] }
-func (r rackLoc) Rack(node int) int              { return node / r.rackSize }
+func (r rackLoc) Locations(b hdfs.BlockID) []int          { return r.replicas.Locations(b) }
+func (r rackLoc) ReplicaOn(b hdfs.BlockID, node int) bool { return r.replicas.ReplicaOn(b, node) }
+func (r rackLoc) HasReplica(b hdfs.BlockID) bool          { return r.replicas.HasReplica(b) }
+func (r rackLoc) Rack(node int) int                       { return node / r.rackSize }
