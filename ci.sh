@@ -75,6 +75,7 @@ echo "== fuzz smoke"
 # invocation. New corpus entries land in testdata/fuzz/ — commit them.
 go test -run='^$' -fuzz='^FuzzAllocateEquivalence$' -fuzztime=20s ./internal/core
 go test -run='^$' -fuzz='^FuzzAllocate$' -fuzztime=20s ./internal/core
+go test -run='^$' -fuzz='^FuzzSessionChurnEquivalence$' -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz='^FuzzMinCostFlow$' -fuzztime=10s ./internal/maxflow
 go test -run='^$' -fuzz='^FuzzFabricEquivalence$' -fuzztime=10s ./internal/netsim
 go test -run='^$' -fuzz='^FuzzMaxWeightAssignment$' -fuzztime=10s ./internal/matching

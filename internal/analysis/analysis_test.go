@@ -254,6 +254,8 @@ func TestNoAllocHotPathsAnnotated(t *testing.T) {
 		"internal/core.allocator.assign",
 		"internal/core.allocator.emitPick",
 		"internal/core.allocator.minLocality",
+		"internal/core.appState.sortedJobs",
+		"internal/core.PriorityIntra.allocate",
 		"internal/core.execPool.takeSlot",
 		"internal/core.execPool.takeAny",
 		"internal/core.execPool.takeOnAny",

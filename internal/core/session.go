@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Session carries the allocator's incremental state across allocation
@@ -49,9 +50,18 @@ func (s *Session) Allocate(apps []AppDemand, idle []ExecInfo, opts Options) Plan
 		st.obs.BeginRound(len(apps), len(idle))
 	}
 	st.pool.reset(idle, opts.Shards, opts.ShardFn)
-	s.buildApps(apps)
+	want := s.buildApps(apps)
+	// Every grant takes a free slot, and every grant either satisfies a
+	// pending task or is a fill grant justified by fillWant, so the plan
+	// never outgrows this bound.
+	if n := min(st.pool.size, want); n > 0 {
+		st.plan = make([]Assignment, 0, n)
+	}
 	st.heapInit()
 	st.run()
+	if len(st.plan) == 0 {
+		st.plan = nil // an empty plan is nil, as the reference returns it
+	}
 	return Plan{Assignments: st.plan}
 }
 
@@ -60,12 +70,14 @@ func (s *Session) Allocate(apps []AppDemand, idle []ExecInfo, opts Options) Plan
 // With more than one shard the arena fill, posting walk, and availability
 // counters run on the parallel worker phases in shard.go; the sequential
 // loop below is the one-shard (default) path and the semantic model the
-// sharded build must reproduce exactly.
-func (s *Session) buildApps(apps []AppDemand) {
+// sharded build must reproduce exactly. It returns the number of slots the
+// demand can justify: pending tasks plus no-preference tasks.
+func (s *Session) buildApps(apps []AppDemand) int {
 	st := &s.st
-	nJobs, nTasks := 0, 0
+	nJobs, nTasks, extra := 0, 0, 0
 	for i := range apps {
 		nJobs += len(apps[i].Jobs)
+		extra += max(apps[i].ExtraTasks, 0)
 		for j := range apps[i].Jobs {
 			nTasks += len(apps[i].Jobs[j].Tasks)
 		}
@@ -78,30 +90,21 @@ func (s *Session) buildApps(apps []AppDemand) {
 
 	if st.pool.nShards > 1 {
 		s.buildAppsSharded(apps, nJobs, nTasks)
-		return
+		return nTasks + extra
 	}
 
 	jb, tb := 0, 0
 	for i := range apps {
 		d := apps[i]
 		a := &s.appArena[i]
-		resBuf := a.resHeap[:0]
-		*a = appState{
-			d:       d,
-			idx:     i,
-			held:    d.Held,
-			resHeap: resBuf,
-			denJobs: d.TotalJobs + len(d.Jobs),
-		}
+		a.reset(d, i)
 		a.jobs = s.jobArena[jb : jb+len(d.Jobs)]
 		jb += len(d.Jobs)
 		denTasks := d.TotalTasks
 		for k := range d.Jobs {
 			jd := d.Jobs[k]
 			j := &a.jobs[k]
-			j.d = jd
-			j.remaining = len(jd.Tasks)
-			j.tasks = s.taskArena[tb : tb+len(jd.Tasks)]
+			*j = jobState{d: jd, remaining: len(jd.Tasks), tasks: s.taskArena[tb : tb+len(jd.Tasks)]}
 			tb += len(jd.Tasks)
 			denTasks += len(jd.Tasks)
 			a.wantSum += j.remaining
@@ -111,12 +114,32 @@ func (s *Session) buildApps(apps []AppDemand) {
 				st.pool.post(t)
 				if t.unresAvail > 0 {
 					a.satUnres++
+					j.satUnres++
 				}
 			}
 		}
 		a.denTasks = denTasks
 		st.apps = append(st.apps, a)
 		st.heap = append(st.heap, a)
+	}
+	return nTasks + extra
+}
+
+// reset reinitializes the app's state for a new round from its demand at
+// input position idx, keeping the capacity of its per-round buffers. The
+// job order starts as input order; sortedJobs sorts it on the first pick.
+func (a *appState) reset(d AppDemand, idx int) {
+	resBuf, order := a.resHeap[:0], a.order[:0]
+	for k := range d.Jobs {
+		order = append(order, int32(k))
+	}
+	*a = appState{
+		d:       d,
+		idx:     idx,
+		held:    d.Held,
+		resHeap: resBuf,
+		order:   order,
+		denJobs: d.TotalJobs + len(d.Jobs),
 	}
 }
 
@@ -135,12 +158,14 @@ func grow[T any](buf []T, n int) []T {
 // poolExec is one idle executor's state inside the pool. Once a slot is
 // taken by an application, the executor is reserved: its remaining slots may
 // only serve the same application (an executor belongs to one app,
-// constraint (2)).
+// constraint (2)). The cached indexes spare takeSlot every map lookup; the
+// struct stays at 40 bytes, which matters at 200k executors per round.
 type poolExec struct {
-	info     ExecInfo
-	free     int32
-	reserved int32 // 1 when reserved (ownership tracked per claim), 0 free
-	app      int   // reserving app ID; meaningful when reserved == 1
+	info    ExecInfo
+	free    int32
+	app     int32 // reserving app's input position; -1 while unreserved
+	nodeIdx int32 // index into its shard's nodes, set by indexExec
+	naIdx   int32 // its (node, app) entry in its shard's na, set when claimed
 }
 
 // nodeState indexes one node's executors and the pending tasks posted to it.
@@ -156,6 +181,10 @@ type nodeState struct {
 	// occurrence, across all apps; walked once when the node's last
 	// unreserved executor is claimed (the unres-drain transition).
 	posts []*taskState
+	// naHead heads the node's intrusive list of nodeApp entries (linked by
+	// nodeApp.next), -1 when empty. The newest entry is at the head, which
+	// is the one post asks for next, since tasks are posted app by app.
+	naHead int32
 }
 
 // nodeApp is the per-(node, app) slice of the index: the app's posted tasks
@@ -165,11 +194,8 @@ type nodeApp struct {
 	execIdx []int32 // claimed executors, ascending ID by construction
 	cursor  int32   // min-free scan position; free never recovers in-round
 	ownFree int32   // claimed executors with free slots remaining
-}
-
-type naKey struct {
-	node int32
-	app  int
+	next    int32   // next entry on the same node, -1 at the tail
+	app     int     // app ID the entry belongs to
 }
 
 // poolShard holds the node-keyed index structures for one build shard: the
@@ -186,9 +212,8 @@ type poolShard struct {
 	nodesLen int
 	byNode   map[int]int32 // node ID → index into nodes
 
-	na    []nodeApp
+	na    []nodeApp // (node, app) entries, listed per node from nodeState.naHead
 	naLen int
-	naIdx map[naKey]int32
 
 	pre  []int32 // this shard's executor indices, ascending; filled by reset's partition pass
 	size int     // free slots on this shard's nodes; merged in fixed shard order
@@ -206,6 +231,28 @@ type execPool struct {
 	shardFn func(node int) int
 
 	cursor int // global min-unreserved scan over execs (takeAny)
+
+	// idleNodes has bit n set when node n holds an idle executor this
+	// round, for node IDs below idleBitsLimit: one bit per node spares
+	// post and takeOnAny the byNode lookup of the many replica nodes with
+	// no idle executor. reset clears it through the previous round's execs.
+	idleNodes []uint64
+}
+
+// idleBitsLimit bounds the node IDs idleNodes covers (2 MB of bits); nodes
+// outside [0, idleBitsLimit) always fall through to the byNode lookup.
+const idleBitsLimit = 1 << 24
+
+// mayHold reports whether node n may hold an idle executor: false only
+// when the bitset proves it holds none.
+//
+//custody:noalloc
+func (p *execPool) mayHold(n int) bool {
+	if n < 0 || n >= idleBitsLimit {
+		return true
+	}
+	w := n >> 6
+	return w < len(p.idleNodes) && p.idleNodes[w]&(1<<(uint(n)&63)) != 0
 }
 
 // reset rebuilds the pool for a new round, reusing all arenas. nShards and
@@ -219,7 +266,7 @@ func (p *execPool) reset(idle []ExecInfo, nShards int, shardFn func(node int) in
 	p.nShards = nShards
 	p.shardFn = shardFn
 	for len(p.shards) < nShards {
-		p.shards = append(p.shards, poolShard{byNode: map[int]int32{}, naIdx: map[naKey]int32{}})
+		p.shards = append(p.shards, poolShard{byNode: map[int]int32{}})
 	}
 	for s := 0; s < nShards; s++ {
 		sh := &p.shards[s]
@@ -228,13 +275,24 @@ func (p *execPool) reset(idle []ExecInfo, nShards int, shardFn func(node int) in
 		sh.size = 0
 		sh.pre = sh.pre[:0]
 		clear(sh.byNode)
-		clear(sh.naIdx)
+	}
+	for i := range p.execs { // the previous round's executors set every bit
+		if n := p.execs[i].info.Node; n >= 0 && n < idleBitsLimit {
+			p.idleNodes[n>>6] = 0
+		}
 	}
 	p.execs = grow(p.execs, len(idle))
 	for i, e := range idle {
-		p.execs[i] = poolExec{info: e, free: int32(e.slots()), app: -1}
+		p.execs[i] = poolExec{info: e, free: int32(e.slots()), app: -1, nodeIdx: -1, naIdx: -1}
+		if n := e.Node; n >= 0 && n < idleBitsLimit {
+			w := n >> 6
+			if w >= len(p.idleNodes) {
+				p.idleNodes = grow(p.idleNodes, w+1) // never shrinks, so new words are still zero
+			}
+			p.idleNodes[w] |= 1 << (uint(n) & 63)
+		}
 	}
-	sort.Slice(p.execs, func(i, j int) bool { return p.execs[i].info.ID < p.execs[j].info.ID })
+	slices.SortFunc(p.execs, func(x, y poolExec) int { return cmp.Compare(x.info.ID, y.info.ID) })
 	p.size = 0
 	p.cursor = 0
 	if nShards == 1 {
@@ -299,6 +357,7 @@ func (p *execPool) indexExec(sh *poolShard, i int32) {
 		ni = sh.newNode()
 		sh.byNode[pe.info.Node] = ni
 	}
+	pe.nodeIdx = ni
 	ns := &sh.nodes[ni]
 	ns.execIdx = append(ns.execIdx, i)
 	ns.unres++
@@ -312,19 +371,32 @@ func (sh *poolShard) newNode() int32 {
 		ns.posts = ns.posts[:0]
 		ns.cursor = 0
 		ns.unres = 0
+		ns.naHead = -1
 	} else {
-		sh.nodes = append(sh.nodes, nodeState{})
+		sh.nodes = append(sh.nodes, nodeState{naHead: -1})
 	}
 	sh.nodesLen++
 	return int32(sh.nodesLen - 1)
+}
+
+// findNodeApp returns the (node, app) index entry, or -1 when the app has
+// none on the node. The walk is bounded by the apps posted to the node.
+//
+//custody:noalloc
+func (sh *poolShard) findNodeApp(ni int32, app int) int32 {
+	for i := sh.nodes[ni].naHead; i >= 0; i = sh.na[i].next {
+		if sh.na[i].app == app {
+			return i
+		}
+	}
+	return -1
 }
 
 // nodeApp returns the (node, app) index entry, creating it on first use.
 //
 //custody:noalloc
 func (sh *poolShard) nodeApp(ni int32, app int) int32 {
-	key := naKey{node: ni, app: app}
-	if i, ok := sh.naIdx[key]; ok {
+	if i := sh.findNodeApp(ni, app); i >= 0 {
 		return i
 	}
 	var i int32
@@ -340,7 +412,10 @@ func (sh *poolShard) nodeApp(ni int32, app int) int32 {
 		sh.na = append(sh.na, nodeApp{}) //custody:ignore noalloc na arena grows only until the (node, app) working set is warm
 	}
 	sh.naLen++
-	sh.naIdx[key] = i
+	ns := &sh.nodes[ni]
+	sh.na[i].app = app
+	sh.na[i].next = ns.naHead
+	ns.naHead = i
 	return i
 }
 
@@ -353,6 +428,9 @@ func (sh *poolShard) nodeApp(ni int32, app int) int32 {
 //custody:noalloc
 func (p *execPool) post(t *taskState) {
 	for _, n := range t.d.Nodes {
+		if !p.mayHold(n) {
+			continue
+		}
 		sh := p.shardFor(n)
 		ni, ok := sh.byNode[n]
 		if !ok {
@@ -373,7 +451,7 @@ func (p *execPool) post(t *taskState) {
 func (p *execPool) minUnres(ns *nodeState) int32 {
 	for int(ns.cursor) < len(ns.execIdx) {
 		ei := ns.execIdx[ns.cursor]
-		if p.execs[ei].reserved == 0 {
+		if p.execs[ei].app < 0 {
 			return ei
 		}
 		ns.cursor++
@@ -422,12 +500,15 @@ func (p *execPool) takeOnAny(nodes []int, a *appState) (e ExecInfo, newExec, ok 
 	best := int32(-1)
 	bestRes := false
 	for _, n := range nodes {
+		if !p.mayHold(n) {
+			continue
+		}
 		sh := p.shardFor(n)
 		ni, present := sh.byNode[n]
 		if !present {
 			continue
 		}
-		if nai, has := sh.naIdx[naKey{node: ni, app: a.d.App}]; has {
+		if nai := sh.findNodeApp(ni, a.d.App); nai >= 0 {
 			if ei := p.minOwnFree(&sh.na[nai]); ei >= 0 && p.better(ei, true, best, bestRes) {
 				best, bestRes = ei, true
 			}
@@ -462,7 +543,7 @@ func (p *execPool) takeAny(a *appState) (e ExecInfo, newExec, ok bool) {
 	}
 	if a.allowNew() {
 		for p.cursor < len(p.execs) {
-			if p.execs[p.cursor].reserved == 0 {
+			if p.execs[p.cursor].app < 0 {
 				return p.takeSlot(int32(p.cursor), a)
 			}
 			p.cursor++
@@ -482,19 +563,17 @@ func (p *execPool) takeAny(a *appState) (e ExecInfo, newExec, ok bool) {
 //custody:noalloc
 func (p *execPool) takeSlot(ei int32, a *appState) (ExecInfo, bool, bool) {
 	pe := &p.execs[ei]
-	newExec := pe.reserved == 0
+	newExec := pe.app < 0
 	sh := p.shardFor(pe.info.Node)
-	ni := sh.byNode[pe.info.Node]
 	if newExec {
-		pe.reserved = 1
-		pe.app = a.d.App
-		ns := &sh.nodes[ni]
+		pe.app = int32(a.idx)
+		ns := &sh.nodes[pe.nodeIdx]
 		ns.unres--
 		if ns.unres == 0 {
 			p.drainUnres(ns)
 		}
-		nai := sh.nodeApp(ni, a.d.App)
-		na := &sh.na[nai]
+		pe.naIdx = sh.nodeApp(pe.nodeIdx, a.d.App)
+		na := &sh.na[pe.naIdx]
 		na.execIdx = append(na.execIdx, ei) //custody:ignore noalloc execIdx arenas keep their capacity across rounds; growth stops once warm
 		pushIntHeap(&a.resHeap, ei)
 		pe.free--
@@ -505,8 +584,7 @@ func (p *execPool) takeSlot(ei int32, a *appState) (ExecInfo, bool, bool) {
 			}
 		}
 	} else {
-		nai := sh.naIdx[naKey{node: ni, app: a.d.App}] // created at claim time
-		na := &sh.na[nai]
+		na := &sh.na[pe.naIdx] // cached at claim time
 		pe.free--
 		if pe.free == 0 {
 			na.ownFree--
@@ -528,6 +606,7 @@ func (p *execPool) drainUnres(ns *nodeState) {
 		t.unresAvail--
 		if t.unresAvail == 0 {
 			t.owner.satUnres--
+			t.job.satUnres--
 		}
 	}
 }
@@ -540,6 +619,7 @@ func (p *execPool) raiseOwn(na *nodeApp) {
 		}
 		if t.ownAvail == 0 {
 			t.owner.satOwn++
+			t.job.satOwn++
 		}
 		t.ownAvail++
 	}
@@ -554,6 +634,7 @@ func (p *execPool) drainOwn(na *nodeApp) {
 		t.ownAvail--
 		if t.ownAvail == 0 {
 			t.owner.satOwn--
+			t.job.satOwn--
 		}
 	}
 }

@@ -128,14 +128,7 @@ func (s *Session) buildAppsSharded(apps []AppDemand, nJobs, nTasks int) {
 	for i := range apps {
 		d := apps[i]
 		a := &s.appArena[i]
-		resBuf := a.resHeap[:0]
-		*a = appState{
-			d:       d,
-			idx:     i,
-			held:    d.Held,
-			resHeap: resBuf,
-			denJobs: d.TotalJobs + len(d.Jobs),
-		}
+		a.reset(d, i)
 		a.jobs = s.jobArena[jb : jb+len(d.Jobs)]
 		denTasks := d.TotalTasks
 		for k := range d.Jobs {
@@ -193,6 +186,7 @@ func (s *Session) buildAppsSharded(apps []AppDemand, nJobs, nTasks int) {
 		t := &s.taskArena[i]
 		if t.unresAvail > 0 {
 			t.owner.satUnres++
+			t.job.satUnres++
 		}
 	}
 }
@@ -207,9 +201,7 @@ func (s *Session) fillJobsWorker(wg *sync.WaitGroup, apps []AppDemand, lo, hi in
 		a := &s.appArena[m.app]
 		jd := apps[m.app].Jobs[m.k]
 		j := &s.jobArena[ji]
-		j.d = jd
-		j.remaining = len(jd.Tasks)
-		j.tasks = s.taskArena[m.tb : int(m.tb)+len(jd.Tasks)]
+		*j = jobState{d: jd, remaining: len(jd.Tasks), tasks: s.taskArena[m.tb : int(m.tb)+len(jd.Tasks)]}
 		for x := range jd.Tasks {
 			j.tasks[x] = taskState{d: &jd.Tasks[x], owner: a, job: j}
 		}
@@ -232,6 +224,10 @@ func (s *Session) resolveOccWorker(wg *sync.WaitGroup, lo, hi int) {
 		off := s.occOff[i]
 		avail := int32(0)
 		for r, n := range t.d.Nodes {
+			if !p.mayHold(n) {
+				s.occ[int(off)+r] = -1
+				continue
+			}
 			sIdx := p.shardOf(n)
 			if ni, ok := p.shards[sIdx].byNode[n]; ok {
 				s.occ[int(off)+r] = int64(sIdx)<<32 | int64(ni)

@@ -6,11 +6,11 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/event"
 	"repro/internal/hdfs"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/scheduler"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -19,7 +19,7 @@ import (
 type Driver struct {
 	cfg Config
 
-	eng    *sim.Engine
+	eng    *event.Engine
 	fabric *netsim.Fabric
 	nn     *hdfs.NameNode
 	cl     *cluster.Cluster
@@ -34,7 +34,7 @@ type Driver struct {
 	running   map[*app.Task][]*attempt
 	execReady map[int]float64       // executor ID → time it becomes usable
 	prevOwner map[int]cluster.AppID // executor ID → last owner
-	wake      *sim.Timer
+	wake      *event.Timer
 	started   bool
 	inManager bool // re-entrancy guard for manager callbacks
 
@@ -44,7 +44,7 @@ type Driver struct {
 	degraded    map[int]bool               // nodes with degraded links
 	slowDisks   map[int]bool               // nodes with a slowed disk
 	taskFails   map[*app.Task]int          // failures per task (backoff exponent)
-	backoff     map[*app.Task]*sim.Timer   // tasks waiting out a retry delay
+	backoff     map[*app.Task]*event.Timer // tasks waiting out a retry delay
 	badSrc      map[*app.Task]map[int]bool // replica sources this task failed against
 	failTimes   map[int][]float64          // node → recent task-failure times
 	blacklist   map[int]float64            // node → excluded-until time
@@ -66,7 +66,7 @@ type attempt struct {
 	task  *app.Task
 	exec  *cluster.Executor
 	flows []*netsim.Flow
-	timer *sim.Timer
+	timer *event.Timer
 	spec  bool
 
 	launched  float64
@@ -80,7 +80,7 @@ func New(cfg Config) *Driver {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := sim.NewEngine()
+	eng := event.NewEngine()
 	rng := xrand.New(cfg.Seed)
 	opts := []hdfs.Option{
 		hdfs.WithBlockSize(cfg.BlockSize),
@@ -126,7 +126,7 @@ func New(cfg Config) *Driver {
 		degraded:    map[int]bool{},
 		slowDisks:   map[int]bool{},
 		taskFails:   map[*app.Task]int{},
-		backoff:     map[*app.Task]*sim.Timer{},
+		backoff:     map[*app.Task]*event.Timer{},
 		badSrc:      map[*app.Task]map[int]bool{},
 		failTimes:   map[int][]float64{},
 		blacklist:   map[int]float64{},
@@ -137,7 +137,7 @@ func New(cfg Config) *Driver {
 }
 
 // Engine exposes the event engine (examples and tests).
-func (d *Driver) Engine() *sim.Engine { return d.eng }
+func (d *Driver) Engine() *event.Engine { return d.eng }
 
 // Fabric exposes the network fabric (chaos injection and tests).
 func (d *Driver) Fabric() *netsim.Fabric { return d.fabric }

@@ -405,6 +405,7 @@ func (nn *NameNode) Delete(name string) error {
 		}
 		delete(nn.locations, b.ID)
 		delete(nn.blocks, b.ID)
+		delete(nn.pending, b.ID) // a planned copy of a deleted block has nothing to commit
 	}
 	delete(nn.files, name)
 	return nil
@@ -470,13 +471,17 @@ func (nn *NameNode) Decommission(node int) ([]ReplicaCopy, error) {
 // CommitReplica registers a pending re-replication target as a readable
 // replica: the transfer planned by Decommission has delivered its bytes.
 func (nn *NameNode) CommitReplica(id BlockID, node int) error {
+	b, ok := nn.blocks[id]
+	if !ok {
+		return fmt.Errorf("%w: block %d", ErrNotFound, id)
+	}
 	if !nn.dropPending(id, node) {
 		return fmt.Errorf("hdfs: no pending replica of block %d on node %d", id, node)
 	}
 	if !nn.datanodes[node].alive {
 		return fmt.Errorf("hdfs: pending replica target node %d died before commit", node)
 	}
-	nn.addReplica(nn.blocks[id], node)
+	nn.addReplica(b, node)
 	return nil
 }
 

@@ -582,3 +582,32 @@ func TestAbortReplica(t *testing.T) {
 	// A fresh decommission of another replica holder re-plans the copy.
 	nn.AbortReplica(cp.Block, cp.To) // no-op on absent entry
 }
+
+// TestDeleteDropsPendingReplicas deletes a file while a re-replication of
+// one of its blocks is in flight: the planned copy must vanish with the
+// block, and committing it must fail with ErrNotFound instead of
+// registering a replica of a block that no longer exists.
+func TestDeleteDropsPendingReplicas(t *testing.T) {
+	nn := newNN(t, 6, WithBlockSize(100), WithReplication(3))
+	f, _ := nn.Create("a", 100)
+	copies, err := nn.Decommission(nn.Locations(f.Blocks[0].ID)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(copies) != 1 {
+		t.Fatalf("got %d copies, want 1", len(copies))
+	}
+	cp := copies[0]
+	if err := nn.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.CommitReplica(cp.Block, cp.To); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("CommitReplica of a deleted block = %v, want ErrNotFound", err)
+	}
+	if nn.DataNode(cp.To).Holds(cp.Block) {
+		t.Fatalf("deleted block registered on node %d", cp.To)
+	}
+	if ids := nn.PendingBlockIDs(); len(ids) != 0 {
+		t.Fatalf("pending blocks remain after Delete: %v", ids)
+	}
+}
