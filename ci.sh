@@ -80,15 +80,6 @@ go test -run='^$' -fuzz='^FuzzMinCostFlow$' -fuzztime=10s ./internal/maxflow
 go test -run='^$' -fuzz='^FuzzFabricEquivalence$' -fuzztime=10s ./internal/netsim
 go test -run='^$' -fuzz='^FuzzMaxWeightAssignment$' -fuzztime=10s ./internal/matching
 
-echo "== sharded equivalence (-race)"
-# The sharded-build lockdown battery (DESIGN.md §14): fuzz the sharded
-# session against the frozen reference over the committed corpus, shuffle
-# goroutine interleavings, and replay every golden trace at 2/4/8 shards —
-# all under the race detector.
-go test -race -run='^$' -fuzz='^FuzzShardedEquivalence$' -fuzztime=20s ./internal/core
-go test -race -count=1 -run '^TestShardedDeterministicUnderShuffle$|^TestShardCountChangeMidSession$' ./internal/core
-go test -race -count=1 -run '^TestGoldenTracesSharded$|^TestGoldenShardedTrace$' ./internal/experiments
-
 echo "== modelcheck mutation smoke"
 # Compile the seeded allocator bug (inverted fairness comparison, build tag
 # custodymutate) and require the model checker to catch it and shrink the
@@ -96,12 +87,12 @@ echo "== modelcheck mutation smoke"
 # the suite is *expected* to fail with the bug compiled in.
 go test -count=1 -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 
-echo "== shard mutation smoke"
-# Same drill for the sharded build: the custodymutateshard tag reverses one
-# shard's pre-list walk (descending per-node executor lists), a bug only
-# the SelfCheck reference oracle can see; the checker must catch it and
-# shrink the counterexample to a small reproducer.
-go test -count=1 -tags custodymutateshard -run '^TestShardMutationSmoke$' ./internal/modelcheck
+echo "== tie mutation smoke"
+# Same drill for the executor tie-break: the custodymutatetie tag indexes
+# executors in descending ID order (descending per-node executor lists), a
+# bug only the SelfCheck reference oracle can see; the checker must catch
+# it and shrink the counterexample to a small reproducer.
+go test -count=1 -tags custodymutatetie -run '^TestTieMutationSmoke$' ./internal/modelcheck
 
 echo "== policy mutation smoke"
 # And for the pluggable-policy layer: the custodymutatepolicy tag inverts
@@ -140,10 +131,8 @@ echo "== bench regression gate"
 # Fresh harness run (internal/benchreg) compared against the committed
 # baseline; fails on >15% regression in normalized time or allocs/op, or if
 # the incremental allocator drops below 5x the frozen reference at 1000
-# nodes. The report (including the alloc-50k/alloc-100k shard sweep and
-# shard_speedup_100k, which scales with the runner's core count and is
-# informational) is left under artifacts/ for CI to upload. Bless a new
-# baseline with:
+# nodes. The report (including the warm alloc-50k/alloc-100k rounds) is
+# left under artifacts/ for CI to upload. Bless a new baseline with:
 #   go run ./cmd/custodybench -quick -emit-json BENCH_PR8.json
 mkdir -p artifacts
 go run ./cmd/custodybench -quick -emit-json artifacts/bench-current.json -baseline BENCH_PR8.json

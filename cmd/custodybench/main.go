@@ -33,7 +33,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "shrink the workload (6 jobs/app) for fast runs")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		repeats  = flag.Int("repeats", 1, "pool results over this many seeds (figures 7-10 only)")
-		shards   = flag.Int("shards", 1, "allocation-session build shards for the Custody manager (figures 7-10 only; plans are byte-identical at any value)")
 		bars     = flag.Bool("bars", false, "render figures as ASCII bar charts")
 		mdOut    = flag.String("md", "", "also write a Markdown report of the figure sweep to this file")
 		emitJSON = flag.String("emit-json", "", "run the benchmark-regression harness and write BENCH_*.json to this path (skips -fig)")
@@ -44,7 +43,7 @@ func main() {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, *fig, *repeats, *shards, *emitJSON, *baseline, *pprofDir); err != nil {
+	if err := validateFlags(set, *fig, *repeats, *emitJSON, *baseline, *pprofDir); err != nil {
 		log.Printf("custodybench: %v (run 'custodybench -h' for usage)", err)
 		os.Exit(2)
 	}
@@ -58,7 +57,6 @@ func main() {
 	opts.Seed = *seed
 	opts.Quick = *quick
 	opts.Repeats = *repeats
-	opts.Shards = *shards
 
 	needSweep := map[string]bool{"7": true, "8": true, "9": true, "10": true, "all": true}
 	if needSweep[*fig] {

@@ -34,15 +34,12 @@ func validFigNames() string {
 // combinations up front, before any experiment starts. set holds the flags
 // explicitly provided on the command line, so defaults never trip the
 // contradiction checks.
-func validateFlags(set map[string]bool, fig string, repeats, shards int, emitJSON, baseline, pprofDir string) error {
+func validateFlags(set map[string]bool, fig string, repeats int, emitJSON, baseline, pprofDir string) error {
 	if !sweepFigs[fig] && !ablationFigs[fig] {
 		return fmt.Errorf("unknown -fig %q (valid: %s)", fig, validFigNames())
 	}
 	if repeats < 1 {
 		return fmt.Errorf("-repeats must be at least 1, got %d", repeats)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", shards)
 	}
 	if emitJSON == "" {
 		if baseline != "" {
@@ -52,14 +49,14 @@ func validateFlags(set map[string]bool, fig string, repeats, shards int, emitJSO
 			return fmt.Errorf("-pprof requires -emit-json")
 		}
 	} else {
-		for _, name := range []string{"fig", "repeats", "shards", "md", "bars"} {
+		for _, name := range []string{"fig", "repeats", "md", "bars"} {
 			if set[name] {
 				return fmt.Errorf("-%s applies to figure runs and contradicts -emit-json (the regression harness fixes its own cases)", name)
 			}
 		}
 	}
 	if !sweepFigs[fig] {
-		for _, name := range []string{"repeats", "shards", "md", "bars"} {
+		for _, name := range []string{"repeats", "md", "bars"} {
 			if set[name] {
 				return fmt.Errorf("-%s applies only to the figure sweep (-fig 7 | 8 | 9 | 10 | all), not -fig %s", name, fig)
 			}

@@ -11,7 +11,6 @@ func TestValidateFlags(t *testing.T) {
 		set      map[string]bool
 		fig      string
 		repeats  int
-		shards   int
 		emitJSON string
 		baseline string
 		pprofDir string
@@ -61,24 +60,6 @@ func TestValidateFlags(t *testing.T) {
 			name: "repeats-on-sweep-ok", fig: "8", repeats: 3,
 			set: map[string]bool{"repeats": true},
 		},
-		{
-			name: "zero-shards", fig: "all", repeats: 1, shards: -4,
-			want: "-shards must be at least 1",
-		},
-		{
-			name: "shards-on-sweep-ok", fig: "7", repeats: 1, shards: 4,
-			set: map[string]bool{"shards": true},
-		},
-		{
-			name: "shards-on-ablation", fig: "chaos", repeats: 1, shards: 4,
-			set:  map[string]bool{"shards": true},
-			want: "-shards applies only to the figure sweep",
-		},
-		{
-			name: "shards-with-emit", fig: "all", repeats: 1, shards: 4, emitJSON: "out.json",
-			set:  map[string]bool{"shards": true},
-			want: "-shards applies to figure runs and contradicts -emit-json",
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -86,10 +67,7 @@ func TestValidateFlags(t *testing.T) {
 			if set == nil {
 				set = map[string]bool{}
 			}
-			if c.shards == 0 {
-				c.shards = 1
-			}
-			err := validateFlags(set, c.fig, c.repeats, c.shards, c.emitJSON, c.baseline, c.pprofDir)
+			err := validateFlags(set, c.fig, c.repeats, c.emitJSON, c.baseline, c.pprofDir)
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

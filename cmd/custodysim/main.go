@@ -32,7 +32,6 @@ func main() {
 		arrival  = flag.Float64("arrival", 4.0, "mean job inter-arrival time (s)")
 		wait     = flag.Float64("wait", 3.0, "delay-scheduling locality wait (s)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		shards   = flag.Int("shards", 1, "allocation-session build shards (custody manager only; plans are byte-identical at any value)")
 		policy   = flag.String("policy", "custody", "allocation policy (custody manager only): custody | quincy | wfair | locmatch")
 		spec     = flag.Bool("speculation", false, "enable speculative execution")
 		cacheMB  = flag.Int64("cache-mb", 0, "per-node block-cache capacity in MB (0 disables the cache tier)")
@@ -56,7 +55,7 @@ func main() {
 	if err := validateFlags(set, cliFlags{
 		manager: *mgr, scheduler: *sched, workload: *wl, policy: *policy,
 		nodes: *nodes, execs: *execs, slots: *slots, apps: *apps, jobs: *jobs,
-		shards: *shards, arrival: *arrival, wait: *wait,
+		arrival: *arrival, wait: *wait,
 		cacheMB: *cacheMB, cachePolicy: *cachePol,
 		mcMode: *mcMode, mcServer: *mcServer, mcSeeds: *mcSeeds, mcCmds: *mcCmds,
 		mcReplay: *mcReplay, mcOut: *mcOut,
@@ -80,7 +79,6 @@ func main() {
 		SlotsPerExecutor: *slots,
 		Seed:             *seed,
 		Manager:          custody.ManagerName(*mgr),
-		Shards:           *shards,
 		Policy:           *policy,
 		Scheduler:        *sched,
 		LocalityWaitSec:  *wait,

@@ -22,7 +22,7 @@ type cliFlags struct {
 	manager, scheduler, workload string
 	policy                       string
 	nodes, execs, slots          int
-	apps, jobs, shards           int
+	apps, jobs                   int
 	arrival, wait                float64
 	cacheMB                      int64
 	cachePolicy                  string
@@ -62,15 +62,12 @@ func validateFlags(set map[string]bool, f cliFlags) error {
 		val  int
 	}{
 		{"nodes", f.nodes}, {"executors", f.execs}, {"slots", f.slots},
-		{"apps", f.apps}, {"jobs", f.jobs}, {"shards", f.shards},
+		{"apps", f.apps}, {"jobs", f.jobs},
 		{"seeds", f.mcSeeds}, {"mc-cmds", f.mcCmds},
 	} {
 		if c.val < 1 {
 			return fmt.Errorf("-%s must be at least 1, got %d", c.name, c.val)
 		}
-	}
-	if set["shards"] && f.shards > 1 && f.manager != "custody" {
-		return fmt.Errorf("-shards applies to the custody manager, not -manager %s", f.manager)
 	}
 	if f.policy != "" && !oneOf(f.policy, validPolicies) {
 		return fmt.Errorf("unknown -policy %q (valid: %s)", f.policy, strings.Join(validPolicies, " | "))
@@ -103,7 +100,7 @@ func validateFlags(set map[string]bool, f cliFlags) error {
 			}
 		}
 	} else {
-		for _, name := range []string{"trace", "explain", "obsv-out", "speculation", "workload", "manager", "scheduler", "shards", "policy", "cache-mb", "cache-policy"} {
+		for _, name := range []string{"trace", "explain", "obsv-out", "speculation", "workload", "manager", "scheduler", "policy", "cache-mb", "cache-policy"} {
 			if set[name] {
 				return fmt.Errorf("-%s applies to simulation runs and contradicts -modelcheck", name)
 			}

@@ -9,7 +9,7 @@ import (
 func goodFlags() cliFlags {
 	return cliFlags{
 		manager: "custody", scheduler: "delay", workload: "WordCount",
-		nodes: 10, execs: 2, slots: 4, apps: 2, jobs: 5, shards: 1,
+		nodes: 10, execs: 2, slots: 4, apps: 2, jobs: 5,
 		arrival: 4, wait: 3, mcSeeds: 10, mcCmds: 40,
 	}
 }
@@ -81,28 +81,6 @@ func TestValidateFlags(t *testing.T) {
 			name:   "modelcheck-server-ok",
 			set:    map[string]bool{"modelcheck": true, "mc-server": true},
 			mutate: func(f *cliFlags) { f.mcMode = true; f.mcServer = true },
-		},
-		{
-			name:   "zero-shards",
-			mutate: func(f *cliFlags) { f.shards = 0 },
-			want:   "-shards must be at least 1",
-		},
-		{
-			name:   "shards-ok",
-			set:    map[string]bool{"shards": true},
-			mutate: func(f *cliFlags) { f.shards = 8 },
-		},
-		{
-			name:   "shards-on-non-custody",
-			set:    map[string]bool{"shards": true},
-			mutate: func(f *cliFlags) { f.shards = 8; f.manager = "yarn" },
-			want:   "-shards applies to the custody manager",
-		},
-		{
-			name:   "modelcheck-with-shards",
-			set:    map[string]bool{"shards": true},
-			mutate: func(f *cliFlags) { f.mcMode = true; f.shards = 4 },
-			want:   "-shards applies to simulation runs",
 		},
 		{
 			name:   "cache-ok",

@@ -123,12 +123,6 @@ type Config struct {
 	Speculation     bool
 	// Trace records the execution timeline; retrieve it from Result.Trace.
 	Trace bool
-	// Shards partitions the allocator's per-round session build into this
-	// many rack-affine shards built on parallel goroutines (DESIGN.md §14).
-	// 0 or 1 keeps the build sequential. The allocation plan is byte-
-	// identical for every value; only round latency changes. Custody
-	// manager only — the other managers don't run the core allocator.
-	Shards int
 	// Obsv attaches a decision-provenance hub (see NewObservability): the
 	// Custody manager's allocator reports every Algorithm 1 pick and grant
 	// into it, and the driver feeds it audit results and fault no-ops.
@@ -249,11 +243,6 @@ func (c Config) driverConfig() driver.Config {
 		// for every manager.
 		if m, ok := cfg.Manager.(*manager.Custody); ok {
 			m.Opts.Observer = c.Obsv
-		}
-	}
-	if c.Shards > 1 {
-		if m, ok := cfg.Manager.(*manager.Custody); ok {
-			m.Opts.Shards = c.Shards
 		}
 	}
 	if c.Policy != "" {

@@ -1,9 +1,10 @@
 // Package analysis implements custodylint, the project-specific static
 // checks that keep the reproduction honest: determinism of the allocator
 // hot paths, the package layering DAG, error-handling hygiene, and the
-// concurrency-safety and allocation contracts that gate the sharded
-// allocator. The checks are built on the standard library only (go/ast,
-// go/parser, go/types) so the module keeps zero external dependencies.
+// concurrency-safety and allocation contracts of custodyd and the
+// allocator hot paths. The checks are built on the standard library only
+// (go/ast, go/parser, go/types) so the module keeps zero external
+// dependencies.
 //
 // Nine analyzers are provided (see All):
 //
@@ -86,7 +87,7 @@ type Analyzer interface {
 // All returns the full custodylint rule set: the PR-1 determinism/layering/
 // error-handling suite plus the concurrency-safety and performance-contract
 // suite (guardedby, lockorder, goroutine, noalloc, atomicmix) that gates
-// the sharded-allocator transition.
+// custodyd's shared state and the allocator's hot paths.
 func All() []Analyzer {
 	return []Analyzer{
 		DetRand{}, MapOrder{}, Layering{}, ErrDrop{},

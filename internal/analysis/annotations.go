@@ -19,11 +19,6 @@ import (
 //	                                  receiver mutexes are held on entry.
 //	//custody:noalloc                 on a function: its body must not contain
 //	                                  allocating constructs (see NoAlloc).
-//	//custody:workerpool <reason>     on a function: blesses fork-join
-//	                                  goroutine spawns inside a
-//	                                  single-threaded leaf; the function must
-//	                                  join every spawn (contain a .Wait()
-//	                                  call) before returning.
 //
 // Malformed annotations are diagnostics (rule "guardedby" or "noalloc"), the
 // same never-rot policy as reasonless //custody:ignore suppressions.
@@ -37,11 +32,10 @@ type guardInfo struct {
 
 // annIndex is the module-wide annotation table, built once per Module.
 type annIndex struct {
-	guarded    map[types.Object]guardInfo       // field object → its guard
-	holds      map[types.Object]map[string]bool // func object → held mutex field names
-	noalloc    map[types.Object]bool            // func object → //custody:noalloc
-	workerpool map[types.Object]bool            // func object → //custody:workerpool
-	bad        map[*Package][]Diagnostic        // malformed annotations, per declaring package
+	guarded map[types.Object]guardInfo       // field object → its guard
+	holds   map[types.Object]map[string]bool // func object → held mutex field names
+	noalloc map[types.Object]bool            // func object → //custody:noalloc
+	bad     map[*Package][]Diagnostic        // malformed annotations, per declaring package
 }
 
 // annotations returns the module's annotation index, building it on first
@@ -51,11 +45,10 @@ func (m *Module) annotations() *annIndex {
 		return m.ann
 	}
 	idx := &annIndex{
-		guarded:    map[types.Object]guardInfo{},
-		holds:      map[types.Object]map[string]bool{},
-		noalloc:    map[types.Object]bool{},
-		workerpool: map[types.Object]bool{},
-		bad:        map[*Package][]Diagnostic{},
+		guarded: map[types.Object]guardInfo{},
+		holds:   map[types.Object]map[string]bool{},
+		noalloc: map[types.Object]bool{},
+		bad:     map[*Package][]Diagnostic{},
 	}
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
@@ -75,7 +68,7 @@ func annotationLines(cg *ast.CommentGroup) map[string]string {
 	var out map[string]string
 	for _, c := range cg.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		for _, verb := range []string{"guardedby", "holds", "noalloc", "workerpool"} {
+		for _, verb := range []string{"guardedby", "holds", "noalloc"} {
 			if rest, ok := strings.CutPrefix(text, "custody:"+verb); ok {
 				if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
 					continue // e.g. custody:noallocX
@@ -176,16 +169,6 @@ func (idx *annIndex) collectFunc(m *Module, pkg *Package, fd *ast.FuncDecl) {
 	if _, ok := ann["noalloc"]; ok && obj != nil {
 		idx.noalloc[obj] = true
 	}
-	if reason, ok := ann["workerpool"]; ok {
-		if reason == "" {
-			idx.bad[pkg] = append(idx.bad[pkg], Diagnostic{
-				Pos: m.Fset.Position(fd.Pos()), Rule: "goroutine",
-				Message: "custody:workerpool needs a reason: //custody:workerpool <why this fork-join is deterministic>",
-			})
-		} else if obj != nil {
-			idx.workerpool[obj] = true
-		}
-	}
 	if fields, ok := ann["holds"]; ok {
 		if fd.Recv == nil {
 			idx.bad[pkg] = append(idx.bad[pkg], Diagnostic{
@@ -223,15 +206,6 @@ func (m *Module) holdsFields(pkg *Package, fd *ast.FuncDecl) map[string]bool {
 		return nil
 	}
 	return m.annotations().holds[obj]
-}
-
-// isWorkerPool reports whether the function object carries a reasoned
-// //custody:workerpool annotation.
-func (m *Module) isWorkerPool(obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	return m.annotations().workerpool[obj]
 }
 
 // isNoAlloc reports whether the function object carries //custody:noalloc.

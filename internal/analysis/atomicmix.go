@@ -11,11 +11,10 @@ import (
 // that is accessed through sync/atomic anywhere in the module must be
 // accessed atomically everywhere. Mixing atomic.AddInt64(&x, 1) with a
 // plain `x++` (or even a plain read) is a data race the compiler accepts
-// and the race detector only catches when the schedule cooperates; the
-// sharded allocator's per-shard counters make this the easiest concurrency
-// bug to write. A deliberate non-atomic access (e.g. a read during
-// single-threaded initialization) needs a //custody:ignore atomicmix with
-// the reason.
+// and the race detector only catches when the schedule cooperates, which
+// makes it the easiest concurrency bug to write. A deliberate non-atomic
+// access (e.g. a read during single-threaded initialization) needs a
+// //custody:ignore atomicmix with the reason.
 type AtomicMix struct{}
 
 // Name implements Analyzer.

@@ -16,13 +16,7 @@ import (
 // — internal/core, internal/event, internal/obsv — it bans goroutine
 // spawns and channel operations outright: single-threaded execution is what
 // makes golden traces byte-identical, so concurrency there must arrive with
-// an explicit, reasoned annotation, not by accident.
-//
-// The one blessed exception is the fork-join worker pool: a function
-// annotated //custody:workerpool <reason> may spawn goroutines in a leaf,
-// provided it also joins them (contains a .Wait() call) before returning —
-// the shape of core's sharded round build, where parallelism never escapes
-// the round. The capture checks still apply to blessed spawns.
+// an explicit, reasoned suppression, not by accident.
 type Goroutine struct{}
 
 // singleThreadedLeaves are internal packages where single-threaded
@@ -54,25 +48,12 @@ func (Goroutine) Run(m *Module, pkg *Package) []Diagnostic {
 			switch s := n.(type) {
 			case *ast.GoStmt:
 				if leaf {
-					switch fd := enclosingFuncDecl(stack); {
-					case fd != nil && pkg.Info != nil && m.isWorkerPool(pkg.Info.Defs[fd.Name]):
-						if !funcHasWaitJoin(fd) {
-							diags = append(diags, Diagnostic{
-								Pos:  m.Fset.Position(s.Pos()),
-								Rule: "goroutine",
-								Message: "//custody:workerpool function spawns a goroutine but never joins it " +
-									"(no .Wait() call); the blessing covers fork-join only — join every spawn before returning",
-							})
-						}
-					default:
-						diags = append(diags, Diagnostic{
-							Pos:  m.Fset.Position(s.Pos()),
-							Rule: "goroutine",
-							Message: "goroutine spawn in a single-threaded deterministic leaf; concurrency here breaks " +
-								"golden-trace determinism — bless a fork-join with //custody:workerpool <reason>, " +
-								"move orchestration up a layer, or suppress with a reason",
-						})
-					}
+					diags = append(diags, Diagnostic{
+						Pos:  m.Fset.Position(s.Pos()),
+						Rule: "goroutine",
+						Message: "goroutine spawn in a single-threaded deterministic leaf; concurrency here breaks " +
+							"golden-trace determinism — move orchestration up a layer, or suppress with a reason",
+					})
 				}
 				diags = append(diags, checkGoCaptures(m, pkg, s, stack)...)
 			case *ast.SendStmt:
@@ -98,34 +79,6 @@ func (Goroutine) Run(m *Module, pkg *Package) []Diagnostic {
 		})
 	}
 	return diags
-}
-
-// enclosingFuncDecl returns the innermost function declaration on the
-// ancestor stack, or nil.
-func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
-}
-
-// funcHasWaitJoin reports whether the function body contains a .Wait()
-// call — the join of a fork-join worker pool. The check is syntactic on
-// purpose: the blessing demands the join be lexically present in the same
-// function that forks, not delegated somewhere the reader cannot see.
-func funcHasWaitJoin(fd *ast.FuncDecl) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // isSingleThreadedLeaf reports whether pkg is one of the internal leaves

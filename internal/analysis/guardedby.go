@@ -10,9 +10,9 @@ import (
 // every read or write of an annotated struct field must be lexically inside
 // a Lock/Unlock (or RLock/RUnlock) span of the named sibling mutex on the
 // same receiver expression, or inside a method annotated
-// //custody:holds <mutexField> (callers guarantee the lock). The sharded
-// allocator and custodyd turn today's single-threaded state into shared
-// state; this rule makes the locking discipline a compile-gate instead of a
+// //custody:holds <mutexField> (callers guarantee the lock). custodyd's
+// HTTP handlers and round loop share its state across goroutines; this
+// rule makes the locking discipline a compile-gate instead of a
 // race-detector lottery.
 //
 // The span model is lexical (see spans.go): lock/defer-unlock at the top of

@@ -11,8 +11,8 @@ import (
 // LockOrder builds the module-wide mutex acquisition graph — an edge A → B
 // for every site that takes B while lexically holding A (including holds
 // asserted by //custody:holds) — and rejects cycles: two call paths that
-// acquire the same pair of mutexes in opposite orders can deadlock once the
-// sharded allocator and custodyd run them on concurrent goroutines. The
+// acquire the same pair of mutexes in opposite orders can deadlock once
+// custodyd runs them on concurrent goroutines. The
 // blessed (topological) acquisition order is printed deterministically by
 // `custodylint -lockreport`; CI pins that three runs are byte-identical.
 //

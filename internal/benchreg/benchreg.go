@@ -57,19 +57,12 @@ type Report struct {
 	Schema      int     `json:"schema"`
 	Mode        string  `json:"mode"` // "quick" or "full"
 	YardstickNs float64 `json:"yardstick_ns"`
-	// GOMAXPROCS records the parallelism the run had available. The shard
-	// sweep's speedups are only meaningful relative to it: the parallel
-	// build cannot beat sequential on a single-core runner.
+	// GOMAXPROCS records the parallelism the run had available.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// Speedup1000 is reference ns/op ÷ incremental ns/op on the 1000-node
 	// microbenchmark, both measured in this run.
 	Speedup1000 float64 `json:"speedup_1000"`
-	// ShardSpeedup100k is round latency at shards=1 ÷ shards=16 on the
-	// 100k-node instance, both measured in this run. Informational, never
-	// gated: it scales with GOMAXPROCS, so a fixed floor would make the
-	// gate's verdict depend on the runner's core count.
-	ShardSpeedup100k float64 `json:"shard_speedup_100k,omitempty"`
-	Cases            []Case  `json:"cases"`
+	Cases       []Case  `json:"cases"`
 }
 
 // Find returns the named case, or nil.
@@ -91,23 +84,11 @@ const (
 	caseSweepSizes = 25
 )
 
-// ShardCase names one shard-sweep case: alloc-50k/shards-4 and friends.
-func ShardCase(nodes, shards int) string {
-	return fmt.Sprintf("alloc-%dk/shards-%d", nodes/1000, shards)
-}
-
 // PolicyCase names one policy-contender case: alloc-1k/policy-quincy and
 // friends.
 func PolicyCase(name string) string {
 	return fmt.Sprintf("alloc-1k/policy-%s", name)
 }
-
-// The shard sweep grid: cluster sizes × shard counts, run warm like the
-// other alloc cases.
-var (
-	shardSweepNodes  = []int{50000, 100000}
-	shardSweepShards = []int{1, 4, 16}
-)
 
 // MicroInstance builds the deterministic allocation microbenchmark instance:
 // nodes nodes with two 2-slot executors each, eight applications with a
@@ -256,26 +237,18 @@ func RunProfiled(quick bool, seed uint64, profileDir string) (*Report, error) {
 		}, func() { p.Allocate(demands1k, idle1k, coreOpts) }))
 	}
 
-	// Shard sweep: 100k-node-scale rounds at increasing shard counts. The
-	// demand profile is the same fixed MicroInstance workload, so these
-	// instances are cluster-heavy — exactly the regime where the sharded
-	// session build matters (DESIGN.md §14).
-	for _, nodes := range shardSweepNodes {
+	// 100k-node-scale rounds. The demand profile is the same fixed
+	// MicroInstance workload, so these instances are cluster-heavy: the
+	// executor index build dominates the round.
+	for _, nodes := range []int{50000, 100000} {
 		demands, idle := MicroInstance(nodes, xrand.New(seed))
-		for _, shards := range shardSweepShards {
-			shardOpts := core.DefaultOptions()
-			shardOpts.Shards = shards
-			shardSess := core.NewSession()
-			rep.Cases = append(rep.Cases, measure(ShardCase(nodes, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					shardSess.Allocate(demands, idle, shardOpts)
-				}
-			}, func() { shardSess.Allocate(demands, idle, shardOpts) }))
-		}
-	}
-	if c1, c16 := rep.Find(ShardCase(100000, 1)), rep.Find(ShardCase(100000, 16)); c1 != nil && c16 != nil && c16.NsPerOp > 0 {
-		rep.ShardSpeedup100k = c1.NsPerOp / c16.NsPerOp
+		sess := core.NewSession()
+		rep.Cases = append(rep.Cases, measure(fmt.Sprintf("alloc-%dk/incremental", nodes/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sess.Allocate(demands, idle, coreOpts)
+			}
+		}, func() { sess.Allocate(demands, idle, coreOpts) }))
 	}
 
 	rep.YardstickNs = ref1k.NsPerOp

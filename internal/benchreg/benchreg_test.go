@@ -1,7 +1,6 @@
 package benchreg
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -125,55 +124,6 @@ func TestMicroInstanceEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompareShardSpeedupNotGated pins the decision that the shard sweep's
-// speedup is informational: it scales with the runner's core count (on a
-// single-core machine the parallel build cannot beat sequential), so a
-// report measuring no speedup — or a slowdown — must still pass the gate.
-func TestCompareShardSpeedupNotGated(t *testing.T) {
-	base := sampleReport()
-	cur := sampleReport()
-	cur.GOMAXPROCS = 1
-	cur.ShardSpeedup100k = 0.8
-	if v := Compare(cur, base, 0.15); len(v) != 0 {
-		t.Fatalf("core-count-dependent shard speedup flagged by the gate: %v", v)
-	}
-}
-
-func TestShardCaseNames(t *testing.T) {
-	if got := ShardCase(100000, 16); got != "alloc-100k/shards-16" {
-		t.Fatalf("ShardCase(100000, 16) = %q", got)
-	}
-	if got := ShardCase(50000, 1); got != "alloc-50k/shards-1" {
-		t.Fatalf("ShardCase(50000, 1) = %q", got)
-	}
-}
-
-// TestMicroInstanceShardedEquivalence is TestMicroInstanceEquivalence for
-// the shard sweep: on the benchmark instance, every swept shard count must
-// produce the reference plan byte-for-byte — otherwise the sweep would be
-// timing different answers, not the same answer built differently.
-func TestMicroInstanceShardedEquivalence(t *testing.T) {
-	nodes := 300
-	if race.Enabled {
-		nodes = 60
-	}
-	demands, idle := MicroInstance(nodes, xrand.New(1))
-	want := core.AllocateReference(demands, idle, core.DefaultOptions())
-	for _, shards := range shardSweepShards {
-		opts := core.DefaultOptions()
-		opts.Shards = shards
-		got := core.NewSession().Allocate(demands, idle, opts)
-		if len(want.Assignments) != len(got.Assignments) {
-			t.Fatalf("shards=%d: plan length diverges: %d vs %d", shards, len(got.Assignments), len(want.Assignments))
-		}
-		for i := range want.Assignments {
-			if want.Assignments[i] != got.Assignments[i] {
-				t.Fatalf("shards=%d: assignment %d diverges: %+v vs %+v", shards, i, got.Assignments[i], want.Assignments[i])
-			}
-		}
-	}
-}
-
 // Benchmark entry points for `go test -bench` exploration. The 5000-node
 // case is skipped under the race detector (internal/race pattern) so
 // `go test -race -bench .` stays within CI timeouts; the harness binary
@@ -216,21 +166,16 @@ func BenchmarkAlloc5000Incremental(b *testing.B) {
 	}
 }
 
-func BenchmarkAlloc100kSharded(b *testing.B) {
+func BenchmarkAlloc100kIncremental(b *testing.B) {
 	if race.Enabled {
 		b.Skip("100k-node microbenchmark skipped under the race detector (internal/race gate)")
 	}
 	demands, idle := MicroInstance(100000, xrand.New(1))
-	for _, shards := range shardSweepShards {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Shards = shards
-			sess := core.NewSession()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sess.Allocate(demands, idle, opts)
-			}
-		})
+	opts := core.DefaultOptions()
+	sess := core.NewSession()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess.Allocate(demands, idle, opts)
 	}
 }

@@ -9,15 +9,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// churnOptSets are FuzzAllocateEquivalence's option sets plus a sharded
-// build, whose merge pass seeds the job counters on a path of its own.
-var churnOptSets = []Options{
-	DefaultOptions(),
-	{FillToBudget: false},
-	{FillToBudget: true, Intra: FairnessIntra{}},
-	{FillToBudget: true, Shards: 3},
-}
-
 // churnCluster plays the manager around a warm Session: it owns the demand,
 // the idle pool and the app holding each busy executor, so that between
 // rounds it can release executors back to the pool the way finishing tasks
@@ -116,7 +107,7 @@ func (c *churnCluster) advance(plan Plan, release int) {
 // exact satisfiability counters after every round.
 func runChurn(t *testing.T, mk func() *churnCluster, rounds, release int) {
 	t.Helper()
-	for oi, opts := range churnOptSets {
+	for oi, opts := range equivOptSets {
 		c := mk()
 		sess := NewSession()
 		for round := 0; round < rounds; round++ {
@@ -152,15 +143,14 @@ func recountCounters(s *Session) error {
 				}
 				var ownAvail, unresAvail int32
 				for _, n := range t.d.Nodes {
-					sh := p.shardFor(n)
-					ni, ok := sh.byNode[n]
+					ni, ok := p.byNode[n]
 					if !ok {
 						continue
 					}
-					if sh.nodes[ni].unres > 0 {
+					if p.nodes[ni].unres > 0 {
 						unresAvail++
 					}
-					if nai := sh.findNodeApp(ni, a.d.App); nai >= 0 && sh.na[nai].ownFree > 0 {
+					if nai := p.findNodeApp(ni, a.d.App); nai >= 0 && p.na[nai].ownFree > 0 {
 						ownAvail++
 					}
 				}
@@ -271,7 +261,7 @@ func TestEdgeInstancesMatchReference(t *testing.T) {
 			{Job: 5, Tasks: []TaskDemand{task(0, 17, 64)}},
 		}},
 	}
-	for oi, opts := range churnOptSets {
+	for oi, opts := range equivOptSets {
 		sess := NewSession()
 		a, e := apps, idle
 		for round := 0; round < 3; round++ {

@@ -26,8 +26,7 @@ func FuzzAllocateEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		apps0, idle0 := decodeDiffInstance(data)
-		optSets := []Options{DefaultOptions(), {FillToBudget: false}, {FillToBudget: true, Intra: FairnessIntra{}}}
-		for oi, opts := range optSets {
+		for oi, opts := range equivOptSets {
 			apps, idle := apps0, idle0
 			sess := NewSession()
 			for round := 0; round < 3; round++ {
@@ -42,6 +41,10 @@ func FuzzAllocateEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// equivOptSets are the option sets the equivalence batteries run every
+// instance under: the paper's defaults, no fill phase, and FairnessIntra.
+var equivOptSets = []Options{DefaultOptions(), {FillToBudget: false}, {FillToBudget: true, Intra: FairnessIntra{}}}
 
 // decodeDiffInstance maps fuzz bytes onto an allocation instance with unique
 // app, job, and executor IDs (the documented contract of Allocate).

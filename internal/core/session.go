@@ -22,15 +22,12 @@ type Session struct {
 	appArena  []appState
 	jobArena  []jobState
 	taskArena []taskState
-	jobMeta   []shardJobMeta // sharded-build scratch; see buildAppsSharded
-	occOff    []int32        // sharded-build scratch: task i's replica occurrences are occ[occOff[i]:occOff[i+1]]
-	occ       []int64        // sharded-build scratch: resolved (shard, node index) per occurrence, -1 if the node has no executors
 }
 
 // NewSession returns an empty allocation session.
 func NewSession() *Session {
 	s := &Session{}
-	s.st.pool = &execPool{}
+	s.st.pool = &execPool{byNode: map[int]int32{}}
 	return s
 }
 
@@ -49,7 +46,7 @@ func (s *Session) Allocate(apps []AppDemand, idle []ExecInfo, opts Options) Plan
 	if st.obs != nil {
 		st.obs.BeginRound(len(apps), len(idle))
 	}
-	st.pool.reset(idle, opts.Shards, opts.ShardFn)
+	st.pool.reset(idle)
 	want := s.buildApps(apps)
 	// Every grant takes a free slot, and every grant either satisfies a
 	// pending task or is a fill grant justified by fillWant, so the plan
@@ -67,11 +64,8 @@ func (s *Session) Allocate(apps []AppDemand, idle []ExecInfo, opts Options) Plan
 
 // buildApps fills the app/job/task arenas from the demand snapshot and
 // posts every pending task's replica nodes into the pool's locality index.
-// With more than one shard the arena fill, posting walk, and availability
-// counters run on the parallel worker phases in shard.go; the sequential
-// loop below is the one-shard (default) path and the semantic model the
-// sharded build must reproduce exactly. It returns the number of slots the
-// demand can justify: pending tasks plus no-preference tasks.
+// It returns the number of slots the demand can justify: pending tasks plus
+// no-preference tasks.
 func (s *Session) buildApps(apps []AppDemand) int {
 	st := &s.st
 	nJobs, nTasks, extra := 0, 0, 0
@@ -87,11 +81,6 @@ func (s *Session) buildApps(apps []AppDemand) int {
 	s.taskArena = grow(s.taskArena, nTasks)
 	st.apps = st.apps[:0]
 	st.heap = st.heap[:0]
-
-	if st.pool.nShards > 1 {
-		s.buildAppsSharded(apps, nJobs, nTasks)
-		return nTasks + extra
-	}
 
 	jb, tb := 0, 0
 	for i := range apps {
@@ -164,8 +153,8 @@ type poolExec struct {
 	info    ExecInfo
 	free    int32
 	app     int32 // reserving app's input position; -1 while unreserved
-	nodeIdx int32 // index into its shard's nodes, set by indexExec
-	naIdx   int32 // its (node, app) entry in its shard's na, set when claimed
+	nodeIdx int32 // index into pool.nodes, set by reset
+	naIdx   int32 // its (node, app) entry in pool.na, set when claimed
 }
 
 // nodeState indexes one node's executors and the pending tasks posted to it.
@@ -198,27 +187,6 @@ type nodeApp struct {
 	app     int     // app ID the entry belongs to
 }
 
-// poolShard holds the node-keyed index structures for one build shard: the
-// nodes whose IDs hash to the shard, their executor indexes, and the
-// (node, app) slices of the locality index. With one shard (the default)
-// the whole pool lives in shards[0]; with more, the shards are built by
-// parallel workers writing disjoint arenas (see shard.go) and consulted by
-// the sequential decision loop through shardFor, which routes each node to
-// its owning shard. Executor entries themselves stay in execPool.execs —
-// one global array in ascending executor-ID order — so every pick-order
-// contract (lowest ID wins, app-reserved first) is shard-agnostic.
-type poolShard struct {
-	nodes    []nodeState
-	nodesLen int
-	byNode   map[int]int32 // node ID → index into nodes
-
-	na    []nodeApp // (node, app) entries, listed per node from nodeState.naHead
-	naLen int
-
-	pre  []int32 // this shard's executor indices, ascending; filled by reset's partition pass
-	size int     // free slots on this shard's nodes; merged in fixed shard order
-}
-
 // execPool indexes idle executor slots by node for locality lookups, with
 // availability counters that keep per-app satisfiability (appState.satOwn /
 // satUnres) current in amortized O(1) per grant.
@@ -226,9 +194,12 @@ type execPool struct {
 	execs []poolExec // ascending executor ID
 	size  int        // total free slots
 
-	shards  []poolShard // arenas persist across rounds; first nShards active
-	nShards int
-	shardFn func(node int) int
+	nodes    []nodeState
+	nodesLen int
+	byNode   map[int]int32 // node ID → index into nodes
+
+	na    []nodeApp // (node, app) entries, listed per node from nodeState.naHead
+	naLen int
 
 	cursor int // global min-unreserved scan over execs (takeAny)
 
@@ -255,27 +226,14 @@ func (p *execPool) mayHold(n int) bool {
 	return w < len(p.idleNodes) && p.idleNodes[w]&(1<<(uint(n)&63)) != 0
 }
 
-// reset rebuilds the pool for a new round, reusing all arenas. nShards and
-// shardFn come from Options; with nShards > 1 the per-shard node indexes
-// are built by parallel workers and their sizes merged in fixed shard
-// order.
-func (p *execPool) reset(idle []ExecInfo, nShards int, shardFn func(node int) int) {
-	if nShards < 1 {
-		nShards = 1
-	}
-	p.nShards = nShards
-	p.shardFn = shardFn
-	for len(p.shards) < nShards {
-		p.shards = append(p.shards, poolShard{byNode: map[int]int32{}})
-	}
-	for s := 0; s < nShards; s++ {
-		sh := &p.shards[s]
-		sh.nodesLen = 0
-		sh.naLen = 0
-		sh.size = 0
-		sh.pre = sh.pre[:0]
-		clear(sh.byNode)
-	}
+// reset rebuilds the pool for a new round, reusing all arenas. Executors
+// are indexed in ascending ID order, so every per-node execIdx list comes
+// out ascending: the tie-stamp ordering minUnres and the availability
+// transitions rely on.
+func (p *execPool) reset(idle []ExecInfo) {
+	p.nodesLen = 0
+	p.naLen = 0
+	clear(p.byNode)
 	for i := range p.execs { // the previous round's executors set every bit
 		if n := p.execs[i].info.Node; n >= 0 && n < idleBitsLimit {
 			p.idleNodes[n>>6] = 0
@@ -295,97 +253,47 @@ func (p *execPool) reset(idle []ExecInfo, nShards int, shardFn func(node int) in
 	slices.SortFunc(p.execs, func(x, y poolExec) int { return cmp.Compare(x.info.ID, y.info.ID) })
 	p.size = 0
 	p.cursor = 0
-	if nShards == 1 {
-		p.buildShard(0)
-		p.size = p.shards[0].size
-		return
-	}
-	// Partition pass: compute each executor's shard exactly once and hand
-	// the index to that shard's pre-list. The scan follows the global
-	// ID-ascending order, so every pre-list is ascending too — and total
-	// build work stays ~flat in the shard count (at most one hash per
-	// executor plus the same index inserts the one-shard build does),
-	// instead of every worker re-scanning the full array. Executors sorted
-	// by ID usually arrive node-clustered, so memoizing the last node's
-	// shard skips most hash evaluations.
-	lastNode, lastShard := 0, 0
-	for i := range p.execs {
-		n := p.execs[i].info.Node
-		if i == 0 || n != lastNode {
-			lastNode, lastShard = n, p.shardOf(n)
+	for x := range p.execs {
+		i := int32(x)
+		if mutateTieStamp { // seeded bug (build tag custodymutatetie): descending per-node lists
+			i = int32(len(p.execs) - 1 - x)
 		}
-		p.shards[lastShard].pre = append(p.shards[lastShard].pre, int32(i))
-	}
-	p.buildShardsParallel()
-	for s := 0; s < nShards; s++ { // fixed shard order; sizes merge by sum
-		p.size += p.shards[s].size
+		pe := &p.execs[i]
+		ni, ok := p.byNode[pe.info.Node]
+		if !ok {
+			ni = p.newNode()
+			p.byNode[pe.info.Node] = ni
+		}
+		pe.nodeIdx = ni
+		ns := &p.nodes[ni]
+		ns.execIdx = append(ns.execIdx, i)
+		ns.unres++
+		p.size += int(pe.free)
 	}
 }
 
-// buildShard indexes shard s's executors — the whole ID-ordered array with
-// one shard, the shard's pre-partitioned index list otherwise. Both walks
-// follow ascending executor ID, so every per-node execIdx list comes out
-// ascending — the tie-stamp ordering minUnres and the availability
-// transitions rely on.
-func (p *execPool) buildShard(s int) {
-	sh := &p.shards[s]
-	if p.nShards == 1 {
-		for i := range p.execs {
-			p.indexExec(sh, int32(i))
-		}
-		return
-	}
-	if mutateShardTieStamp {
-		// Seeded bug (build tag custodymutateshard): walk the pre-list in
-		// reverse, so per-node executor lists come out descending by ID —
-		// breaking the tie-stamp ordering the merge contract guarantees.
-		for x := len(sh.pre) - 1; x >= 0; x-- {
-			p.indexExec(sh, sh.pre[x])
-		}
-		return
-	}
-	for _, i := range sh.pre {
-		p.indexExec(sh, i)
-	}
-}
-
-// indexExec registers executor i in shard sh's node index.
-func (p *execPool) indexExec(sh *poolShard, i int32) {
-	pe := &p.execs[i]
-	ni, ok := sh.byNode[pe.info.Node]
-	if !ok {
-		ni = sh.newNode()
-		sh.byNode[pe.info.Node] = ni
-	}
-	pe.nodeIdx = ni
-	ns := &sh.nodes[ni]
-	ns.execIdx = append(ns.execIdx, i)
-	ns.unres++
-	sh.size += int(pe.free)
-}
-
-func (sh *poolShard) newNode() int32 {
-	if sh.nodesLen < len(sh.nodes) {
-		ns := &sh.nodes[sh.nodesLen]
+func (p *execPool) newNode() int32 {
+	if p.nodesLen < len(p.nodes) {
+		ns := &p.nodes[p.nodesLen]
 		ns.execIdx = ns.execIdx[:0]
 		ns.posts = ns.posts[:0]
 		ns.cursor = 0
 		ns.unres = 0
 		ns.naHead = -1
 	} else {
-		sh.nodes = append(sh.nodes, nodeState{naHead: -1})
+		p.nodes = append(p.nodes, nodeState{naHead: -1})
 	}
-	sh.nodesLen++
-	return int32(sh.nodesLen - 1)
+	p.nodesLen++
+	return int32(p.nodesLen - 1)
 }
 
 // findNodeApp returns the (node, app) index entry, or -1 when the app has
 // none on the node. The walk is bounded by the apps posted to the node.
 //
 //custody:noalloc
-func (sh *poolShard) findNodeApp(ni int32, app int) int32 {
-	for i := sh.nodes[ni].naHead; i >= 0; i = sh.na[i].next {
-		if sh.na[i].app == app {
+func (p *execPool) findNodeApp(ni int32, app int) int32 {
+	for i := p.nodes[ni].naHead; i >= 0; i = p.na[i].next {
+		if p.na[i].app == app {
 			return i
 		}
 	}
@@ -395,26 +303,26 @@ func (sh *poolShard) findNodeApp(ni int32, app int) int32 {
 // nodeApp returns the (node, app) index entry, creating it on first use.
 //
 //custody:noalloc
-func (sh *poolShard) nodeApp(ni int32, app int) int32 {
-	if i := sh.findNodeApp(ni, app); i >= 0 {
+func (p *execPool) nodeApp(ni int32, app int) int32 {
+	if i := p.findNodeApp(ni, app); i >= 0 {
 		return i
 	}
 	var i int32
-	if sh.naLen < len(sh.na) {
-		i = int32(sh.naLen)
-		na := &sh.na[i]
+	if p.naLen < len(p.na) {
+		i = int32(p.naLen)
+		na := &p.na[i]
 		na.posts = na.posts[:0]
 		na.execIdx = na.execIdx[:0]
 		na.cursor = 0
 		na.ownFree = 0
 	} else {
-		i = int32(len(sh.na))
-		sh.na = append(sh.na, nodeApp{}) //custody:ignore noalloc na arena grows only until the (node, app) working set is warm
+		i = int32(len(p.na))
+		p.na = append(p.na, nodeApp{}) //custody:ignore noalloc na arena grows only until the (node, app) working set is warm
 	}
-	sh.naLen++
-	ns := &sh.nodes[ni]
-	sh.na[i].app = app
-	sh.na[i].next = ns.naHead
+	p.naLen++
+	ns := &p.nodes[ni]
+	p.na[i].app = app
+	p.na[i].next = ns.naHead
 	ns.naHead = i
 	return i
 }
@@ -422,8 +330,6 @@ func (sh *poolShard) nodeApp(ni int32, app int) int32 {
 // post registers a pending task's replica nodes in the locality index and
 // initializes its unreserved-availability counter. Nodes without executors
 // are not posted: they can never satisfy the task and never transition.
-// Single-shard build path; the sharded build reproduces the same postings
-// via the per-shard posting walk in shard.go.
 //
 //custody:noalloc
 func (p *execPool) post(t *taskState) {
@@ -431,15 +337,14 @@ func (p *execPool) post(t *taskState) {
 		if !p.mayHold(n) {
 			continue
 		}
-		sh := p.shardFor(n)
-		ni, ok := sh.byNode[n]
+		ni, ok := p.byNode[n]
 		if !ok {
 			continue
 		}
-		ns := &sh.nodes[ni]
+		ns := &p.nodes[ni]
 		ns.posts = append(ns.posts, t) //custody:ignore noalloc posts arenas keep their capacity across rounds; growth stops once warm
-		nai := sh.nodeApp(ni, t.owner.d.App)
-		na := &sh.na[nai]
+		nai := p.nodeApp(ni, t.owner.d.App)
+		na := &p.na[nai]
 		na.posts = append(na.posts, t) //custody:ignore noalloc posts arenas keep their capacity across rounds; growth stops once warm
 		t.unresAvail++                 // at build time every executor is unreserved
 	}
@@ -503,18 +408,17 @@ func (p *execPool) takeOnAny(nodes []int, a *appState) (e ExecInfo, newExec, ok 
 		if !p.mayHold(n) {
 			continue
 		}
-		sh := p.shardFor(n)
-		ni, present := sh.byNode[n]
+		ni, present := p.byNode[n]
 		if !present {
 			continue
 		}
-		if nai := sh.findNodeApp(ni, a.d.App); nai >= 0 {
-			if ei := p.minOwnFree(&sh.na[nai]); ei >= 0 && p.better(ei, true, best, bestRes) {
+		if nai := p.findNodeApp(ni, a.d.App); nai >= 0 {
+			if ei := p.minOwnFree(&p.na[nai]); ei >= 0 && p.better(ei, true, best, bestRes) {
 				best, bestRes = ei, true
 			}
 		}
 		if allowNew {
-			ns := &sh.nodes[ni]
+			ns := &p.nodes[ni]
 			if ns.unres > 0 {
 				if ei := p.minUnres(ns); ei >= 0 && p.better(ei, false, best, bestRes) {
 					best, bestRes = ei, false
@@ -564,16 +468,15 @@ func (p *execPool) takeAny(a *appState) (e ExecInfo, newExec, ok bool) {
 func (p *execPool) takeSlot(ei int32, a *appState) (ExecInfo, bool, bool) {
 	pe := &p.execs[ei]
 	newExec := pe.app < 0
-	sh := p.shardFor(pe.info.Node)
 	if newExec {
 		pe.app = int32(a.idx)
-		ns := &sh.nodes[pe.nodeIdx]
+		ns := &p.nodes[pe.nodeIdx]
 		ns.unres--
 		if ns.unres == 0 {
 			p.drainUnres(ns)
 		}
-		pe.naIdx = sh.nodeApp(pe.nodeIdx, a.d.App)
-		na := &sh.na[pe.naIdx]
+		pe.naIdx = p.nodeApp(pe.nodeIdx, a.d.App)
+		na := &p.na[pe.naIdx]
 		na.execIdx = append(na.execIdx, ei) //custody:ignore noalloc execIdx arenas keep their capacity across rounds; growth stops once warm
 		pushIntHeap(&a.resHeap, ei)
 		pe.free--
@@ -584,7 +487,7 @@ func (p *execPool) takeSlot(ei int32, a *appState) (ExecInfo, bool, bool) {
 			}
 		}
 	} else {
-		na := &sh.na[pe.naIdx] // cached at claim time
+		na := &p.na[pe.naIdx] // cached at claim time
 		pe.free--
 		if pe.free == 0 {
 			na.ownFree--

@@ -155,20 +155,6 @@ type Options struct {
 	// slot granted. The allocator's hot path stays allocation-free either
 	// way; with a nil Observer the instrumentation is a single branch.
 	Observer obsv.AllocObserver
-	// Shards partitions the cluster's nodes into that many build shards
-	// whose index structures (node → executor index, locality postings,
-	// availability counters) are constructed on parallel goroutines inside
-	// one allocation round. 0 or 1 keeps the fully sequential build. The
-	// decision loop itself stays sequential either way, so the returned
-	// plan is byte-identical for every shard count (see DESIGN.md §14).
-	Shards int
-	// ShardFn overrides the node → shard assignment (default: jump
-	// consistent hash of the node ID). It must be pure and deterministic;
-	// returned values are reduced modulo Shards. The cluster manager
-	// installs a rack-affine map here so a whole rack lands in one shard.
-	// The plan does not depend on the partition, only build parallelism
-	// does.
-	ShardFn func(node int) int
 }
 
 // DefaultOptions mirrors the paper's configuration.

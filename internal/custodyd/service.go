@@ -47,7 +47,8 @@ type Service struct {
 	revocations    int
 
 	// broken is set when an op panicked mid-apply, leaving the stack in an
-	// unknown state; every subsequent commit refuses with it.
+	// unknown state, or when a journal append failed, leaving the log's
+	// tail unknown; every subsequent commit refuses with it.
 	broken error
 }
 
@@ -198,7 +199,11 @@ func (s *Service) commit(op Op) error {
 		return err
 	}
 	if err := s.jnl.Append(op); err != nil {
-		return fmt.Errorf("custodyd: journal append: %w", err)
+		// The op may be on disk even though Append failed (a write that
+		// landed before its fsync failed). Reusing its sequence number would
+		// make the log unreplayable, so stop instead.
+		s.broken = fmt.Errorf("custodyd: journal append of op %d: %w", op.Seq, err)
+		return s.broken
 	}
 	return s.apply(op)
 }
@@ -355,7 +360,8 @@ func (s *Service) JobsFinished() int {
 // Idle reports whether every accepted job has finished.
 func (s *Service) Idle() bool { return s.JobsFinished() == s.submitted }
 
-// Broken returns the permanent failure set by a panicking op, if any.
+// Broken returns the permanent failure set by a panicking op or a failed
+// journal append, if any.
 func (s *Service) Broken() error { return s.broken }
 
 // Driver exposes the underlying driver.

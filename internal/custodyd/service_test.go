@@ -165,3 +165,47 @@ func TestJournalGapRejected(t *testing.T) {
 		t.Fatal("replay of a gapped journal succeeded")
 	}
 }
+
+// faultyJournal records every op it is handed, then fails the append
+// numbered failAt (1-based), the way an fsync error after a landed write
+// does.
+type faultyJournal struct {
+	MemJournal
+	appends, failAt int
+}
+
+func (j *faultyJournal) Append(op Op) error {
+	j.appends++
+	j.ops = append(j.ops, op)
+	if j.appends == j.failAt {
+		return errors.New("fsync: input/output error")
+	}
+	return nil
+}
+
+// TestJournalAppendErrorBreaksService pins fail-stop on a journal error:
+// after one failed append the service refuses every further commit, so no
+// later op can reuse the failed op's sequence number, and the recorded log
+// still boots.
+func TestJournalAppendErrorBreaksService(t *testing.T) {
+	jnl := &faultyJournal{failAt: 2}
+	svc, err := NewService(testConfig(), jnl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Register("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(0, "WordCount", 0); err == nil {
+		t.Fatal("submit succeeded although its journal append failed")
+	}
+	if svc.Broken() == nil {
+		t.Fatal("Broken() is nil after a failed journal append")
+	}
+	if _, err := svc.Submit(0, "Sort", 1); !errors.Is(err, svc.Broken()) {
+		t.Fatalf("commit after a failed append returned %v, want the broken error %v", err, svc.Broken())
+	}
+	if _, err := NewService(testConfig(), NewMemJournal(jnl.Ops()...)); err != nil {
+		t.Fatalf("recorded log does not boot: %v", err)
+	}
+}

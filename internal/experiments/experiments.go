@@ -57,10 +57,6 @@ type Options struct {
 	// and pools the records, so reported std includes cross-seed variance.
 	// Zero or one means a single run (the paper's methodology).
 	Repeats int
-	// Shards partitions the Custody allocator's per-round session build
-	// (DESIGN.md §14). Zero or one keeps the sequential build; plans are
-	// byte-identical either way, so sweep results never depend on it.
-	Shards int
 }
 
 // DefaultOptions mirrors the paper.
@@ -130,11 +126,6 @@ func RunSweep(sizes []int, kinds []workload.Kind, managers []ManagerKind, opts O
 					cfg.RackSize = rackSize(size)
 					cfg.LocalityWait = opts.LocalityWait
 					cfg.Manager = NewManager(mk, seed)
-					if opts.Shards > 1 {
-						if m, ok := cfg.Manager.(*manager.Custody); ok {
-							m.Opts.Shards = opts.Shards
-						}
-					}
 					col, err := driver.RunSchedule(cfg, sched)
 					if err != nil {
 						return nil, fmt.Errorf("sweep %s/%d/%s/seed%d: %w", kind, size, mk, seed, err)

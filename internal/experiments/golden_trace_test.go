@@ -54,25 +54,57 @@ func TestGoldenTraces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if err := rec.WriteCSV(&buf); err != nil {
-					t.Fatal(err)
-				}
-				path := filepath.Join("testdata", "golden", name+".trace")
-				if *updateGolden {
-					blessGolden(t, path, buf.Bytes())
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden trace: %v (regenerate with -update)", err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("trace diverges from golden %s at line %d:\n got: %s\nwant: %s",
-						path, firstDiffLine(buf.Bytes(), want), lineAt(buf.Bytes(), firstDiffLine(buf.Bytes(), want)), lineAt(want, firstDiffLine(buf.Bytes(), want)))
-				}
+				checkGolden(t, name, rec)
 			})
 		}
+	}
+}
+
+// TestGoldenWideTrace pins a canonical trace on a topology none of the
+// other goldens use (32 nodes × 8-node racks, 3 apps), so a regression
+// that bites only wider clusters cannot hide behind the 16-node fixtures.
+// Regenerate after an intentional behavior change with:
+//
+//	go test ./internal/experiments -run TestGoldenWideTrace -update
+func TestGoldenWideTrace(t *testing.T) {
+	spec := workload.DefaultSpec(workload.WordCount)
+	spec.Apps = 3
+	spec.JobsPerApp = 2
+	sched := workload.Generate(spec, xrand.New(11))
+	cfg := driver.DefaultConfig()
+	cfg.Seed = 11
+	cfg.Nodes = 32
+	cfg.RackSize = 8
+	cfg.Manager = NewManager(Custody, 11)
+	rec := trace.NewRecorder()
+	cfg.Tracer = rec
+	if _, err := driver.RunSchedule(cfg, sched); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "wordcount-custody-wide", rec)
+}
+
+// checkGolden compares the recorded timeline with testdata/golden/<name>.trace
+// byte for byte, or rewrites the file under -update.
+func checkGolden(t *testing.T, name string, rec *trace.Recorder) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "golden", name+".trace")
+	if *updateGolden {
+		blessGolden(t, path, buf.Bytes())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden trace: %v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		d := firstDiffLine(buf.Bytes(), want)
+		t.Fatalf("trace diverges from golden %s at line %d:\n got: %s\nwant: %s",
+			path, d, lineAt(buf.Bytes(), d), lineAt(want, d))
 	}
 }
 

@@ -29,7 +29,7 @@ type Custody struct {
 	// SelfCheck re-runs every allocation round through the frozen
 	// core.AllocateReference oracle and records the first divergence in
 	// SelfCheckErr. Testing hook: the model-based checker turns it on so a
-	// sharded-build bug surfaces as an invariant violation at the round
+	// wrong tie-break pick surfaces as an invariant violation at the round
 	// that introduced it instead of a silent misallocation rounds later.
 	SelfCheck bool
 	// SelfCheckErr holds the first divergence SelfCheck found, or nil.
@@ -58,11 +58,6 @@ type Custody struct {
 	sess      *core.Session
 	demandBuf []core.AppDemand
 	idleBuf   []core.ExecInfo
-
-	// autoShardFor remembers the shard count the auto-installed rack-affine
-	// ShardFn was built for, so a shard-count change rebuilds the map. 0
-	// when the caller supplied (or nothing installed) its own ShardFn.
-	autoShardFor int
 }
 
 // NewCustody builds the Custody manager with the paper's configuration.
@@ -286,14 +281,6 @@ func (c *Custody) reallocate(env Env) {
 	}
 	if c.sess == nil {
 		c.sess = core.NewSession()
-	}
-	// Sharded builds default to rack affinity: install (and on a shard-count
-	// change rebuild) the cluster's rack-affine shard map unless the caller
-	// supplied a ShardFn of their own. autoShardFor distinguishes "ours" from
-	// "theirs" so a caller-provided map is never silently replaced.
-	if c.Opts.Shards > 1 && (c.Opts.ShardFn == nil || (c.autoShardFor != 0 && c.autoShardFor != c.Opts.Shards)) {
-		c.Opts.ShardFn = cluster.RackShardFn(cl, c.Opts.Shards)
-		c.autoShardFor = c.Opts.Shards
 	}
 	var plan core.Plan
 	if c.Policy != nil {

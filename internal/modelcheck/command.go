@@ -36,9 +36,9 @@
 // debugging to a minimal deterministic reproducer, serializable as a .repro
 // file and replayable via `custodysim -mc-replay`. Build-tag-gated
 // mutations prove the checker has teeth: custodymutate and
-// custodymutateshard seed bugs in internal/core's fairness and sharded
-// build, custodymutatepolicy seeds a cost-sign bug in the Quincy policy
-// that only the policy-generic invariants can catch.
+// custodymutatetie seed bugs in internal/core's fairness comparison and
+// executor tie-break, custodymutatepolicy seeds a cost-sign bug in the
+// Quincy policy that only the policy-generic invariants can catch.
 //
 // The QuickCheck stateful-testing lineage and Jepsen-style history checking
 // are the reference points; see DESIGN.md §12.
@@ -83,11 +83,6 @@ const (
 	// OpCompleteTask steps the engine until one more task finishes (or the
 	// queue drains).
 	OpCompleteTask Op = "complete-task"
-	// OpSetShards reconfigures the allocator's build shard count to
-	// 1 + A mod 8 for all subsequent rounds. Plans must stay byte-identical
-	// to the reference oracle for every count (DESIGN.md §14), which the
-	// harness's always-on manager self-check enforces.
-	OpSetShards Op = "set-shards"
 	// OpSetPolicy switches the manager's allocation policy to
 	// policy.Names()[A mod len] for all subsequent rounds. Selecting custody
 	// re-arms the Custody-specific invariants (SelfCheck differential,
@@ -113,8 +108,6 @@ func (c Command) String() string {
 	switch c.Op {
 	case OpAdvanceClock:
 		return fmt.Sprintf("%s %.2fs", c.Op, c.F)
-	case OpSetShards:
-		return fmt.Sprintf("%s %d", c.Op, shardTarget(c.A))
 	case OpSetPolicy:
 		return fmt.Sprintf("%s %s", c.Op, policyTarget(c.A))
 	case OpSubmitApp, OpGrantRound, OpCompleteTask, OpSrvCrash, OpSrvDrain, OpSrvRegister:
@@ -148,7 +141,7 @@ func Generate(seed uint64, n int) []Command {
 // enough faults and clock advances to explore the chaos surface.
 func genCommand(rng *xrand.Rand) Command {
 	c := Command{A: rng.Intn(64), B: rng.Intn(64)}
-	switch w := rng.Intn(22); {
+	switch w := rng.Intn(21); {
 	case w < 2:
 		c.Op = OpSubmitApp
 	case w < 6:
@@ -165,8 +158,6 @@ func genCommand(rng *xrand.Rand) Command {
 		c.Op = OpAdvanceClock
 		c.F = rng.Range(0.1, 4.0)
 	case w < 18:
-		c.Op = OpSetShards
-	case w < 19:
 		c.Op = OpSetPolicy
 	default:
 		c.Op = OpCompleteTask

@@ -131,8 +131,7 @@ func newHarness(seed uint64) *harness {
 	h.mgr.Opts.Observer = h.obs
 	// Re-run every round through the frozen reference oracle: observer
 	// invariants see fairness-key order but not which executor a tie
-	// resolved to, so a sharded-build tie-break bug is only visible as a
-	// plan divergence.
+	// resolved to, so a tie-break bug is only visible as a plan divergence.
 	h.mgr.SelfCheck = true
 	// Policy-generic plan contract (policy.Validate) for whichever policy
 	// the set-policy op selects, the default included.
@@ -194,19 +193,9 @@ func (h *harness) apply(c Command) {
 				break
 			}
 		}
-	case OpSetShards:
-		h.mgr.Opts.Shards = shardTarget(c.A)
 	case OpSetPolicy:
 		h.setPolicy(c.A)
 	}
-}
-
-// shardTarget maps a command operand to a shard count in [1, 8].
-func shardTarget(a int) int {
-	if a < 0 {
-		a = -a
-	}
-	return 1 + a%8
 }
 
 // policyTarget maps a command operand to a registry policy name.
