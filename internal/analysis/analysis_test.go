@@ -228,7 +228,7 @@ func TestLockOrderReportCoversCustodyd(t *testing.T) {
 // TestNoAllocHotPathsAnnotated pins that the static //custody:noalloc
 // contract covers the paths the dynamic allocation gates cover: the flight
 // recorder's record path (TestRecordingDoesNotAllocate) and the allocator's
-// pick/update chain (the benchreg allocs/op gate).
+// pick/update chain (core's TestMicroInstanceWarmRound).
 func TestNoAllocHotPathsAnnotated(t *testing.T) {
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // NoAlloc turns the dynamic zero-allocation pins (obsv's
-// TestRecordingDoesNotAllocate, the benchreg allocs/op gate) into a static,
+// TestRecordingDoesNotAllocate, core's TestMicroInstanceWarmRound) into a static,
 // whole-repo contract: a function annotated //custody:noalloc must not
 // contain constructs that allocate. Flagged constructs:
 //

@@ -3,7 +3,6 @@ package chaos
 import (
 	"testing"
 
-	"repro/internal/app"
 	"repro/internal/driver"
 	"repro/internal/hdfs"
 	"repro/internal/manager"
@@ -37,22 +36,11 @@ func cachedChaosDriver(t *testing.T, seed uint64, tr trace.Tracer) (*driver.Driv
 	cfg.EnableCache(128<<20, hdfs.Cache2Q) // two 64MB blocks per node
 	cfg.ReplicaSelection = &hdfs.CacheAwareSelector{}
 	cfg.Tracer = tr
-	d := driver.New(cfg)
 	spec := workload.Spec{Kind: workload.Sort, Apps: 2, JobsPerApp: jobsPerApp, MeanInterarrival: 3, DatasetFiles: 2}
 	sched := workload.Generate(spec, xrand.New(seed))
-	for _, fs := range sched.Files {
-		if _, err := d.CreateInput(fs.Name, fs.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	apps := []*app.Application{d.RegisterApp("a0"), d.RegisterApp("a1")}
-	d.Start()
-	for i, sub := range sched.Subs {
-		f, err := d.NameNode().Open(sched.Files[sub.FileIdx].Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SubmitJobAt(sub.At, apps[sub.App], workload.BuildJob(sched.Spec.Kind, i+1, f))
+	d, err := driver.NewScheduled(cfg, sched)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return d, len(sched.Subs)
 }

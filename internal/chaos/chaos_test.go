@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/app"
 	"repro/internal/driver"
 	"repro/internal/manager"
 	"repro/internal/netsim"
@@ -34,22 +33,11 @@ func chaosDriver(t *testing.T, mgr manager.Manager, seed uint64, tr trace.Tracer
 	cfg.ComputeNoise = 0
 	cfg.EnableResilience()
 	cfg.Tracer = tr
-	d := driver.New(cfg)
 	spec := workload.Spec{Kind: workload.Sort, Apps: 2, JobsPerApp: jobsPerApp, MeanInterarrival: 3, DatasetFiles: 2}
 	sched := workload.Generate(spec, xrand.New(seed))
-	for _, fs := range sched.Files {
-		if _, err := d.CreateInput(fs.Name, fs.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	apps := []*app.Application{d.RegisterApp("a0"), d.RegisterApp("a1")}
-	d.Start()
-	for i, sub := range sched.Subs {
-		f, err := d.NameNode().Open(sched.Files[sub.FileIdx].Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SubmitJobAt(sub.At, apps[sub.App], workload.BuildJob(sched.Spec.Kind, i+1, f))
+	d, err := driver.NewScheduled(cfg, sched)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return d, len(sched.Subs)
 }

@@ -263,7 +263,7 @@ func (st *allocator) run() {
 			st.beginPick(a, obsv.PhaseLocality, st.runnerUp())
 		}
 		before := len(st.plan)
-		st.opts.Intra.allocate(st, a) //custody:ignore noalloc intra strategies are the round's workhorses and own their scratch; their allocs are budgeted by the benchreg gate
+		st.opts.Intra.allocate(st, a) //custody:ignore noalloc intra strategies are the round's workhorses and own their scratch; their allocs are pinned exactly by TestMicroInstanceWarmRound
 		if len(st.plan) == before {
 			// No progress: nothing in the pool is useful to this app.
 			a.exhausted = true

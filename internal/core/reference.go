@@ -8,8 +8,9 @@ import (
 // verbatim (modulo renames) when the incremental allocator landed. It is the
 // oracle of the differential battery — FuzzAllocateEquivalence and the
 // warm-session determinism tests require Allocate to produce byte-identical
-// plans — and the in-run yardstick for the benchmark-regression harness
-// (internal/benchreg), which is why it lives in a non-test file. Do not
+// plans — and TestMicroInstanceWarmRound checks the warm session against it
+// before pinning its allocations. It lives in a non-test file because the
+// manager's SelfCheck and internal/modelcheck call it as well. Do not
 // modify it and do not call it from production code: it recomputes every
 // application's locality state from scratch on each pick, O(apps × jobs ×
 // tasks) per granted executor.

@@ -390,9 +390,12 @@ func (s *Server) checkpointLocked() {
 func (s *Server) publishLocked() {
 	s.snap = s.svc.Snapshot()
 	var buf bytes.Buffer
-	degraded := 0.0
+	degraded, broken := 0.0, 0.0
 	if s.degraded {
 		degraded = 1
+	}
+	if s.svc.Broken() != nil {
+		broken = 1
 	}
 	extras := []obsv.Metric{
 		{Name: "custody_queue_depth", Help: "queued submissions awaiting a round", Kind: "gauge", Val: float64(s.queued)},
@@ -401,6 +404,7 @@ func (s *Server) publishLocked() {
 		{Name: "custody_degraded_mode", Help: "1 while the degraded-mode ladder is tripped", Kind: "gauge", Val: degraded},
 		{Name: "custody_wal_seq", Help: "last committed intent-log sequence number", Kind: "gauge", Val: float64(s.svc.Seq())},
 		{Name: "custody_execs_reaped", Help: "executors revoked for missing the heartbeat deadline", Kind: "counter", Val: float64(s.reaped)},
+		{Name: "custody_broken", Help: "1 once a failed commit has stopped the service", Kind: "gauge", Val: broken},
 	}
 	if err := obsv.RenderOpenMetrics(&buf, s.svc.Driver().Collector(), s.svc.Hub().Flight, s.counts.Counts(), extras...); err != nil {
 		s.lastErr = err
@@ -508,6 +512,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// refuseLocked answers 503 when the service cannot take new work: it is
+// draining, or a failed commit broke it, in which case no later round
+// would apply what an accept promised. It reports whether it answered.
+//
+//custody:holds mu
+func (s *Server) refuseLocked(w http.ResponseWriter) bool {
+	if err := s.svc.Broken(); err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+		return true
+	}
+	if s.draining || s.closed {
+		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "draining"})
+		return true
+	}
+	return false
+}
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name string `json:"name"`
@@ -518,8 +539,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "draining"})
+	if s.refuseLocked(w) {
 		return
 	}
 	tenant, err := s.svc.Register(req.Name)
@@ -528,6 +548,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusForbidden, apiError{Error: err.Error()})
 		return
 	case err != nil:
+		// A failed commit may have broken the service; the round loop
+		// stops publishing then, so the /metrics page is refreshed here.
+		s.publishLocked()
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
@@ -547,8 +570,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "draining"})
+	if s.refuseLocked(w) {
 		return
 	}
 	if err := s.svc.ValidateSubmit(req.Tenant, req.Workload, req.File); err != nil {
@@ -662,6 +684,7 @@ type statusResponse struct {
 	Shed               int    `json:"shed"`
 	ExecsReaped        int    `json:"execs_reaped"`
 	Draining           bool   `json:"draining"`
+	Broken             string `json:"broken,omitempty"`
 	LastError          string `json:"last_error,omitempty"`
 }
 
@@ -681,6 +704,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Shed:               s.shed,
 		ExecsReaped:        s.reaped,
 		Draining:           s.draining,
+	}
+	if err := s.svc.Broken(); err != nil {
+		resp.Broken = err.Error()
 	}
 	if s.lastErr != nil {
 		resp.LastError = s.lastErr.Error()

@@ -444,3 +444,66 @@ func TestDegradedModeLadder(t *testing.T) {
 		t.Fatal("no degraded round ops in the intent log")
 	}
 }
+
+// TestBrokenServiceRefusesWork pins fail-stop at the HTTP edge. Once a
+// journal append fails, the round loop never applies another op, so an
+// accepted submission would be silently lost: both write endpoints must
+// answer 503 with the broken error, /v1/status must report it in a field
+// later errors cannot overwrite, and /metrics must raise custody_broken.
+func TestBrokenServiceRefusesWork(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	if resp := postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "alice"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register on a healthy service: status %d", resp.StatusCode)
+	}
+	// Close the intent log's file under the server: the next append fails.
+	s.mu.Lock()
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if resp := postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "bob"}, nil); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("register whose append fails: status %d, want 500", resp.StatusCode)
+	}
+
+	var apiErr apiError
+	resp := postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "Sort", "file": 1}, &apiErr)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(apiErr.Error, "journal append") {
+		t.Fatalf("submit to a broken service: status %d error %q, want 503 with the broken error", resp.StatusCode, apiErr.Error)
+	}
+	resp = postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "carol"}, &apiErr)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(apiErr.Error, "journal append") {
+		t.Fatalf("register on a broken service: status %d error %q, want 503 with the broken error", resp.StatusCode, apiErr.Error)
+	}
+	s.RoundOnce()
+	st := getStatus(t, client, ts.URL)
+	if !strings.Contains(st.Broken, "journal append") || st.Accepted != 0 {
+		t.Fatalf("status of a broken service: broken %q accepted %d", st.Broken, st.Accepted)
+	}
+	mresp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page bytes.Buffer
+	_, err = page.ReadFrom(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(page.String(), "\ncustody_broken 1\n") {
+		t.Fatalf("/metrics does not raise custody_broken:\n%s", page.String())
+	}
+
+	// The drain's own failures (closing the already-closed log) land in
+	// last_error; the broken field must still name the first failure.
+	if err := s.Shutdown(context.Background()); err == nil {
+		t.Fatal("shutdown of a broken service reported no error")
+	}
+	st = getStatus(t, client, ts.URL)
+	if !strings.Contains(st.Broken, "journal append") || st.LastError == st.Broken {
+		t.Fatalf("after shutdown: broken %q last_error %q", st.Broken, st.LastError)
+	}
+}

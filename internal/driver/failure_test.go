@@ -19,26 +19,10 @@ func failureSchedule(seed uint64) workload.Schedule {
 func runWithFailures(t *testing.T, mgr manager.Manager, failAt []float64, nodes []int, recover bool) *Driver {
 	t.Helper()
 	cfg := smallConfig(mgr)
-	d := New(cfg)
 	sched := failureSchedule(13)
-	for _, fs := range sched.Files {
-		if _, err := d.CreateInput(fs.Name, fs.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a0 := d.RegisterApp("a0")
-	a1 := d.RegisterApp("a1")
-	d.Start()
-	for i, sub := range sched.Subs {
-		f, err := d.nn.Open(sched.Files[sub.FileIdx].Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := a0
-		if sub.App == 1 {
-			target = a1
-		}
-		d.SubmitJobAt(sub.At, target, workload.BuildJob(sched.Spec.Kind, i+1, f))
+	d, err := NewScheduled(cfg, sched)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, at := range failAt {
 		d.FailNodeAt(at, nodes[i])

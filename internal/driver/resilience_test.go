@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // resilientDriver builds a small chaos-hardened driver with the failure-test
@@ -14,26 +13,10 @@ func resilientDriver(t *testing.T, tr trace.Tracer) (*Driver, int) {
 	cfg := smallConfig(custodyMgr())
 	cfg.EnableResilience()
 	cfg.Tracer = tr
-	d := New(cfg)
 	sched := failureSchedule(13)
-	for _, fs := range sched.Files {
-		if _, err := d.CreateInput(fs.Name, fs.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a0 := d.RegisterApp("a0")
-	a1 := d.RegisterApp("a1")
-	d.Start()
-	for i, sub := range sched.Subs {
-		f, err := d.nn.Open(sched.Files[sub.FileIdx].Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := a0
-		if sub.App == 1 {
-			target = a1
-		}
-		d.SubmitJobAt(sub.At, target, workload.BuildJob(sched.Spec.Kind, i+1, f))
+	d, err := NewScheduled(cfg, sched)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return d, len(sched.Subs)
 }

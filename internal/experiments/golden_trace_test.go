@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,8 +19,9 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate the golden trace files under testdata/golden")
 
 // goldenRun replays one canonical shrunken experiment — one seed of the
-// workload kind under the manager — and returns its full timeline.
-func goldenRun(kind workload.Kind, mk ManagerKind) (*trace.Recorder, error) {
+// workload kind under the manager — and returns its full timeline and work
+// counts.
+func goldenRun(kind workload.Kind, mk ManagerKind) (*trace.Recorder, string, error) {
 	spec := workload.DefaultSpec(kind)
 	spec.Apps = 2
 	spec.JobsPerApp = 3
@@ -29,12 +31,26 @@ func goldenRun(kind workload.Kind, mk ManagerKind) (*trace.Recorder, error) {
 	cfg.Nodes = 16
 	cfg.RackSize = 4
 	cfg.Manager = NewManager(mk, 7)
+	return goldenSim(cfg, sched)
+}
+
+// goldenSim runs one golden configuration to completion under a trace
+// recorder. Besides the timeline it returns the run's work counts: events
+// the engine ran, the fabric's rate recomputes and completed flows, and the
+// manager's allocation rounds and executor migrations. None of them depends
+// on the hardware, so checkWorkCounts holds them exactly.
+func goldenSim(cfg driver.Config, sched workload.Schedule) (*trace.Recorder, string, error) {
 	rec := trace.NewRecorder()
 	cfg.Tracer = rec
-	if _, err := driver.RunSchedule(cfg, sched); err != nil {
-		return nil, err
+	d, err := driver.NewScheduled(cfg, sched)
+	if err != nil {
+		return nil, "", err
 	}
-	return rec, nil
+	col := d.Run()
+	fb := d.Fabric()
+	counts := fmt.Sprintf("events=%d fabric_reallocations=%d flows_completed=%d manager_reallocations=%d executor_migrations=%d",
+		d.Engine().Executed(), fb.Reallocations, fb.CompletedFlows, col.Reallocations, col.ExecutorMigrations)
+	return rec, counts, nil
 }
 
 // TestGoldenTraces pins the end-to-end behavior of the whole stack — the
@@ -50,11 +66,12 @@ func TestGoldenTraces(t *testing.T) {
 			kind, mk := kind, mk
 			name := fmt.Sprintf("%s-%s", strings.ToLower(string(kind)), mk)
 			t.Run(name, func(t *testing.T) {
-				rec, err := goldenRun(kind, mk)
+				rec, counts, err := goldenRun(kind, mk)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkGolden(t, name, rec)
+				checkWorkCounts(t, name, counts)
 			})
 		}
 	}
@@ -76,12 +93,12 @@ func TestGoldenWideTrace(t *testing.T) {
 	cfg.Nodes = 32
 	cfg.RackSize = 8
 	cfg.Manager = NewManager(Custody, 11)
-	rec := trace.NewRecorder()
-	cfg.Tracer = rec
-	if _, err := driver.RunSchedule(cfg, sched); err != nil {
+	rec, counts, err := goldenSim(cfg, sched)
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "wordcount-custody-wide", rec)
+	checkWorkCounts(t, "wordcount-custody-wide", counts)
 }
 
 // checkGolden compares the recorded timeline with testdata/golden/<name>.trace
@@ -105,6 +122,42 @@ func checkGolden(t *testing.T, name string, rec *trace.Recorder) {
 		d := firstDiffLine(buf.Bytes(), want)
 		t.Fatalf("trace diverges from golden %s at line %d:\n got: %s\nwant: %s",
 			path, d, lineAt(buf.Bytes(), d), lineAt(want, d))
+	}
+}
+
+// checkWorkCounts compares a golden run's work counts with its line in
+// testdata/golden/workcounts.txt exactly, or rewrites that line under
+// -update. A change that keeps every trace byte-identical but does more
+// work (an extra rate recompute, a wasted event) fails here.
+func checkWorkCounts(t *testing.T, name, counts string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", "workcounts.txt")
+	byName := map[string]string{}
+	data, err := os.ReadFile(path)
+	if err != nil && !*updateGolden {
+		t.Fatalf("missing work counts: %v (regenerate with -update)", err)
+	}
+	for _, ln := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if k, v, ok := strings.Cut(ln, " "); ok {
+			byName[k] = v
+		}
+	}
+	if *updateGolden {
+		byName[name] = counts
+		names := make([]string, 0, len(byName))
+		for k := range byName {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		var buf bytes.Buffer
+		for _, k := range names {
+			fmt.Fprintf(&buf, "%s %s\n", k, byName[k])
+		}
+		blessGolden(t, path, buf.Bytes())
+		return
+	}
+	if want := byName[name]; counts != want {
+		t.Fatalf("work counts diverge from %s for %s:\n got: %s\nwant: %s", path, name, counts, want)
 	}
 }
 
