@@ -87,27 +87,14 @@ go test -run='^$' -fuzz='^FuzzFabricEquivalence$' -fuzztime=10s ./internal/netsi
 go test -run='^$' -fuzz='^FuzzMaxWeightAssignment$' -fuzztime=10s ./internal/matching
 
 echo "== modelcheck mutation smoke"
-# Compile the seeded allocator bug (inverted fairness comparison, build tag
-# custodymutate) and require the model checker to catch it and shrink the
-# counterexample. Only the mutation test runs under the tag: the rest of
-# the suite is *expected* to fail with the bug compiled in.
+# Compile the seeded bugs (build tag custodymutate; internal/mutant selects
+# one by name) and require the model checker to catch each and shrink its
+# counterexample: the inverted fairness comparison, the descending executor
+# tie-break (only the SelfCheck reference oracle can see it), and the
+# inverted Quincy edge-cost sign (only the policy-generic invariant core can
+# see it, DESIGN.md §16). With no mutant selected a tagged build behaves
+# like an untagged one, but only the mutation test needs to run here.
 go test -count=1 -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
-
-echo "== tie mutation smoke"
-# Same drill for the executor tie-break: the custodymutatetie tag indexes
-# executors in descending ID order (descending per-node executor lists), a
-# bug only the SelfCheck reference oracle can see; the checker must catch
-# it and shrink the counterexample to a small reproducer.
-go test -count=1 -tags custodymutatetie -run '^TestTieMutationSmoke$' ./internal/modelcheck
-
-echo "== policy mutation smoke"
-# And for the pluggable-policy layer: the custodymutatepolicy tag inverts
-# the sign of every app→executor edge cost in the Quincy flow network, so
-# the policy starves every application — a bug only the policy-generic
-# invariant core (the plan contract's non-starvation rule) can catch, since
-# the Custody-specific checks detach under a non-custody policy
-# (DESIGN.md §16).
-go test -count=1 -tags custodymutatepolicy -run '^TestPolicyMutationSmoke$' ./internal/modelcheck
 
 echo "== modelcheck sweep (custodysim)"
 # The long-run CLI entry on a clean build: a bounded seed sweep must come
@@ -190,9 +177,10 @@ echo "== custodyd service smoke"
 # Boot the allocation service on an ephemeral port, drive a workload over
 # the HTTP API, scrape /metrics, kill -9 the daemon, and require the
 # restarted process to replay the intent log back to a byte-identical
-# digest before draining it with SIGTERM. Server logs, the metrics
-# exposition, and the final checkpoint are left under artifacts/ for CI to
-# upload.
+# digest. Then kill -9 it again right after a 202 and require the third
+# incarnation to hold that job and finish it when SIGTERM drains it.
+# Server logs, the metrics exposition, and the final checkpoint are left
+# under artifacts/ for CI to upload.
 DDIR=artifacts/custodyd
 rm -rf "$DDIR"
 mkdir -p "$DDIR"
@@ -270,14 +258,42 @@ if [ "$digest_before" != "$digest_after" ]; then
 fi
 echo "custodyd recovered to identical digest $digest_after after kill -9"
 
+# A 202 is durable: submit one more job, kill -9 the daemon the moment the
+# 202 arrives, and require the next incarnation to hold the job and the
+# SIGTERM drain to finish it.
+code=$(curl -s -o /dev/null -w '%{http_code}' -XPOST "http://$CUSTODYD_ADDR/v1/submit-job" \
+    -d '{"tenant":0,"workload":"Sort","file":1}')
+kill -9 "$DPID"
+wait "$DPID" 2>/dev/null || true
+if [ "$code" != "202" ]; then
+    echo "custodyd answered $code to the submit before the kill, want 202"
+    exit 1
+fi
+
+rm -f "$DDIR/addr"
+artifacts/custodyd.bin -addr 127.0.0.1:0 -dir "$DDIR" -round-ms 20 \
+    -checkpoint-every 4 -obsv-jsonl > "$DDIR/server3.log" 2>&1 &
+DPID=$!
+wait_addr "$DDIR/server3.log"
+if [ "$(status_field jobs_submitted)" != "7" ]; then
+    echo "custodyd lost the job acknowledged before kill -9; status:"
+    curl -s "http://$CUSTODYD_ADDR/v1/status"
+    exit 1
+fi
+
 kill -TERM "$DPID"
 if ! wait "$DPID"; then
     echo "custodyd did not exit cleanly on SIGTERM; log:"
-    cat "$DDIR/server2.log"
+    cat "$DDIR/server3.log"
     exit 1
 fi
 if [ ! -s "$DDIR/checkpoint.json" ]; then
     echo "custodyd drain left no final checkpoint"
+    exit 1
+fi
+if [ "$(jq -r .snapshot.jobs_finished "$DDIR/checkpoint.json")" != "7" ]; then
+    echo "custodyd drain did not finish all 7 jobs; final checkpoint:"
+    cat "$DDIR/checkpoint.json"
     exit 1
 fi
 

@@ -11,10 +11,11 @@
 //	curl -s localhost:7654/v1/status
 //	curl -s localhost:7654/metrics
 //
-// SIGTERM/SIGINT drain gracefully: in-flight rounds complete, queued
-// submissions run, provenance sinks flush, and a final checkpoint lands.
-// kill -9 loses nothing durable: the next boot replays the intent log and
-// verifies it against the last checkpoint digest.
+// A 202 from submit-job means the job is already in the intent log.
+// SIGTERM/SIGINT drain gracefully: every accepted job runs to completion,
+// provenance sinks flush, and a final checkpoint lands. kill -9 loses
+// nothing acknowledged: the next boot replays the intent log and verifies
+// it against the last checkpoint digest.
 package main
 
 import (
@@ -42,7 +43,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed for the simulated cluster")
 		nodes    = flag.Int("nodes", 16, "worker nodes in the simulated cluster")
 		tenants  = flag.Int("tenants", 8, "tenant slot pool size (max concurrent applications)")
-		queueCap = flag.Int("queue-cap", 16, "per-tenant submission queue bound (shed with 429 beyond it)")
+		queueCap = flag.Int("queue-cap", 16, "per-tenant bound on accepted but unfinished jobs (shed with 429 beyond it)")
 		roundMS  = flag.Int("round-ms", 100, "round pacing in milliseconds")
 		budgetMS = flag.Int("round-budget-ms", 50, "per-round wall-clock budget; two consecutive overruns trip degraded mode")
 		ckptN    = flag.Int("checkpoint-every", 8, "rounds between checkpoints")
@@ -88,7 +89,6 @@ func run(addr, dir string, seed uint64, nodes, tenants, queueCap, roundMS, budge
 		Service:          scfg,
 		Dir:              dir,
 		QueueCap:         queueCap,
-		BatchSize:        8,
 		CheckpointEvery:  ckptN,
 		RoundBudget:      time.Duration(budgetMS) * time.Millisecond,
 		RoundInterval:    time.Duration(roundMS) * time.Millisecond,

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"repro/internal/mutant"
 	"repro/internal/obsv"
 )
 
@@ -180,7 +181,7 @@ func (st *allocator) wants(a *appState) bool {
 func less(a, b *appState) bool {
 	pa, pb := a.pctLocalJobs(), b.pctLocalJobs()
 	if pa != pb {
-		if mutateInvertFairness {
+		if mutant.Active == mutant.InvertFairness {
 			return pa > pb // seeded bug: prefer the MOST-localized app
 		}
 		return pa < pb
@@ -203,7 +204,7 @@ func less(a, b *appState) bool {
 func heapLess(a, b *appState) bool {
 	pa, pb := a.pctJobsAt(a.keyJobs), b.pctJobsAt(b.keyJobs)
 	if pa != pb {
-		if mutateInvertFairness {
+		if mutant.Active == mutant.InvertFairness {
 			return pa > pb // seeded bug: prefer the MOST-localized app
 		}
 		return pa < pb

@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"slices"
+
+	"repro/internal/mutant"
 )
 
 // Session carries the allocator's incremental state across allocation
@@ -255,7 +257,7 @@ func (p *execPool) reset(idle []ExecInfo) {
 	p.cursor = 0
 	for x := range p.execs {
 		i := int32(x)
-		if mutateTieStamp { // seeded bug (build tag custodymutatetie): descending per-node lists
+		if mutant.Active == mutant.TieStamp { // seeded bug: descending per-node lists
 			i = int32(len(p.execs) - 1 - x)
 		}
 		pe := &p.execs[i]

@@ -44,7 +44,7 @@ type Config struct {
 	Files []FileSpec
 
 	// RoundSimStep is the simulated-time slice a normal round covers;
-	// DegradedStepFactor scales it in degraded mode (coarser batching).
+	// DegradedStepFactor scales it in degraded mode (coarser rounds).
 	RoundSimStep       float64
 	DegradedStepFactor float64
 

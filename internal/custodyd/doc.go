@@ -17,12 +17,15 @@
 //     digest against the replayed state.
 //   - Server: the concurrent edge. It owns the HTTP API (register-app /
 //     submit-job / heartbeat / status plus a live OpenMetrics /metrics
-//     page), admission control (bounded per-tenant queues, quota checks,
-//     429 shed responses with Retry-After), the wall-clock degraded-mode
-//     ladder, and graceful shutdown (drain queues, run the engine dry,
-//     flush sinks, final checkpoint). All wall-clock inputs are injected
-//     (ServerConfig.Clock / Tick) so internal/ stays free of ambient time
-//     and tests drive the ladder deterministically.
+//     page), admission control (a per-tenant bound on accepted but
+//     unfinished jobs, quota checks, 429 shed responses with Retry-After),
+//     the wall-clock degraded-mode ladder, and graceful shutdown (run the
+//     engine dry, flush sinks, final checkpoint). It keeps no submission
+//     queue of its own: the intent log is the queue. submit-job commits
+//     its op before answering 202, so an acknowledged job survives kill -9.
+//     All wall-clock inputs are injected (ServerConfig.Clock / Tick) so
+//     internal/ stays free of ambient time and tests drive the ladder
+//     deterministically.
 //
 // Degraded rounds skip the explicit Reallocate pass (fallback-only
 // locality: executors keep flowing through the driver's own event-driven

@@ -24,15 +24,10 @@ type ServerConfig struct {
 	Service Config
 	Dir     string
 
-	// Admission control: per-tenant and global bounds on queued
-	// submissions. Beyond either, submissions are shed with 429.
-	QueueCap      int
-	TotalQueueCap int
-
-	// BatchSize is how many queued submissions one round applies in normal
-	// mode; degraded mode multiplies it by the service's step factor
-	// (coarser batching).
-	BatchSize int
+	// QueueCap is admission control: the per-tenant bound on accepted but
+	// unfinished jobs (submitted minus finished). Beyond it, submissions
+	// are shed with 429.
+	QueueCap int
 
 	// CheckpointEvery is the number of rounds between checkpoints.
 	CheckpointEvery int
@@ -42,8 +37,9 @@ type ServerConfig struct {
 	// normal mode. Ignored when Clock is nil.
 	RoundBudget time.Duration
 
-	// RoundInterval is the expected pacing of Tick — used only to estimate
-	// queue wait for Retry-After headers and request budgets.
+	// RoundInterval is the expected pacing of Tick. A committed job takes
+	// part in the next round, so this is the wait estimate behind
+	// Retry-After headers and request budgets.
 	RoundInterval time.Duration
 
 	// HeartbeatTimeout is the executor liveness deadline: an executor that
@@ -73,12 +69,6 @@ func (c *ServerConfig) fill() {
 	if c.QueueCap == 0 {
 		c.QueueCap = 16
 	}
-	if c.TotalQueueCap == 0 {
-		c.TotalQueueCap = c.QueueCap * c.Service.MaxTenants
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 8
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 8
 	}
@@ -88,12 +78,6 @@ func (c *ServerConfig) fill() {
 	if c.RoundInterval == 0 {
 		c.RoundInterval = 100 * time.Millisecond
 	}
-}
-
-// submission is one queued job request.
-type submission struct {
-	Workload string
-	File     int
 }
 
 // Server is the concurrent edge: HTTP handlers and the round loop share
@@ -119,10 +103,6 @@ type Server struct {
 	wal *WAL
 	//custody:guardedby mu
 	boot BootInfo
-	//custody:guardedby mu
-	queues [][]submission
-	//custody:guardedby mu
-	queued int
 	//custody:guardedby mu
 	accepted int
 	//custody:guardedby mu
@@ -194,7 +174,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.svc = svc
 	s.wal = wal
 	s.boot = boot
-	s.queues = make([][]submission, cfg.Service.MaxTenants)
 	s.lastBeat = make(map[int]time.Time)
 	s.publishLocked()
 	return s, nil
@@ -244,9 +223,9 @@ func (s *Server) RoundOnce() {
 	s.roundLocked()
 }
 
-// roundLocked applies a batch of queued submissions, runs a round unless
-// the service is fully idle, walks the degraded-mode ladder, checkpoints
-// on schedule, and republishes the status snapshot and metrics page.
+// roundLocked runs a round unless every committed job has finished, walks
+// the degraded-mode ladder, checkpoints on schedule, and republishes the
+// status snapshot and metrics page.
 // Skipping ops entirely when idle keeps the digest stable across idle
 // periods — what lets a crash/restart cycle be compared digest-for-digest.
 //
@@ -262,12 +241,7 @@ func (s *Server) roundLocked() {
 	if s.cfg.Clock != nil {
 		start = s.cfg.Clock()
 	}
-	batch := s.cfg.BatchSize
-	if s.degraded {
-		batch = int(float64(batch) * s.cfg.Service.DegradedStepFactor)
-	}
-	popped := s.applyQueuedLocked(batch)
-	if popped > 0 || !s.svc.Idle() {
+	if !s.svc.Idle() {
 		step := s.cfg.Service.RoundSimStep
 		if s.degraded {
 			step *= s.cfg.Service.DegradedStepFactor
@@ -284,38 +258,6 @@ func (s *Server) roundLocked() {
 		s.checkpointLocked()
 	}
 	s.publishLocked()
-}
-
-// applyQueuedLocked pops up to batch queued submissions round-robin across
-// tenants (so one tenant's backlog cannot starve the rest) and commits
-// them.
-//
-//custody:holds mu
-func (s *Server) applyQueuedLocked(batch int) int {
-	popped := 0
-	for popped < batch && s.queued > 0 {
-		progress := false
-		for t := range s.queues {
-			if popped == batch {
-				break
-			}
-			if len(s.queues[t]) == 0 {
-				continue
-			}
-			sub := s.queues[t][0]
-			s.queues[t] = s.queues[t][1:]
-			s.queued--
-			popped++
-			progress = true
-			if _, err := s.svc.Submit(t, sub.Workload, sub.File); err != nil {
-				s.lastErr = err
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	return popped
 }
 
 // ladderLocked walks the degraded-mode ladder on the measured round wall
@@ -398,8 +340,8 @@ func (s *Server) publishLocked() {
 		broken = 1
 	}
 	extras := []obsv.Metric{
-		{Name: "custody_queue_depth", Help: "queued submissions awaiting a round", Kind: "gauge", Val: float64(s.queued)},
-		{Name: "custody_submissions_accepted", Help: "submissions admitted to the queues", Kind: "counter", Val: float64(s.accepted)},
+		{Name: "custody_queue_depth", Help: "accepted jobs not yet finished", Kind: "gauge", Val: float64(s.snap.JobsSubmitted - s.snap.JobsFinished)},
+		{Name: "custody_submissions_accepted", Help: "submissions committed to the intent log", Kind: "counter", Val: float64(s.accepted)},
 		{Name: "custody_submissions_shed", Help: "submissions refused with 429", Kind: "counter", Val: float64(s.shed)},
 		{Name: "custody_degraded_mode", Help: "1 while the degraded-mode ladder is tripped", Kind: "gauge", Val: degraded},
 		{Name: "custody_wal_seq", Help: "last committed intent-log sequence number", Kind: "gauge", Val: float64(s.svc.Seq())},
@@ -413,18 +355,13 @@ func (s *Server) publishLocked() {
 	s.metricsPage = buf.Bytes()
 }
 
-// finalize is the graceful path: drain every queued submission, run the
-// engine dry, write the final checkpoint and metrics exposition, and flush
+// finalize is the graceful path: run the engine dry, so every committed
+// job finishes, write the final checkpoint and metrics exposition, and flush
 // and close the sinks and the intent log.
 func (s *Server) finalize() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.draining = true
-	for s.queued > 0 {
-		if s.applyQueuedLocked(s.queued) == 0 {
-			break
-		}
-	}
 	if err := s.svc.Drain(); err != nil {
 		s.lastErr = err
 	}
@@ -477,8 +414,8 @@ func (s *Server) Abort() {
 	}
 }
 
-// Err returns the first retained failure (checkpoint writes, sink
-// flushes, submission errors), if any.
+// Err returns the first retained failure (round commits, checkpoint
+// writes, sink flushes), if any.
 func (s *Server) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -513,8 +450,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // refuseLocked answers 503 when the service cannot take new work: it is
-// draining, or a failed commit broke it, in which case no later round
-// would apply what an accept promised. It reports whether it answered.
+// draining, or a failed commit broke it, so nothing more can be made
+// durable. It reports whether it answered.
 //
 //custody:holds mu
 func (s *Server) refuseLocked(w http.ResponseWriter) bool {
@@ -577,53 +514,47 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	waitMS := s.estimatedWaitMSLocked()
+	waitMS, retryAfter := s.roundWait()
 	switch {
-	case len(s.queues[req.Tenant]) >= s.cfg.QueueCap,
-		s.queued >= s.cfg.TotalQueueCap:
+	case s.svc.Outstanding(req.Tenant) >= s.cfg.QueueCap:
 		s.shed++
-		w.Header().Set("Retry-After", s.retryAfterLocked())
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: "submission queue full; retry later"})
+		w.Header().Set("Retry-After", retryAfter)
+		writeJSON(w, http.StatusTooManyRequests, apiError{Error: "tenant has too many unfinished jobs; retry later"})
 		return
-	case req.BudgetMS > 0 && waitMS > req.BudgetMS:
+	case req.BudgetMS > 0 && req.BudgetMS < waitMS:
 		s.shed++
-		w.Header().Set("Retry-After", s.retryAfterLocked())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests,
-			apiError{Error: fmt.Sprintf("estimated queue wait %dms exceeds the request budget %dms", waitMS, req.BudgetMS)})
+			apiError{Error: fmt.Sprintf("estimated wait %dms exceeds the request budget %dms", waitMS, req.BudgetMS)})
 		return
 	}
-	s.queues[req.Tenant] = append(s.queues[req.Tenant], submission{Workload: req.Workload, File: req.File})
-	s.queued++
+	// The 202 promises durability: the job is in the intent log before the
+	// client hears about it, so a crash after this point cannot lose it.
+	if _, err := s.svc.Submit(req.Tenant, req.Workload, req.File); err != nil {
+		// As in handleRegister: the failed commit may have broken the
+		// service, so refresh the /metrics page here.
+		s.publishLocked()
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
+	}
 	s.accepted++
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{
-		"queued":            len(s.queues[req.Tenant]),
+		"queued":            s.svc.Outstanding(req.Tenant),
 		"estimated_wait_ms": waitMS,
 	})
 }
 
-// estimatedWaitMSLocked estimates how long a submission entering the queue
-// now waits before its round, from the queue depth and the round pacing.
-//
-//custody:holds mu
-func (s *Server) estimatedWaitMSLocked() int {
-	rounds := s.queued/s.cfg.BatchSize + 1
-	return int(time.Duration(rounds) * s.cfg.RoundInterval / time.Millisecond)
-}
-
-// retryAfterLocked renders the Retry-After header, in whole seconds and at
-// least 1.
-//
-//custody:holds mu
-func (s *Server) retryAfterLocked() string {
-	sec := int(time.Duration(s.queued/s.cfg.BatchSize+1) * s.cfg.RoundInterval / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return fmt.Sprintf("%d", sec)
+// roundWait estimates how long a committed job waits for its round: one
+// round interval, since every committed job takes part in the next round.
+// It returns the wait in milliseconds and as a Retry-After header value in
+// whole seconds, at least 1.
+func (s *Server) roundWait() (ms int, retryAfter string) {
+	ms = int(s.cfg.RoundInterval / time.Millisecond)
+	return ms, fmt.Sprintf("%d", max(1, int(s.cfg.RoundInterval/time.Second)))
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -699,7 +630,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		CheckpointVerified: s.boot.CheckpointVerified,
 		Degraded:           s.degraded,
 		ModeChanges:        s.modeChanges,
-		Queued:             s.queued,
+		Queued:             s.svc.JobsSubmitted() - s.svc.JobsFinished(),
 		Accepted:           s.accepted,
 		Shed:               s.shed,
 		ExecsReaped:        s.reaped,

@@ -84,7 +84,7 @@ func TestServerHTTPEndToEnd(t *testing.T) {
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
 		}
 	}
-	// Bad submissions are rejected up front with 400, not queued.
+	// Bad submissions are rejected up front with 400, not committed.
 	resp = postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "Bogus"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid workload: status %d, want 400", resp.StatusCode)
@@ -185,13 +185,13 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 
 // TestOverloadShedsBounded drives submissions at far beyond the
 // sustainable rate (no rounds run at all while the burst lands): admission
-// must shed with 429 + Retry-After once the bounded queues fill, queue
-// memory must stay within the configured caps, and the accepted subset
-// must still finish with a clean audit (acceptance criterion).
+// must shed with 429 + Retry-After once a tenant has QueueCap unfinished
+// jobs, no tenant may ever exceed that bound, and the accepted subset must
+// still finish with a clean audit (acceptance criterion).
 func TestOverloadShedsBounded(t *testing.T) {
+	const queueCap = 4
 	s := newTestServer(t, t.TempDir(), func(c *ServerConfig) {
-		c.QueueCap = 4
-		c.TotalQueueCap = 6
+		c.QueueCap = queueCap
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -201,12 +201,19 @@ func TestOverloadShedsBounded(t *testing.T) {
 	postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "b"}, nil)
 
 	accepted, shed := 0, 0
-	for i := 0; i < 60; i++ { // 10× the total queue capacity
+	for i := 0; i < 60; i++ { // far beyond 2 tenants × QueueCap
+		tenant := i % 2
+		var body struct {
+			Queued int `json:"queued"`
+		}
 		resp := postJSON(t, client, ts.URL+"/v1/submit-job",
-			map[string]any{"tenant": i % 2, "workload": "WordCount", "file": 0}, nil)
+			map[string]any{"tenant": tenant, "workload": "WordCount", "file": 0}, &body)
 		switch resp.StatusCode {
 		case http.StatusAccepted:
 			accepted++
+			if body.Queued < 1 || body.Queued > queueCap {
+				t.Fatalf("submit %d: 202 reports queued=%d, want 1..%d", i, body.Queued, queueCap)
+			}
 		case http.StatusTooManyRequests:
 			if resp.Header.Get("Retry-After") == "" {
 				t.Fatal("429 without Retry-After")
@@ -215,30 +222,36 @@ func TestOverloadShedsBounded(t *testing.T) {
 		default:
 			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
 		}
-		// Queue memory stays bounded the whole time.
+		// Each tenant's unfinished jobs stay bounded the whole time.
 		s.mu.Lock()
-		if s.queued > 6 {
-			t.Fatalf("queued %d > total cap 6", s.queued)
-		}
-		for tn := range s.queues {
-			if len(s.queues[tn]) > 4 {
-				t.Fatalf("tenant %d queue %d > cap 4", tn, len(s.queues[tn]))
-			}
-		}
+		out := s.svc.Outstanding(tenant)
 		s.mu.Unlock()
+		if out > queueCap {
+			t.Fatalf("tenant %d has %d unfinished jobs > cap %d", tenant, out, queueCap)
+		}
 	}
-	if shed == 0 || accepted > 6 {
-		t.Fatalf("accepted=%d shed=%d: want bounded acceptance and nonzero shed", accepted, shed)
+	if accepted != 2*queueCap || shed != 60-accepted {
+		t.Fatalf("accepted=%d shed=%d: want each tenant admitted up to its cap of %d", accepted, shed, queueCap)
+	}
+	if st := getStatus(t, client, ts.URL); st.Queued != accepted {
+		t.Fatalf("status queued=%d, want the %d accepted, unfinished jobs", st.Queued, accepted)
 	}
 
-	// A request whose budget cannot cover the current queue wait is shed
-	// even though capacity might open later (deadline admission).
-	s.RoundOnce() // make room
+	// A request whose budget is shorter than one round interval is shed
+	// even though its tenant has room (deadline admission); one that
+	// covers the interval is admitted.
+	postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "c"}, nil)
 	resp := postJSON(t, client, ts.URL+"/v1/submit-job",
-		map[string]any{"tenant": 0, "workload": "WordCount", "file": 0, "budget_ms": 1}, nil)
+		map[string]any{"tenant": 2, "workload": "WordCount", "file": 0, "budget_ms": 1}, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("budget-exceeded submission: status %d, want 429", resp.StatusCode)
 	}
+	resp = postJSON(t, client, ts.URL+"/v1/submit-job",
+		map[string]any{"tenant": 2, "workload": "WordCount", "file": 0, "budget_ms": 100}, nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submission whose budget covers one round: status %d, want 202", resp.StatusCode)
+	}
+	accepted++
 
 	var st statusResponse
 	for i := 0; i < 300; i++ {
@@ -262,8 +275,8 @@ func TestOverloadShedsBounded(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains covers the SIGTERM path (cmd/custodyd wires
-// SIGTERM to Shutdown): with a round in flight and submissions still
-// queued, Shutdown must complete the work, flush the JSONL/CSV sinks,
+// SIGTERM to Shutdown): with a round in flight and committed jobs still
+// unfinished, Shutdown must complete the work, flush the JSONL/CSV sinks,
 // write the metrics exposition, and leave a loadable checkpoint whose
 // digest matches a fresh replay of the intent log.
 func TestGracefulShutdownDrains(t *testing.T) {
@@ -273,7 +286,6 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		c.Tick = tick
 		c.LogJSONL = true
 		c.LogCSV = true
-		c.BatchSize = 1 // keep submissions queued across rounds
 	})
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -284,7 +296,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "Sort", "file": 1}, nil)
 	}
-	tick <- time.Time{} // one in-flight round, 4 submissions still queued
+	tick <- time.Time{} // one in-flight round, jobs still unfinished
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -372,6 +384,37 @@ func TestKill9ReplayRecoversDigest(t *testing.T) {
 	}
 }
 
+// TestAcceptedSubmissionSurvivesKill9 pins that a 202 is durable: a job
+// acknowledged but never touched by a round must survive kill -9, show up
+// in the recovered state, and finish once the new incarnation runs rounds.
+func TestAcceptedSubmissionSurvivesKill9(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir, nil)
+	ts := httptest.NewServer(s.Handler())
+	client := ts.Client()
+
+	postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "a"}, nil)
+	resp := postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "Sort", "file": 1}, nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
+	}
+	ts.Close()
+	s.Abort() // no round ever ran
+
+	s2 := newTestServer(t, dir, nil)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if st := getStatus(t, ts2.Client(), ts2.URL); st.JobsSubmitted != 1 || st.Queued != 1 {
+		t.Fatalf("recovered status: jobs_submitted=%d queued=%d, want the acknowledged job", st.JobsSubmitted, st.Queued)
+	}
+	for i := 0; i < 300 && !getStatus(t, ts2.Client(), ts2.URL).Idle; i++ {
+		s2.RoundOnce()
+	}
+	if st := getStatus(t, ts2.Client(), ts2.URL); !st.Idle || st.JobsFinished != 1 {
+		t.Fatalf("recovered job did not finish: %+v", st)
+	}
+}
+
 // TestDegradedModeLadder drives the ladder with an injected clock: two
 // consecutive over-budget rounds trip degraded mode (rounds stop forcing
 // Reallocate and cover a coarser step, recorded in the op log), three fast
@@ -388,7 +431,6 @@ func TestDegradedModeLadder(t *testing.T) {
 	}
 	s := newTestServer(t, dir, func(c *ServerConfig) {
 		c.Clock = clock
-		c.BatchSize = 1
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -446,64 +488,75 @@ func TestDegradedModeLadder(t *testing.T) {
 }
 
 // TestBrokenServiceRefusesWork pins fail-stop at the HTTP edge. Once a
-// journal append fails, the round loop never applies another op, so an
-// accepted submission would be silently lost: both write endpoints must
-// answer 503 with the broken error, /v1/status must report it in a field
-// later errors cannot overwrite, and /metrics must raise custody_broken.
+// journal append fails, nothing more can be made durable: the write whose
+// append failed answers 500, both write endpoints then answer 503 with the
+// broken error, /v1/status must report it in a field later errors cannot
+// overwrite, and /metrics must raise custody_broken. It runs once with a
+// registration and once with a submission as the failing write.
 func TestBrokenServiceRefusesWork(t *testing.T) {
-	s := newTestServer(t, t.TempDir(), nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := ts.Client()
+	for _, failing := range []struct {
+		name, path string
+		body       any
+	}{
+		{"register", "/v1/register-app", map[string]string{"name": "bob"}},
+		{"submit", "/v1/submit-job", map[string]any{"tenant": 0, "workload": "Sort", "file": 1}},
+	} {
+		t.Run(failing.name, func(t *testing.T) {
+			s := newTestServer(t, t.TempDir(), nil)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			client := ts.Client()
 
-	if resp := postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "alice"}, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("register on a healthy service: status %d", resp.StatusCode)
-	}
-	// Close the intent log's file under the server: the next append fails.
-	s.mu.Lock()
-	if err := s.wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Unlock()
-	if resp := postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "bob"}, nil); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("register whose append fails: status %d, want 500", resp.StatusCode)
-	}
+			if resp := postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "alice"}, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("register on a healthy service: status %d", resp.StatusCode)
+			}
+			// Close the intent log's file under the server: the next append fails.
+			s.mu.Lock()
+			if err := s.wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Unlock()
+			if resp := postJSON(t, client, ts.URL+failing.path, failing.body, nil); resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("%s whose append fails: status %d, want 500", failing.name, resp.StatusCode)
+			}
 
-	var apiErr apiError
-	resp := postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "Sort", "file": 1}, &apiErr)
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(apiErr.Error, "journal append") {
-		t.Fatalf("submit to a broken service: status %d error %q, want 503 with the broken error", resp.StatusCode, apiErr.Error)
-	}
-	resp = postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "carol"}, &apiErr)
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(apiErr.Error, "journal append") {
-		t.Fatalf("register on a broken service: status %d error %q, want 503 with the broken error", resp.StatusCode, apiErr.Error)
-	}
-	s.RoundOnce()
-	st := getStatus(t, client, ts.URL)
-	if !strings.Contains(st.Broken, "journal append") || st.Accepted != 0 {
-		t.Fatalf("status of a broken service: broken %q accepted %d", st.Broken, st.Accepted)
-	}
-	mresp, err := client.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var page bytes.Buffer
-	_, err = page.ReadFrom(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(page.String(), "\ncustody_broken 1\n") {
-		t.Fatalf("/metrics does not raise custody_broken:\n%s", page.String())
-	}
+			var apiErr apiError
+			resp := postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "Sort", "file": 1}, &apiErr)
+			if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(apiErr.Error, "journal append") {
+				t.Fatalf("submit to a broken service: status %d error %q, want 503 with the broken error", resp.StatusCode, apiErr.Error)
+			}
+			resp = postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "carol"}, &apiErr)
+			if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(apiErr.Error, "journal append") {
+				t.Fatalf("register on a broken service: status %d error %q, want 503 with the broken error", resp.StatusCode, apiErr.Error)
+			}
+			s.RoundOnce()
+			st := getStatus(t, client, ts.URL)
+			if !strings.Contains(st.Broken, "journal append") || st.Accepted != 0 {
+				t.Fatalf("status of a broken service: broken %q accepted %d", st.Broken, st.Accepted)
+			}
+			mresp, err := client.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var page bytes.Buffer
+			_, err = page.ReadFrom(mresp.Body)
+			mresp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(page.String(), "\ncustody_broken 1\n") {
+				t.Fatalf("/metrics does not raise custody_broken:\n%s", page.String())
+			}
 
-	// The drain's own failures (closing the already-closed log) land in
-	// last_error; the broken field must still name the first failure.
-	if err := s.Shutdown(context.Background()); err == nil {
-		t.Fatal("shutdown of a broken service reported no error")
-	}
-	st = getStatus(t, client, ts.URL)
-	if !strings.Contains(st.Broken, "journal append") || st.LastError == st.Broken {
-		t.Fatalf("after shutdown: broken %q last_error %q", st.Broken, st.LastError)
+			// The drain's own failures (closing the already-closed log) land in
+			// last_error; the broken field must still name the first failure.
+			if err := s.Shutdown(context.Background()); err == nil {
+				t.Fatal("shutdown of a broken service reported no error")
+			}
+			st = getStatus(t, client, ts.URL)
+			if !strings.Contains(st.Broken, "journal append") || st.LastError == st.Broken {
+				t.Fatalf("after shutdown: broken %q last_error %q", st.Broken, st.LastError)
+			}
+		})
 	}
 }

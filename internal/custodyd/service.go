@@ -348,10 +348,26 @@ func (s *Service) ExecRevocations() int { return s.revocations }
 func (s *Service) JobsFinished() int {
 	done := 0
 	for _, a := range s.apps {
-		for _, j := range a.Jobs {
-			if j.Complete() {
-				done++
-			}
+		done += jobsDone(a)
+	}
+	return done
+}
+
+// Outstanding returns the tenant's accepted but unfinished jobs: its
+// submissions minus its completions (0 for an unknown tenant).
+func (s *Service) Outstanding(tenant int) int {
+	if tenant < 0 || tenant >= len(s.names) {
+		return 0
+	}
+	return s.nextJob[tenant] - jobsDone(s.apps[tenant])
+}
+
+// jobsDone counts the application's completed jobs.
+func jobsDone(a *app.Application) int {
+	done := 0
+	for _, j := range a.Jobs {
+		if j.Complete() {
+			done++
 		}
 	}
 	return done
@@ -423,12 +439,6 @@ func (s *Service) tenantStatuses() []TenantStatus {
 	cl := s.drv.Cluster()
 	for i, name := range s.names {
 		a := s.apps[i]
-		done := 0
-		for _, j := range a.Jobs {
-			if j.Complete() {
-				done++
-			}
-		}
 		var execs []int
 		for _, e := range cl.Owned(a.ID) {
 			execs = append(execs, e.ID)
@@ -438,7 +448,7 @@ func (s *Service) tenantStatuses() []TenantStatus {
 			Tenant:  i,
 			Name:    name,
 			Jobs:    s.nextJob[i],
-			Done:    done,
+			Done:    jobsDone(a),
 			Pending: s.drv.PendingCount(a),
 			Execs:   execs,
 		})

@@ -37,35 +37,33 @@ type WAL struct {
 }
 
 // OpenWAL opens (or creates) the intent log at path, parsing every entry.
-// A damaged final line is treated as a torn append and truncated away;
-// damage anywhere earlier is an error.
+// Append writes an entry and its newline in one call, so only a
+// newline-terminated line is committed: an unterminated final line is a
+// torn append, even when it parses, and is truncated away. Damage to any
+// terminated line is an error.
 func OpenWAL(path string) (*WAL, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("custodyd: read wal: %w", err)
 	}
 	w := &WAL{path: path}
-	goodLen := 0
 	if len(data) > 0 {
+		// The element after the last newline is empty in a well-formed
+		// file; anything there is the torn tail.
 		lines := strings.Split(string(data), "\n")
-		// A well-formed file ends with "\n", leaving one empty trailing
-		// element; anything after the last newline is a torn tail.
-		for i, ln := range lines {
+		tail := lines[len(lines)-1]
+		for i, ln := range lines[:len(lines)-1] {
 			if ln == "" {
 				continue
 			}
 			op, perr := parseWALLine(ln)
 			if perr != nil {
-				if i == len(lines)-1 {
-					break // torn tail: drop it below
-				}
 				return nil, fmt.Errorf("custodyd: wal %s line %d: %w", path, i+1, perr)
 			}
 			w.ops = append(w.ops, op)
-			goodLen += len(ln) + 1
 		}
-		if goodLen < len(data) {
-			if terr := os.Truncate(path, int64(goodLen)); terr != nil {
+		if tail != "" {
+			if terr := os.Truncate(path, int64(len(data)-len(tail))); terr != nil {
 				return nil, fmt.Errorf("custodyd: truncate torn wal tail: %w", terr)
 			}
 		}

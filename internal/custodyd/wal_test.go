@@ -40,54 +40,78 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALTornTail crashes mid-append: a truncated final line must be
+// TestWALTornTail crashes mid-append: an unterminated final line must be
 // dropped at reopen (and physically truncated so the next append starts on
-// a clean line boundary), while the intact prefix survives.
+// a clean line boundary), while the committed prefix survives. An entry is
+// committed only once its newline is on disk, so a complete, well-checksummed
+// entry that lost its newline is torn too.
 func TestWALTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range walOps() {
-		if err := w.Append(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":{"seq":4,"kind":"ro`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		tear func(t *testing.T, path string)
+		want []Op
+	}{
+		{"partial-entry", func(t *testing.T, path string) {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(`{"op":{"seq":4,"kind":"ro`); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, walOps()},
+		{"missing-newline", func(t *testing.T, path string) {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()-1); err != nil {
+				t.Fatal(err)
+			}
+		}, walOps()[:2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.jsonl")
+			w, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range walOps() {
+				if err := w.Append(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.tear(t, path)
 
-	w2, err := OpenWAL(path)
-	if err != nil {
-		t.Fatalf("torn tail not tolerated: %v", err)
-	}
-	if got := w2.Ops(); !reflect.DeepEqual(got, walOps()) {
-		t.Fatalf("ops after torn tail = %+v, want %+v", got, walOps())
-	}
-	if err := w2.Append(Op{Seq: 4, Kind: OpDrain}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w3, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w3.Close()
-	if got := len(w3.Ops()); got != 4 {
-		t.Fatalf("ops after truncate+append = %d, want 4", got)
+			w2, err := OpenWAL(path)
+			if err != nil {
+				t.Fatalf("torn tail not tolerated: %v", err)
+			}
+			if got := w2.Ops(); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("ops after torn tail = %+v, want %+v", got, tc.want)
+			}
+			next := Op{Seq: uint64(len(tc.want) + 1), Kind: OpDrain}
+			if err := w2.Append(next); err != nil {
+				t.Fatal(err)
+			}
+			if err := w2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w3, err := OpenWAL(path)
+			if err != nil {
+				t.Fatalf("reopen after truncate+append: %v", err)
+			}
+			defer w3.Close()
+			if got, want := w3.Ops(), append(tc.want, next); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ops after truncate+append = %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 

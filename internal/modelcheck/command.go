@@ -34,11 +34,11 @@
 //
 // On violation the harness shrinks the command sequence with delta
 // debugging to a minimal deterministic reproducer, serializable as a .repro
-// file and replayable via `custodysim -mc-replay`. Build-tag-gated
-// mutations prove the checker has teeth: custodymutate and
-// custodymutatetie seed bugs in internal/core's fairness comparison and
-// executor tie-break, custodymutatepolicy seeds a cost-sign bug in the
-// Quincy policy that only the policy-generic invariants can catch.
+// file and replayable via `custodysim -mc-replay`. Seeded bugs prove the
+// checker has teeth: under the custodymutate build tag, internal/mutant
+// selects a bug in internal/core's fairness comparison or executor
+// tie-break, or a cost-sign bug in the Quincy policy that only the
+// policy-generic invariants can catch.
 //
 // The QuickCheck stateful-testing lineage and Jepsen-style history checking
 // are the reference points; see DESIGN.md §12.

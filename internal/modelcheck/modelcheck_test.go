@@ -38,14 +38,11 @@ func TestGenerateIsPure(t *testing.T) {
 	}
 }
 
-// TestRandomSequencesHoldInvariants is the tier-1 bounded-budget entry: on
-// an unmutated build, every seed in the fixed set must run violation-free,
+// TestRandomSequencesHoldInvariants is the tier-1 bounded-budget entry:
+// with no mutant selected, every seed in the fixed set must run violation-free,
 // and the run must be byte-identical across three repeats (same digest,
 // same violation list, same applied count).
 func TestRandomSequencesHoldInvariants(t *testing.T) {
-	if mutationEnabled {
-		t.Skip("custodymutate build: sequences are expected to violate")
-	}
 	const cmdsPerSeed = 25
 	for _, seed := range seedSet(t) {
 		first := Check(seed, cmdsPerSeed)
@@ -138,9 +135,9 @@ func TestShrinkCommandsRejectsBrokenPredicate(t *testing.T) {
 // observer report channel rather than a real allocator bug).
 func TestViolationReportsCarryProvenance(t *testing.T) {
 	r := Run(3, Generate(3, 15))
-	// Healthy run on an unmutated build; forge a violation to exercise the
-	// report path including the explain chain.
-	if !mutationEnabled && r.Failed() {
+	// Healthy run with no mutant selected; forge a violation to exercise
+	// the report path including the explain chain.
+	if r.Failed() {
 		t.Fatalf("seed 3 unexpectedly failed: %v", r.Violations)
 	}
 	r.Violations = append(r.Violations, Violation{Cmd: 1, Rule: "synthetic", Detail: "forged for report test", App: 0, Job: 1})

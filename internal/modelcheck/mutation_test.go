@@ -2,49 +2,103 @@ package modelcheck
 
 import (
 	"bytes"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/mutant"
 )
 
-// TestMutationSmoke proves the checker has teeth: under the custodymutate
-// build tag, internal/core's fairness comparison is inverted (the allocator
-// prefers the MOST-localized application), and the checker must (a) catch
-// it within a bounded seed scan and (b) shrink the counterexample to at
-// most 12 commands.
+// TestMutationSmoke proves the checker has teeth: for each seeded bug in
+// internal/mutant, the checker must (a) catch it within a bounded seed scan,
+// (b) shrink the counterexample to at most 12 commands, and (c) round-trip
+// it through a .repro file that replays to the same digest. The subtests
+// skip unless the bugs are compiled in.
 //
-// Run with: go test -tags custodymutate -run TestMutationSmoke ./internal/modelcheck
+// Run with: go test -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 func TestMutationSmoke(t *testing.T) {
-	if !mutationEnabled {
-		t.Skip("requires -tags custodymutate (seeded allocator bug not compiled in)")
-	}
 	const (
 		maxSeeds    = 80
 		cmdsPerSeed = 40
 		maxShrunk   = 12
 	)
-	for seed := uint64(1); seed <= maxSeeds; seed++ {
-		r := Check(seed, cmdsPerSeed)
-		if !r.Failed() {
-			continue
-		}
-		min := ShrinkResult(r)
-		if !min.Failed() {
-			t.Fatalf("seed %d: shrunken sequence no longer fails", seed)
-		}
-		var b bytes.Buffer
-		if err := min.WriteReport(&b); err != nil {
-			t.Fatalf("WriteReport: %v", err)
-		}
-		t.Logf("seed %d caught the mutation; minimal reproducer:\n%s", seed, b.String())
-		if len(min.Commands) > maxShrunk {
-			t.Fatalf("seed %d: shrunk to %d commands, want <= %d", seed, len(min.Commands), maxShrunk)
-		}
-		// Replaying the minimal commands must reproduce the violation.
-		replay := Run(min.Seed, min.Commands)
-		if !replay.Failed() || replay.Digest != min.Digest {
-			t.Fatalf("minimal reproducer does not replay (failed=%v digest %s vs %s)",
-				replay.Failed(), replay.Digest, min.Digest)
-		}
-		return
+	for _, tc := range []struct {
+		mutant mutant.Name
+		// prefix runs before each generated sequence.
+		prefix []Command
+		// check adds mutant-specific requirements on the minimal reproducer.
+		check func(t *testing.T, min *Result)
+	}{
+		// The allocator prefers the MOST-localized application; the
+		// fairness-key monotonicity invariant must fire.
+		{mutant: mutant.InvertFairness},
+		// Same-node ties resolve to the highest executor ID; only the
+		// manager self-check against the reference oracle can see it.
+		{mutant: mutant.TieStamp},
+		// Quincy starves every application. The set-policy prefix arms the
+		// mutated policy before any generated command runs. The
+		// Custody-specific invariants are detached while quincy is active, so
+		// a detection must come from the policy-generic core alone.
+		{mutant: mutant.PolicyCostSign, prefix: []Command{{Op: OpSetPolicy, A: 1}}, check: func(t *testing.T, min *Result) {
+			generic := false
+			for _, v := range min.Violations {
+				if v.Rule == "plancheck" || v.Rule == "audit" || strings.HasPrefix(v.Rule, "model-") || v.Rule == "round-double-grant" || v.Rule == "grant-follow" {
+					generic = true
+				}
+				if v.Rule == "selfcheck" {
+					t.Fatalf("selfcheck fired under a non-custody policy (should be detached): %s", v)
+				}
+			}
+			if !generic {
+				t.Fatalf("no policy-generic rule fired; violations: %v", min.Violations)
+			}
+		}},
+	} {
+		t.Run(string(tc.mutant), func(t *testing.T) {
+			if !mutant.Select(tc.mutant) {
+				t.Skip("requires -tags custodymutate (seeded bugs not compiled in)")
+			}
+			defer mutant.Select(mutant.None)
+			if len(tc.prefix) > 0 && policyTarget(1) != "quincy" {
+				t.Fatalf("policyTarget(1) = %q, want quincy (registry order changed?)", policyTarget(1))
+			}
+			for seed := uint64(1); seed <= maxSeeds; seed++ {
+				cmds := append(append([]Command(nil), tc.prefix...), Generate(seed, cmdsPerSeed)...)
+				r := Run(seed, cmds)
+				if !r.Failed() {
+					continue
+				}
+				min := ShrinkResult(r)
+				if !min.Failed() {
+					t.Fatalf("seed %d: shrunken sequence no longer fails", seed)
+				}
+				var b bytes.Buffer
+				if err := min.WriteReport(&b); err != nil {
+					t.Fatalf("WriteReport: %v", err)
+				}
+				t.Logf("seed %d caught the mutant; minimal reproducer:\n%s", seed, b.String())
+				if len(min.Commands) > maxShrunk {
+					t.Fatalf("seed %d: shrunk to %d commands, want <= %d", seed, len(min.Commands), maxShrunk)
+				}
+				if tc.check != nil {
+					tc.check(t, min)
+				}
+				path := filepath.Join(t.TempDir(), string(tc.mutant)+".repro")
+				if err := WriteRepro(path, Repro{Seed: min.Seed, Commands: min.Commands}); err != nil {
+					t.Fatalf("WriteRepro: %v", err)
+				}
+				got, err := ReadRepro(path)
+				if err != nil {
+					t.Fatalf("ReadRepro: %v", err)
+				}
+				replay := Run(got.Seed, got.Commands)
+				if !replay.Failed() || replay.Digest != min.Digest {
+					t.Fatalf(".repro does not replay (failed=%v digest %s vs %s)",
+						replay.Failed(), replay.Digest, min.Digest)
+				}
+				return
+			}
+			t.Fatalf("seeded bug never detected in %d seeds — the checker is blind to it", maxSeeds)
+		})
 	}
-	t.Fatalf("seeded fairness inversion never detected in %d seeds — the checker is blind", maxSeeds)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/maxflow"
+	"repro/internal/mutant"
 	"repro/internal/obsv"
 )
 
@@ -67,7 +68,7 @@ func (Quincy) Allocate(apps []core.AppDemand, idle []core.ExecInfo, opts core.Op
 				local = s
 			}
 			cost := -float64(1 + 2*local)
-			if mutatePolicyCostSign {
+			if mutant.Active == mutant.PolicyCostSign {
 				cost = -cost // seeded bug: maximize cost; no path improves
 			}
 			edgeOf[ai][ei] = g.AddEdge(1+ai, 1+nApps+ei, 1, cost)
