@@ -177,8 +177,9 @@ echo "== custodyd service smoke"
 # Boot the allocation service on an ephemeral port, drive a workload over
 # the HTTP API, scrape /metrics, kill -9 the daemon, and require the
 # restarted process to replay the intent log back to a byte-identical
-# digest. Then kill -9 it again right after a 202 and require the third
-# incarnation to hold that job and finish it when SIGTERM drains it.
+# digest, verifying the last checkpoint on the way. Then kill -9 it again
+# right after a 202 and require the third incarnation to hold that job and
+# finish it when SIGTERM drains it.
 # Server logs, the metrics exposition, and the final checkpoint are left
 # under artifacts/ for CI to upload.
 DDIR=artifacts/custodyd
@@ -249,6 +250,14 @@ DPID=$!
 wait_addr "$DDIR/server2.log"
 if [ "$(status_field recovered)" != "true" ]; then
     echo "restarted custodyd did not report recovery"
+    exit 1
+fi
+# With -checkpoint-every 4 the first incarnation left a checkpoint, almost
+# always behind the log tail after a kill -9; boot must verify it on the
+# way to the tail.
+if [ "$(status_field checkpoint_verified)" != "true" ]; then
+    echo "restarted custodyd did not verify its checkpoint; status:"
+    curl -s "http://$CUSTODYD_ADDR/v1/status"
     exit 1
 fi
 digest_after=$(status_field digest)

@@ -13,9 +13,9 @@ const checkpointVersion = 1
 // Checkpoint is a periodic snapshot of the allocator-visible state. It is
 // deliberately NOT the replay source — the driver stack's full state
 // (event queue, flows, warm session arenas) is not serializable — it is a
-// verifier: recovery replays the intent log from genesis and then checks
-// that the replayed digest at the checkpoint's sequence number matches.
-// It doubles as a fast status page for operators while the daemon is down.
+// verifier: recovery replays the intent log from genesis once and checks
+// the digest when replay passes the checkpoint's sequence number. It
+// doubles as a fast status page for operators while the daemon is down.
 type Checkpoint struct {
 	Version  int      `json:"version"`
 	Snapshot Snapshot `json:"snapshot"`

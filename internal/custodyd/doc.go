@@ -10,11 +10,12 @@
 //     replaying the journal into a fresh Service reproduces the exact state
 //     — Digest() is byte-identical — which is the whole recovery story.
 //   - WAL / Checkpoint: the file-backed Journal (append-only intent log
-//     with per-line checksums and torn-tail tolerance) and a periodic
-//     atomic snapshot of the allocator-visible state. The checkpoint is a
-//     verifier and fast status page, not the replay source: recovery always
-//     replays the log from genesis and then cross-checks the checkpoint's
-//     digest against the replayed state.
+//     with per-line checksums and torn-tail tolerance; the file is the only
+//     copy, streamed at replay) and a periodic atomic snapshot of the
+//     allocator-visible state. The checkpoint is a verifier and fast status
+//     page, not the replay source: recovery replays the log once from
+//     genesis and checks the checkpoint's digest when that replay reaches
+//     the checkpoint's sequence number.
 //   - Server: the concurrent edge. It owns the HTTP API (register-app /
 //     submit-job / heartbeat / status plus a live OpenMetrics /metrics
 //     page), admission control (a per-tenant bound on accepted but

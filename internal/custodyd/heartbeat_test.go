@@ -96,7 +96,7 @@ func TestHeartbeatLivenessRevokesSilentExecutor(t *testing.T) {
 	}
 	s.mu.Lock()
 	revoked := s.svc.ExecRevocations()
-	ops := s.wal.Ops()
+	ops := replayed(t, s.wal)
 	s.mu.Unlock()
 	if revoked == 0 {
 		t.Fatal("revoke-exec ops committed but none released an executor")

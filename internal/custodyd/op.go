@@ -1,10 +1,6 @@
 package custodyd
 
-import (
-	"fmt"
-
-	"repro/internal/chaos"
-)
+import "repro/internal/chaos"
 
 // OpKind names one intent-log operation.
 type OpKind string
@@ -55,33 +51,14 @@ type Op struct {
 	Exec int `json:"exec,omitempty"`
 }
 
-func (op Op) String() string {
-	switch op.Kind {
-	case OpRegisterApp:
-		return fmt.Sprintf("%d %s %q", op.Seq, op.Kind, op.Name)
-	case OpSubmitJob:
-		return fmt.Sprintf("%d %s tenant=%d workload=%s file=%d", op.Seq, op.Kind, op.Tenant, op.Workload, op.File)
-	case OpRound:
-		return fmt.Sprintf("%d %s step=%.3f degraded=%v", op.Seq, op.Kind, op.Step, op.Degraded)
-	case OpInjectFault, OpRestoreFault:
-		if op.Fault != nil {
-			return fmt.Sprintf("%d %s %s node=%d exec=%d", op.Seq, op.Kind, op.Fault.Kind, op.Fault.Node, op.Fault.Exec)
-		}
-		return fmt.Sprintf("%d %s <nil>", op.Seq, op.Kind)
-	case OpRevokeExec:
-		return fmt.Sprintf("%d %s exec=%d", op.Seq, op.Kind, op.Exec)
-	default:
-		return fmt.Sprintf("%d %s", op.Seq, op.Kind)
-	}
-}
-
 // Journal is the append-only intent log a Service commits ops to. WAL is
 // the file-backed implementation; MemJournal backs tests and the model
 // checker, where crash/restart is simulated by handing the ops to a fresh
 // Service.
 type Journal interface {
 	Append(Op) error
-	Ops() []Op
+	// Replay hands fn every committed op in order, stopping at its first error.
+	Replay(fn func(Op) error) error
 }
 
 // MemJournal is an in-memory Journal.
@@ -101,7 +78,17 @@ func (j *MemJournal) Append(op Op) error {
 	return nil
 }
 
-// Ops implements Journal; the returned slice is a copy.
+// Replay implements Journal.
+func (j *MemJournal) Replay(fn func(Op) error) error {
+	for _, op := range j.ops {
+		if err := fn(op); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Ops returns a copy of the ops, for crash harnesses to hand a fresh Service.
 func (j *MemJournal) Ops() []Op {
 	return append([]Op(nil), j.ops...)
 }

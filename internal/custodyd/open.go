@@ -23,72 +23,47 @@ type BootInfo struct {
 	CheckpointVerified bool   `json:"checkpoint_verified"` // digest cross-check passed
 }
 
-// Open boots a Service from a state directory: open (or create) the intent
-// log, replay it into a fresh stack, then cross-check any checkpoint's
-// digest against the replayed state. A checkpoint older than the log tail
-// is verified by replaying its prefix into a scratch stack — stronger than
-// skipping the check, and cheap at service scale. A diverging checkpoint
-// is an error: it means the log and snapshot describe different histories,
-// and serving either would be a silent fork.
+// Open boots a Service from a state directory in one replay: load any
+// checkpoint, open (or create) the intent log, and replay it into a fresh
+// stack, checking the checkpoint's digest when replay reaches its seq. A
+// diverging checkpoint, or one beyond the log, is an error: log and
+// snapshot describe different histories, and serving either would fork.
 func Open(dir string, cfg Config) (*Service, *WAL, BootInfo, error) {
 	var info BootInfo
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, info, fmt.Errorf("custodyd: state dir: %w", err)
 	}
+	verify := func(*Service) error { return nil }
+	cp, cpErr := LoadCheckpoint(filepath.Join(dir, checkpointFile))
+	switch {
+	case cpErr == nil:
+		info.CheckpointSeq = cp.Snapshot.Seq
+		verify = func(s *Service) error {
+			if s.Seq() != cp.Snapshot.Seq {
+				return nil
+			}
+			if digest := s.Digest(); digest != cp.Snapshot.Digest {
+				return fmt.Errorf("custodyd: checkpoint diverges from intent-log replay at seq %d: checkpoint digest %s, replay digest %s",
+					cp.Snapshot.Seq, cp.Snapshot.Digest, digest)
+			}
+			info.CheckpointVerified = true
+			return nil
+		}
+	case !errors.Is(cpErr, fs.ErrNotExist):
+		return nil, nil, info, cpErr
+	}
 	wal, err := OpenWAL(filepath.Join(dir, walFile))
 	if err != nil {
 		return nil, nil, info, err
 	}
-	ops := wal.Ops()
-	info.Recovered = len(ops) > 0
-	info.ReplayedOps = len(ops)
-	svc, err := NewService(cfg, wal)
+	svc, err := newService(cfg, wal, verify)
+	if err == nil && cpErr == nil && !info.CheckpointVerified {
+		err = fmt.Errorf("custodyd: checkpoint seq %d beyond intent log (%d ops)", cp.Snapshot.Seq, svc.Seq())
+	}
 	if err != nil {
-		cerr := wal.Close()
-		return nil, nil, info, errors.Join(err, cerr)
+		return nil, nil, info, errors.Join(err, wal.Close())
 	}
-
-	cp, err := LoadCheckpoint(filepath.Join(dir, checkpointFile))
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		return svc, wal, info, nil
-	case err != nil:
-		cerr := wal.Close()
-		return nil, nil, info, errors.Join(err, cerr)
-	}
-	info.CheckpointSeq = cp.Snapshot.Seq
-	digest, err := digestAt(cfg, ops, cp.Snapshot.Seq, svc)
-	if err != nil {
-		cerr := wal.Close()
-		return nil, nil, info, errors.Join(err, cerr)
-	}
-	if digest != cp.Snapshot.Digest {
-		cerr := wal.Close()
-		return nil, nil, info, errors.Join(
-			fmt.Errorf("custodyd: checkpoint diverges from intent-log replay at seq %d: checkpoint digest %s, replay digest %s",
-				cp.Snapshot.Seq, cp.Snapshot.Digest, digest), cerr)
-	}
-	info.CheckpointVerified = true
+	info.ReplayedOps = int(svc.Seq())
+	info.Recovered = info.ReplayedOps > 0
 	return svc, wal, info, nil
-}
-
-// digestAt returns the state digest after the first seq ops. When seq is
-// the log tail, the already-replayed service answers directly; otherwise a
-// scratch stack (no tracer, no boot hook — verification must not disturb
-// the caller's observers) replays the prefix.
-func digestAt(cfg Config, ops []Op, seq uint64, svc *Service) (string, error) {
-	if seq == svc.Seq() {
-		return svc.Digest(), nil
-	}
-	if seq > uint64(len(ops)) {
-		return "", fmt.Errorf("custodyd: checkpoint seq %d beyond intent log (%d ops)", seq, len(ops))
-	}
-	scratch := cfg
-	scratch.Tracer = nil
-	scratch.BootHook = nil
-	partial, err := NewService(scratch, NewMemJournal(ops[:seq]...))
-	if err != nil {
-		return "", fmt.Errorf("custodyd: checkpoint verification replay: %w", err)
-	}
-	return partial.Digest(), nil
 }

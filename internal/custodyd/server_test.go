@@ -471,7 +471,7 @@ func TestDegradedModeLadder(t *testing.T) {
 		t.Fatalf("counting sink saw %d mode changes, want 2", s.counts.Counts().ModeChanges)
 	}
 	s.mu.Lock()
-	ops := s.wal.Ops()
+	ops := replayed(t, s.wal)
 	s.mu.Unlock()
 	degradedOps := 0
 	for _, op := range ops {

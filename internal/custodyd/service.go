@@ -56,6 +56,12 @@ type Service struct {
 // An empty journal is a cold boot; a loaded one is recovery. Live commits
 // append to jnl, so passing a reopened WAL both replays and continues it.
 func NewService(cfg Config, jnl Journal) (*Service, error) {
+	return newService(cfg, jnl, func(*Service) error { return nil })
+}
+
+// newService is NewService with a hook called on the booted stack before
+// the first op and after each replayed op; its error aborts the boot.
+func newService(cfg Config, jnl Journal, replayed func(*Service) error) (*Service, error) {
 	cfg.fill()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -87,16 +93,23 @@ func NewService(cfg Config, jnl Journal) (*Service, error) {
 	if cfg.BootHook != nil {
 		cfg.BootHook(s)
 	}
-	for _, op := range jnl.Ops() {
+	if err := replayed(s); err != nil {
+		return nil, err
+	}
+	err := jnl.Replay(func(op Op) error {
 		if op.Seq != s.seq+1 {
-			return nil, fmt.Errorf("custodyd: journal gap: op %d follows seq %d", op.Seq, s.seq)
+			return fmt.Errorf("custodyd: journal gap: op %d follows seq %d", op.Seq, s.seq)
 		}
 		if err := s.checkOp(op); err != nil {
-			return nil, fmt.Errorf("custodyd: replay of op %d rejected: %w", op.Seq, err)
+			return fmt.Errorf("custodyd: replay of op %d rejected: %w", op.Seq, err)
 		}
 		if err := s.apply(op); err != nil {
-			return nil, fmt.Errorf("custodyd: replay of op %d failed: %w", op.Seq, err)
+			return fmt.Errorf("custodyd: replay of op %d failed: %w", op.Seq, err)
 		}
+		return replayed(s)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -199,9 +212,9 @@ func (s *Service) commit(op Op) error {
 		return err
 	}
 	if err := s.jnl.Append(op); err != nil {
-		// The op may be on disk even though Append failed (a write that
-		// landed before its fsync failed). Reusing its sequence number would
-		// make the log unreplayable, so stop instead.
+		// A failed WAL append truncates its entry away, but if that
+		// truncation failed too the op may still be on disk. Reusing its
+		// sequence number would then make the log unreplayable, so stop.
 		s.broken = fmt.Errorf("custodyd: journal append of op %d: %w", op.Seq, err)
 		return s.broken
 	}

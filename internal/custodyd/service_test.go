@@ -102,7 +102,8 @@ func TestReplayPrefixThenContinue(t *testing.T) {
 }
 
 func TestTenantQuota(t *testing.T) {
-	svc, err := NewService(testConfig(), NewMemJournal())
+	jnl := NewMemJournal()
+	svc, err := NewService(testConfig(), jnl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +116,14 @@ func TestTenantQuota(t *testing.T) {
 		t.Fatalf("want ErrTenantQuota, got %v", err)
 	}
 	// The refused registration must not have reached the journal.
-	if n := len(svc.jnl.Ops()); n != 3 {
+	if n := len(jnl.Ops()); n != 3 {
 		t.Fatalf("journal has %d ops, want 3", n)
 	}
 }
 
 func TestSubmitValidation(t *testing.T) {
-	svc, err := NewService(testConfig(), NewMemJournal())
+	jnl := NewMemJournal()
+	svc, err := NewService(testConfig(), jnl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("Submit(%d, %q, %d) accepted invalid submission", c.tenant, c.kind, c.file)
 		}
 	}
-	if n := len(svc.jnl.Ops()); n != 1 {
+	if n := len(jnl.Ops()); n != 1 {
 		t.Fatalf("journal has %d ops, want only the registration", n)
 	}
 }

@@ -1,12 +1,13 @@
 package custodyd
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
-	"strings"
 )
 
 // walEntry is one line of the intent log: the op plus an FNV-1a checksum
@@ -27,59 +28,90 @@ func opSum(opJSON []byte) string {
 	return fmt.Sprintf("%016x", hash)
 }
 
-// WAL is the file-backed Journal: one checksummed JSON line per op,
-// fsynced on every append (write-ahead of apply, so an op observed in
-// state is always recoverable from disk).
-type WAL struct {
-	path string
-	f    *os.File
-	ops  []Op
+// appendFile is the part of *os.File a WAL uses; tests substitute one
+// that fails.
+type appendFile interface {
+	io.Writer
+	io.ReaderAt
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
-// OpenWAL opens (or creates) the intent log at path, parsing every entry.
-// Append writes an entry and its newline in one call, so only a
-// newline-terminated line is committed: an unterminated final line is a
-// torn append, even when it parses, and is truncated away. Damage to any
-// terminated line is an error.
+// WAL is the file-backed Journal: one checksummed JSON line per op,
+// fsynced on every append (write-ahead of apply, so an op observed in
+// state is always recoverable from disk). The file is the only copy of
+// the log; the WAL keeps just its committed length.
+type WAL struct {
+	path string
+	f    appendFile
+	size int64 // committed length: the end of the last terminated entry
+}
+
+// OpenWAL opens (or creates) the intent log at path, decoding nothing.
+// Append writes an entry and its newline in one call, so whatever follows
+// the last newline is a torn append, even when it parses, and is truncated
+// away. Replay refuses damage to any terminated line.
 func OpenWAL(path string) (*WAL, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("custodyd: read wal: %w", err)
-	}
-	w := &WAL{path: path}
-	if len(data) > 0 {
-		// The element after the last newline is empty in a well-formed
-		// file; anything there is the torn tail.
-		lines := strings.Split(string(data), "\n")
-		tail := lines[len(lines)-1]
-		for i, ln := range lines[:len(lines)-1] {
-			if ln == "" {
-				continue
-			}
-			op, perr := parseWALLine(ln)
-			if perr != nil {
-				return nil, fmt.Errorf("custodyd: wal %s line %d: %w", path, i+1, perr)
-			}
-			w.ops = append(w.ops, op)
-		}
-		if tail != "" {
-			if terr := os.Truncate(path, int64(len(data)-len(tail))); terr != nil {
-				return nil, fmt.Errorf("custodyd: truncate torn wal tail: %w", terr)
-			}
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("custodyd: open wal for append: %w", err)
+		return nil, fmt.Errorf("custodyd: open wal: %w", err)
 	}
-	w.f = f
-	return w, nil
+	size, err := committedSize(f)
+	if err == nil {
+		err = f.Truncate(size)
+	}
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("custodyd: truncate torn wal tail: %w", err), f.Close())
+	}
+	return &WAL{path: path, f: f, size: size}, nil
+}
+
+// committedSize returns the offset just past f's last newline, reading
+// backwards from the end so only the tail is read.
+func committedSize(f *os.File) (int64, error) {
+	end, err := f.Seek(0, io.SeekEnd)
+	buf := make([]byte, 4096)
+	for err == nil && end > 0 {
+		n := min(end, int64(len(buf)))
+		if _, err = f.ReadAt(buf[:n], end-n); err == nil {
+			if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+				return end - n + int64(i) + 1, nil
+			}
+			end -= n
+		}
+	}
+	return 0, err
+}
+
+// Replay implements Journal: it streams the committed entries from the
+// file, decoding and checksumming each before handing it to fn.
+func (w *WAL) Replay(fn func(Op) error) error {
+	r := bufio.NewReader(io.NewSectionReader(w.f, 0, w.size))
+	for line := 1; ; line++ {
+		ln, err := r.ReadBytes('\n')
+		switch {
+		case err == io.EOF:
+			return nil // the committed length ends on a newline
+		case err != nil:
+			return fmt.Errorf("custodyd: read wal: %w", err)
+		case len(ln) == 1:
+			continue // blank line
+		}
+		op, err := parseWALLine(ln[:len(ln)-1])
+		if err != nil {
+			return fmt.Errorf("custodyd: wal %s line %d: %w", w.path, line, err)
+		}
+		if err := fn(op); err != nil {
+			return err
+		}
+	}
 }
 
 // parseWALLine decodes and checksums one entry.
-func parseWALLine(ln string) (Op, error) {
+func parseWALLine(ln []byte) (Op, error) {
 	var e walEntry
-	if err := json.Unmarshal([]byte(ln), &e); err != nil {
+	if err := json.Unmarshal(ln, &e); err != nil {
 		return Op{}, fmt.Errorf("malformed entry: %w", err)
 	}
 	opJSON, err := json.Marshal(e.Op)
@@ -92,7 +124,9 @@ func parseWALLine(ln string) (Op, error) {
 	return e.Op, nil
 }
 
-// Append implements Journal: encode, checksum, write, fsync.
+// Append implements Journal: encode, checksum, write, fsync. When the write
+// or the fsync fails, the file is truncated back to its committed length,
+// so a failed append leaves no entry for the next boot to replay.
 func (w *WAL) Append(op Op) error {
 	opJSON, err := json.Marshal(op)
 	if err != nil {
@@ -102,19 +136,28 @@ func (w *WAL) Append(op Op) error {
 	if err != nil {
 		return fmt.Errorf("custodyd: encode wal entry: %w", err)
 	}
-	if _, err := w.f.Write(append(entry, '\n')); err != nil {
-		return fmt.Errorf("custodyd: wal write: %w", err)
+	entry = append(entry, '\n')
+	if _, err := w.f.Write(entry); err != nil {
+		return w.undo(fmt.Errorf("custodyd: wal write: %w", err))
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("custodyd: wal sync: %w", err)
+		return w.undo(fmt.Errorf("custodyd: wal sync: %w", err))
 	}
-	w.ops = append(w.ops, op)
+	w.size += int64(len(entry))
 	return nil
 }
 
-// Ops implements Journal; the returned slice is a copy.
-func (w *WAL) Ops() []Op {
-	return append([]Op(nil), w.ops...)
+// undo truncates the file back to its committed length after a failed
+// append and syncs that, returning err joined with any failure to do so.
+func (w *WAL) undo(err error) error {
+	terr := w.f.Truncate(w.size)
+	if terr == nil {
+		terr = w.f.Sync()
+	}
+	if terr != nil {
+		return errors.Join(err, fmt.Errorf("custodyd: wal undo of failed append: %w", terr))
+	}
+	return err
 }
 
 // Path returns the log's file path.

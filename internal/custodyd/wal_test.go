@@ -1,6 +1,8 @@
 package custodyd
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +16,19 @@ func walOps() []Op {
 		{Seq: 2, Kind: OpSubmitJob, Tenant: 0, Workload: "Sort", File: 1},
 		{Seq: 3, Kind: OpRound, Step: 1.5},
 	}
+}
+
+// replayed reads a journal's ops back through Replay.
+func replayed(t *testing.T, jnl Journal) []Op {
+	t.Helper()
+	var ops []Op
+	if err := jnl.Replay(func(op Op) error {
+		ops = append(ops, op)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ops
 }
 
 func TestWALRoundTrip(t *testing.T) {
@@ -35,7 +50,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if got := w2.Ops(); !reflect.DeepEqual(got, walOps()) {
+	if got := replayed(t, w2); !reflect.DeepEqual(got, walOps()) {
 		t.Fatalf("reopened ops = %+v, want %+v", got, walOps())
 	}
 }
@@ -93,7 +108,7 @@ func TestWALTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatalf("torn tail not tolerated: %v", err)
 			}
-			if got := w2.Ops(); !reflect.DeepEqual(got, tc.want) {
+			if got := replayed(t, w2); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("ops after torn tail = %+v, want %+v", got, tc.want)
 			}
 			next := Op{Seq: uint64(len(tc.want) + 1), Kind: OpDrain}
@@ -108,7 +123,7 @@ func TestWALTornTail(t *testing.T) {
 				t.Fatalf("reopen after truncate+append: %v", err)
 			}
 			defer w3.Close()
-			if got, want := w3.Ops(), append(tc.want, next); !reflect.DeepEqual(got, want) {
+			if got, want := replayed(t, w3), append(tc.want, next); !reflect.DeepEqual(got, want) {
 				t.Fatalf("ops after truncate+append = %+v, want %+v", got, want)
 			}
 		})
@@ -116,9 +131,10 @@ func TestWALTornTail(t *testing.T) {
 }
 
 // TestWALInteriorCorruption: damage before the tail is corruption, not a
-// torn append, and must refuse to open.
+// torn append, and boot must refuse it, naming the line.
 func TestWALInteriorCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	dir := t.TempDir()
+	path := filepath.Join(dir, walFile)
 	w, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +156,79 @@ func TestWALInteriorCorruption(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(path); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, _, _, err := Open(dir, testConfig()); err == nil || !strings.Contains(err.Error(), "line 2: checksum") {
 		t.Fatalf("interior corruption not detected: %v", err)
+	}
+}
+
+// faultyFile makes the named call ("write" or "sync") fail once. The
+// failing write lands half the entry first, as a full disk does.
+type faultyFile struct {
+	*os.File
+	fail string
+}
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	if f.fail != "write" {
+		return f.File.Write(p)
+	}
+	f.fail = ""
+	n, err := f.File.Write(p[:len(p)/2])
+	return n, errors.Join(io.ErrShortWrite, err)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.fail != "sync" {
+		return f.File.Sync()
+	}
+	f.fail = ""
+	return errors.New("fsync: input/output error")
+}
+
+// TestWALFailedAppendLeavesNoTrace: a short write or a failed fsync must
+// truncate the file back to the acknowledged ops, so the next boot replays
+// exactly those.
+func TestWALFailedAppendLeavesNoTrace(t *testing.T) {
+	for _, fail := range []string{"write", "sync"} {
+		t.Run(fail, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.jsonl")
+			w, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := walOps()[:2]
+			for _, op := range acked {
+				if err := w.Append(op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.f = &faultyFile{File: w.f.(*os.File), fail: fail}
+			if err := w.Append(walOps()[2]); err == nil {
+				t.Fatalf("append succeeded through a failing %s", fail)
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != before.Size() {
+				t.Fatalf("log is %d bytes after the failed append, want %d", after.Size(), before.Size())
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if got := replayed(t, w2); !reflect.DeepEqual(got, acked) {
+				t.Fatalf("reopened ops = %+v, want the acknowledged %+v", got, acked)
+			}
+		})
 	}
 }
 
@@ -184,22 +271,46 @@ func TestOpenVerifiesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsDivergingCheckpoint: a checkpoint whose digest disagrees
+// with the replay, wherever it sits in the log, or whose seq lies beyond
+// the log, refuses boot.
 func TestOpenRejectsDivergingCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	svc, wal, _, err := Open(dir, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveScript(t, svc)
-	cp := CheckpointFrom(svc)
-	cp.Snapshot.Digest = "deadbeefdeadbeef" // forged history
-	if err := WriteCheckpoint(filepath.Join(dir, checkpointFile), cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := Open(dir, testConfig()); err == nil || !strings.Contains(err.Error(), "diverges") {
-		t.Fatalf("diverging checkpoint not rejected: %v", err)
+	for _, tc := range []struct {
+		name         string
+		script, more bool // commit driveScript before the checkpoint, more ops after it
+		forge        func(*Snapshot)
+		want         string
+	}{
+		{"forged-at-genesis", false, true, func(s *Snapshot) { s.Digest = "deadbeefdeadbeef" }, "diverges"},
+		{"forged-at-tail", true, false, func(s *Snapshot) { s.Digest = "deadbeefdeadbeef" }, "diverges"},
+		{"forged-behind-tail", true, true, func(s *Snapshot) { s.Digest = "deadbeefdeadbeef" }, "diverges"},
+		{"beyond-log", true, false, func(s *Snapshot) { s.Seq++ }, "beyond intent log"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			svc, wal, _, err := Open(dir, testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.script {
+				driveScript(t, svc)
+			}
+			cp := CheckpointFrom(svc)
+			tc.forge(&cp.Snapshot)
+			if err := WriteCheckpoint(filepath.Join(dir, checkpointFile), cp); err != nil {
+				t.Fatal(err)
+			}
+			if tc.more {
+				if _, err := svc.Register("carol"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := Open(dir, testConfig()); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("checkpoint not rejected with %q: %v", tc.want, err)
+			}
+		})
 	}
 }

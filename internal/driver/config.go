@@ -51,11 +51,6 @@ type Config struct {
 	// Task scheduling.
 	Scheduler    SchedulerKind
 	LocalityWait float64
-	// RackWait enables the RACK_LOCAL delay-scheduling level: after the
-	// node-level wait expires, a task accepts rack-local executors for this
-	// many additional seconds before going anywhere. Zero (the paper's
-	// measured configuration) skips the level.
-	RackWait float64
 
 	// Manager is the cluster manager under test.
 	Manager manager.Manager

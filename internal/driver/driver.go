@@ -170,7 +170,6 @@ func (d *Driver) RegisterApp(name string) *app.Application {
 		s = scheduler.NewQuincy(d.nn, func() []*cluster.Executor { return d.cl.Owned(id) })
 	default:
 		ds := scheduler.NewDelay(d.nn, d.cfg.LocalityWait)
-		ds.RackWait = d.cfg.RackWait
 		ds.Hint = func(t *app.Task) (int, bool) {
 			e, ok := d.hints[t]
 			return e, ok

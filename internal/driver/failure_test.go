@@ -167,19 +167,6 @@ func TestTaskSetSchedulerRuns(t *testing.T) {
 	}
 }
 
-func TestRackWaitRuns(t *testing.T) {
-	cfg := smallConfig(custodyMgr())
-	cfg.RackWait = 1.5
-	spec := workload.Spec{Kind: workload.WordCount, Apps: 2, JobsPerApp: 2, MeanInterarrival: 3, DatasetFiles: 1}
-	col, err := RunSchedule(cfg, workload.Generate(spec, xrand.New(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col.Jobs) != 4 {
-		t.Fatalf("jobs = %d", len(col.Jobs))
-	}
-}
-
 func TestDriverEmitsTrace(t *testing.T) {
 	rec := trace.NewRecorder()
 	cfg := smallConfig(custodyMgr())

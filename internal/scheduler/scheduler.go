@@ -28,7 +28,7 @@ type Locator interface {
 }
 
 // RackLocator additionally answers node→rack queries; *hdfs.NameNode
-// satisfies it. Schedulers use it for the RACK_LOCAL level when available.
+// satisfies it. The Quincy scheduler prices rack locality with it.
 type RackLocator interface {
 	Locator
 	Rack(node int) int
@@ -71,15 +71,11 @@ func hasPreference(loc Locator, t *app.Task) bool {
 
 // Delay implements delay scheduling (Zaharia et al., EuroSys'10; Spark's
 // spark.locality.wait): a task waits up to Wait seconds for an offer from a
-// node storing its input before degrading to rack locality (when RackWait
-// is set and the locator knows racks) and finally to any executor.
+// node storing its input before accepting any executor (node → any, the
+// paper's measured configuration).
 type Delay struct {
 	Loc  Locator
 	Wait float64 // seconds; Spark default 3.0
-	// RackWait is the additional wait before giving up on rack locality and
-	// accepting any executor; zero disables the RACK_LOCAL level (node →
-	// any, the paper's measured configuration).
-	RackWait float64
 	// Hint optionally returns the manager's scheduling suggestion for a
 	// task (the executor Custody allocated with it in mind, §V). A pending
 	// task hinted to the offered executor is taken before anything else;
@@ -108,25 +104,8 @@ func (d *Delay) Submit(tasks []*app.Task, now float64) {
 	d.queue = append(d.queue, tasks...)
 }
 
-// rackLocalOn reports whether a replica of the task's block shares a rack
-// with the node. Requires a RackLocator; false otherwise.
-func (d *Delay) rackLocalOn(t *app.Task, node int) bool {
-	rl, ok := d.Loc.(RackLocator)
-	if !ok || !t.IsInput() {
-		return false
-	}
-	rack := rl.Rack(node)
-	for _, n := range rl.Locations(t.Block) {
-		if rl.Rack(n) == rack {
-			return true
-		}
-	}
-	return false
-}
-
 // Offer implements Scheduler: node-local tasks first (FIFO), then
-// no-preference tasks, then — after the node wait — rack-local tasks, then
-// — after the rack wait — anything whose waits have fully expired.
+// no-preference tasks, then anything whose wait has expired.
 func (d *Delay) Offer(e *cluster.Executor, now float64) *app.Task {
 	node := e.Node.ID
 	// Level 0: the manager suggested this very executor for the task.
@@ -149,17 +128,9 @@ func (d *Delay) Offer(e *cluster.Executor, now float64) *app.Task {
 			return d.take(i)
 		}
 	}
-	// Level 3 (optional): rack-local after the node-level wait.
-	if d.RackWait > 0 {
-		for i, t := range d.queue {
-			if now-t.ReadyAt >= d.Wait && d.rackLocalOn(t, node) {
-				return d.take(i)
-			}
-		}
-	}
-	// Level 4: all waits expired → accept any slot.
+	// Level 3: wait expired → accept any slot.
 	for i, t := range d.queue {
-		if now-t.ReadyAt >= d.Wait+d.RackWait {
+		if now-t.ReadyAt >= d.Wait {
 			return d.take(i)
 		}
 	}
@@ -181,17 +152,15 @@ func (d *Delay) PendingTasks() []*app.Task {
 }
 
 // NextDeadline implements Scheduler: the earliest upcoming level change
-// (node→rack at ReadyAt+Wait, rack→any at ReadyAt+Wait+RackWait).
+// (node→any at ReadyAt+Wait).
 func (d *Delay) NextDeadline(now float64) (float64, bool) {
 	earliest := math.Inf(1)
 	for _, t := range d.queue {
 		if !hasPreference(d.Loc, t) {
 			continue
 		}
-		for _, dl := range [2]float64{t.ReadyAt + d.Wait, t.ReadyAt + d.Wait + d.RackWait} {
-			if dl > now && dl < earliest {
-				earliest = dl
-			}
+		if dl := t.ReadyAt + d.Wait; dl > now && dl < earliest {
+			earliest = dl
 		}
 	}
 	if math.IsInf(earliest, 1) {

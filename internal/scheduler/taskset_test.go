@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
-	"repro/internal/hdfs"
 )
 
 func TestTaskSetGroupsByStage(t *testing.T) {
@@ -194,61 +193,3 @@ func TestQuincyRemove(t *testing.T) {
 		t.Fatal("Remove failed")
 	}
 }
-
-func TestDelayRackLevel(t *testing.T) {
-	j, s := scaffold()
-	// rackLoc: nodes 0,1 in rack 0; nodes 2,3 in rack 1. Block on node 2.
-	loc := rackLoc{replicas: fakeLoc{0: {2}}, rackSize: 2}
-	d := NewDelay(loc, 3)
-	d.RackWait = 2
-	t0 := mkInputTask(j, s, 0, 0, 0)
-	d.Submit([]*app.Task{t0}, 0)
-	c := mkCluster()
-	eSameRack := c.Node(3).Executors()[0]  // rack 1, same as replica
-	eOtherRack := c.Node(0).Executors()[0] // rack 0
-	// Before the node wait: decline everything non-node-local.
-	if got := d.Offer(eSameRack, 1.0); got != nil {
-		t.Fatalf("rack offer accepted before node wait: %v", got)
-	}
-	// After node wait but before rack wait: accept rack-local only.
-	if got := d.Offer(eOtherRack, 3.5); got != nil {
-		t.Fatalf("off-rack offer accepted during rack window: %v", got)
-	}
-	if got := d.Offer(eSameRack, 3.5); got != t0 {
-		t.Fatalf("rack-local offer declined after node wait: %v", got)
-	}
-	// Fully expired: anything goes.
-	d2 := NewDelay(loc, 3)
-	d2.RackWait = 2
-	d2.Submit([]*app.Task{mkInputTask(j, s, 1, 0, 0)}, 0)
-	if got := d2.Offer(eOtherRack, 5.0); got == nil {
-		t.Fatal("off-rack offer declined after all waits expired")
-	}
-}
-
-func TestDelayRackDeadlines(t *testing.T) {
-	j, s := scaffold()
-	loc := rackLoc{replicas: fakeLoc{0: {2}}, rackSize: 2}
-	d := NewDelay(loc, 3)
-	d.RackWait = 2
-	d.Submit([]*app.Task{mkInputTask(j, s, 0, 0, 1.0)}, 1.0)
-	dl, ok := d.NextDeadline(1.0)
-	if !ok || dl != 4.0 {
-		t.Fatalf("first deadline = %v,%v want 4.0", dl, ok)
-	}
-	dl, ok = d.NextDeadline(4.5)
-	if !ok || dl != 6.0 {
-		t.Fatalf("second deadline = %v,%v want 6.0 (rack expiry)", dl, ok)
-	}
-}
-
-// rackLoc is a RackLocator for tests: rackSize nodes per rack.
-type rackLoc struct {
-	replicas fakeLoc
-	rackSize int
-}
-
-func (r rackLoc) Locations(b hdfs.BlockID) []int          { return r.replicas.Locations(b) }
-func (r rackLoc) ReplicaOn(b hdfs.BlockID, node int) bool { return r.replicas.ReplicaOn(b, node) }
-func (r rackLoc) HasReplica(b hdfs.BlockID) bool          { return r.replicas.HasReplica(b) }
-func (r rackLoc) Rack(node int) int                       { return node / r.rackSize }
