@@ -68,9 +68,12 @@ echo "== go test -race"
 go test -race ./...
 
 echo "== repository benchmark tests"
-# bench/ is its own Go module, so the root go test ./... never reaches it.
-# Its tests run every workload at smoke size and check the per-layer
-# decorators and the metric list against BENCHMARK.json.
+# bench/ is its own Go module, so the root go vet ./... and go test ./...
+# never reach it. It is the main external user of the hdfs and manager
+# APIs, so vet it here. Its tests run every workload at smoke size and
+# check the per-layer decorators and the metric list against
+# BENCHMARK.json.
+(cd bench && go vet ./...)
 (cd bench && go test -count=1 ./...)
 
 echo "== chaos smoke (-race)"

@@ -22,7 +22,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		fig     = flag.String("fig", "all", "what to reproduce: 7 | 8 | 9 | 10 | all | approx | intra | scarlett | offer | wait | spec | managers | schedulers | failures | selectors | hetero | hints | chaos | cache")
+		fig     = flag.String("fig", "all", figUsage())
 		quick   = flag.Bool("quick", false, "shrink the workload (6 jobs/app) for fast runs")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		repeats = flag.Int("repeats", 1, "pool results over this many seeds (figures 7-10 only)")

@@ -30,6 +30,10 @@ func validFigNames() string {
 	return strings.Join(names, " | ")
 }
 
+// figUsage is the -fig flag's help text, built from the accepted names so
+// the two cannot drift apart.
+func figUsage() string { return "what to reproduce: " + validFigNames() }
+
 // validateFlags rejects unknown -fig names and contradictory flag
 // combinations up front, before any experiment starts. set holds the flags
 // explicitly provided on the command line, so defaults never trip the

@@ -39,6 +39,19 @@ func TestValidateFlags(t *testing.T) {
 			set: map[string]bool{"repeats": true},
 		},
 	}
+	t.Run("usage-lists-every-fig", func(t *testing.T) {
+		listed := map[string]bool{}
+		for _, name := range strings.Split(strings.TrimPrefix(figUsage(), "what to reproduce: "), " | ") {
+			listed[name] = true
+		}
+		for _, figs := range []map[string]bool{sweepFigs, ablationFigs} {
+			for name := range figs {
+				if !listed[name] {
+					t.Errorf("-fig %s is accepted but missing from the usage %q", name, figUsage())
+				}
+			}
+		}
+	})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			set := c.set

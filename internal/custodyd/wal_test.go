@@ -161,61 +161,111 @@ func TestWALInteriorCorruption(t *testing.T) {
 	}
 }
 
-// faultyFile makes the named call ("write" or "sync") fail once. The
-// failing write lands half the entry first, as a full disk does.
+// faultyFile makes each named call ("write", "sync", "truncate") fail once.
+// The failing write lands half the entry first, as a full disk does.
 type faultyFile struct {
 	*os.File
-	fail string
+	fail map[string]bool
+}
+
+var (
+	errSync     = errors.New("fsync: input/output error")
+	errTruncate = errors.New("ftruncate: input/output error")
+)
+
+// failing reports whether call should fail now, and disarms it if so.
+func (f *faultyFile) failing(call string) bool {
+	if !f.fail[call] {
+		return false
+	}
+	delete(f.fail, call)
+	return true
 }
 
 func (f *faultyFile) Write(p []byte) (int, error) {
-	if f.fail != "write" {
+	if !f.failing("write") {
 		return f.File.Write(p)
 	}
-	f.fail = ""
 	n, err := f.File.Write(p[:len(p)/2])
 	return n, errors.Join(io.ErrShortWrite, err)
 }
 
 func (f *faultyFile) Sync() error {
-	if f.fail != "sync" {
-		return f.File.Sync()
+	if f.failing("sync") {
+		return errSync
 	}
-	f.fail = ""
-	return errors.New("fsync: input/output error")
+	return f.File.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failing("truncate") {
+		return errTruncate
+	}
+	return f.File.Truncate(size)
 }
 
 // TestWALFailedAppendLeavesNoTrace: a short write or a failed fsync must
 // truncate the file back to the acknowledged ops, so the next boot replays
-// exactly those.
+// exactly those. Only when that truncation fails too can the
+// unacknowledged op survive, and then only because the service stopped
+// before acknowledging it. Every case breaks the committing service.
 func TestWALFailedAppendLeavesNoTrace(t *testing.T) {
-	for _, fail := range []string{"write", "sync"} {
-		t.Run(fail, func(t *testing.T) {
+	cases := []struct {
+		name     string
+		fail     []string
+		wantErrs []error // each must be in the failed commit's error chain
+		survives bool    // the failed op is still in the log after reopening
+	}{
+		{name: "write", fail: []string{"write"}, wantErrs: []error{io.ErrShortWrite}},
+		{name: "sync", fail: []string{"sync"}, wantErrs: []error{errSync}},
+		{name: "sync-and-truncate", fail: []string{"sync", "truncate"},
+			wantErrs: []error{errSync, errTruncate}, survives: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.jsonl")
 			w, err := OpenWAL(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			acked := walOps()[:2]
-			for _, op := range acked {
-				if err := w.Append(op); err != nil {
-					t.Fatal(err)
-				}
+			svc, err := NewService(testConfig(), w)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if _, err := svc.Register("a"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Submit(0, "Sort", 1); err != nil {
+				t.Fatal(err)
+			}
+			acked := replayed(t, w)
 			before, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fail := map[string]bool{}
+			for _, call := range c.fail {
+				fail[call] = true
+			}
 			w.f = &faultyFile{File: w.f.(*os.File), fail: fail}
-			if err := w.Append(walOps()[2]); err == nil {
-				t.Fatalf("append succeeded through a failing %s", fail)
+			_, err = svc.Register("b")
+			if err == nil {
+				t.Fatalf("commit succeeded through a failing %s", strings.Join(c.fail, " and "))
+			}
+			for _, want := range c.wantErrs {
+				if !errors.Is(err, want) {
+					t.Errorf("commit error %q does not name %q", err, want)
+				}
+			}
+			if svc.Broken() == nil {
+				t.Fatal("service not broken after a failed commit")
 			}
 			after, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if after.Size() != before.Size() {
-				t.Fatalf("log is %d bytes after the failed append, want %d", after.Size(), before.Size())
+			if grew := after.Size() > before.Size(); grew != c.survives {
+				t.Fatalf("log is %d bytes after the failed append, was %d before", after.Size(), before.Size())
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
@@ -225,8 +275,12 @@ func TestWALFailedAppendLeavesNoTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w2.Close()
-			if got := replayed(t, w2); !reflect.DeepEqual(got, acked) {
-				t.Fatalf("reopened ops = %+v, want the acknowledged %+v", got, acked)
+			want := acked
+			if c.survives {
+				want = append(want, Op{Seq: 3, Kind: OpRegisterApp, Name: "b"})
+			}
+			if got := replayed(t, w2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened ops = %+v, want %+v", got, want)
 			}
 		})
 	}

@@ -213,16 +213,6 @@ func TestWithBlockCacheCoherence(t *testing.T) {
 	if nn.Cache(holder).Len() != 0 {
 		t.Fatal("Recommission resurrected cache state")
 	}
-
-	// Delete invalidates every replica's cache entry.
-	other := nn.Locations(f.Blocks[0].ID)[0]
-	nn.Cache(other).Admit(id, 100)
-	if err := nn.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if nn.CacheContains(other, id) {
-		t.Fatal("Delete left a cached entry for a dropped replica")
-	}
 }
 
 func TestCacheAwareSelectorPrefersWarmReplica(t *testing.T) {

@@ -48,8 +48,6 @@ type File struct {
 // DataNode tracks the blocks stored on one worker node.
 type DataNode struct {
 	Node      int
-	Capacity  int64 // bytes; 0 means unlimited
-	Used      int64
 	blocks    map[BlockID]struct{}
 	alive     bool
 	suspended bool        // flaky: process up, refusing reads; heartbeats missed
@@ -59,15 +57,6 @@ type DataNode struct {
 // Cache returns the node's block cache, or nil when the cache tier is
 // disabled (the zero-default configuration).
 func (d *DataNode) Cache() *BlockCache { return d.cache }
-
-// dropCached invalidates one cached block, if the cache tier is enabled —
-// called wherever the node loses a replica, so "cached implies held" stays
-// an invariant.
-func (d *DataNode) dropCached(id BlockID) {
-	if d.cache != nil {
-		d.cache.Invalidate(id)
-	}
-}
 
 // Holds reports whether the DataNode stores the block.
 func (d *DataNode) Holds(b BlockID) bool {
@@ -88,7 +77,7 @@ func (d *DataNode) Suspended() bool { return d.suspended }
 type NameNode struct {
 	files     map[string]*File
 	blocks    map[BlockID]*Block
-	locations map[BlockID][]int
+	locations map[BlockID][]int // registered replicas; only grow (Create, CommitReplica)
 	pending   map[BlockID][]int // re-replication targets in flight, not yet readable
 	stale     map[BlockID][]int // frozen Locations answers; nil when metadata is fresh
 	datanodes []*DataNode
@@ -139,15 +128,6 @@ func WithBlockCache(bytes int64, policy CachePolicy) Option {
 	return func(nn *NameNode) {
 		for _, d := range nn.datanodes {
 			d.cache = NewBlockCache(bytes, policy)
-		}
-	}
-}
-
-// WithCapacity sets a per-node storage capacity in bytes.
-func WithCapacity(bytes int64) Option {
-	return func(nn *NameNode) {
-		for _, d := range nn.datanodes {
-			d.Capacity = bytes
 		}
 	}
 }
@@ -210,8 +190,9 @@ var ErrExists = errors.New("hdfs: file exists")
 // ErrNotFound is returned when a file or block does not exist.
 var ErrNotFound = errors.New("hdfs: not found")
 
-// ErrNoSpace is returned when placement cannot find enough capacity.
-var ErrNoSpace = errors.New("hdfs: insufficient datanode capacity")
+// ErrNoSpace is returned when placement finds no live DataNode to take a
+// replica.
+var ErrNoSpace = errors.New("hdfs: no eligible datanode")
 
 // Create writes a new file of the given size, splitting it into blocks and
 // placing replicas via the placement policy.
@@ -254,7 +235,6 @@ func (nn *NameNode) addReplica(b *Block, node int) {
 		return
 	}
 	d.blocks[b.ID] = struct{}{}
-	d.Used += b.Size
 	nn.locations[b.ID] = append(nn.locations[b.ID], node)
 }
 
@@ -265,12 +245,6 @@ func (nn *NameNode) Open(name string) (*File, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	return f, nil
-}
-
-// Exists reports whether a file exists.
-func (nn *NameNode) Exists(name string) bool {
-	_, ok := nn.files[name]
-	return ok
 }
 
 // Block returns the metadata for a block id.
@@ -388,29 +362,6 @@ func (nn *NameNode) RecordAccess(id BlockID) {
 	}
 }
 
-// Delete removes a file and all of its replicas.
-func (nn *NameNode) Delete(name string) error {
-	f, ok := nn.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	for _, b := range f.Blocks {
-		for _, node := range nn.locations[b.ID] {
-			d := nn.datanodes[node]
-			if d.Holds(b.ID) {
-				delete(d.blocks, b.ID)
-				d.Used -= b.Size
-			}
-			d.dropCached(b.ID)
-		}
-		delete(nn.locations, b.ID)
-		delete(nn.blocks, b.ID)
-		delete(nn.pending, b.ID) // a planned copy of a deleted block has nothing to commit
-	}
-	delete(nn.files, name)
-	return nil
-}
-
 // ReplicaCopy records one re-replication transfer: the block is copied from
 // a surviving replica holder (From) to a new node (To).
 type ReplicaCopy struct {
@@ -458,9 +409,9 @@ func (nn *NameNode) Decommission(node int) ([]ReplicaCopy, error) {
 		for _, n := range nn.pending[id] {
 			exclude[n] = true
 		}
-		target, err := nn.pickNode(b.Size, exclude)
+		target, err := nn.pickNode(exclude)
 		if err != nil {
-			continue // cluster too full or too small; block stays under-replicated
+			continue // no live node left to take it; block stays under-replicated
 		}
 		nn.pending[id] = append(nn.pending[id], target)
 		copies = append(copies, ReplicaCopy{Block: id, Size: b.Size, From: live[0], To: target})
@@ -531,15 +482,11 @@ func (nn *NameNode) Recommission(node int) {
 	nn.datanodes[node].alive = true
 }
 
-// pickNode selects a live node with free capacity, uniformly at random,
-// excluding the given set.
-func (nn *NameNode) pickNode(size int64, exclude map[int]bool) (int, error) {
+// pickNode selects a live node uniformly at random, excluding the given set.
+func (nn *NameNode) pickNode(exclude map[int]bool) (int, error) {
 	var candidates []int
 	for _, d := range nn.datanodes {
 		if !d.alive || d.suspended || exclude[d.Node] {
-			continue
-		}
-		if d.Capacity > 0 && d.Used+size > d.Capacity {
 			continue
 		}
 		candidates = append(candidates, d.Node)
@@ -550,10 +497,6 @@ func (nn *NameNode) pickNode(size int64, exclude map[int]bool) (int, error) {
 	return candidates[nn.rng.Intn(len(candidates))], nil
 }
 
-// ReplicaCount returns the number of live replicas of a block (fresh truth,
-// immune to stale-metadata windows).
-func (nn *NameNode) ReplicaCount(id BlockID) int { return len(nn.liveLocations(id)) }
-
 // Files returns the names of all files, sorted.
 func (nn *NameNode) Files() []string {
 	out := make([]string, 0, len(nn.files))
@@ -562,39 +505,4 @@ func (nn *NameNode) Files() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalBlocks returns the number of distinct blocks in the namespace.
-func (nn *NameNode) TotalBlocks() int { return len(nn.blocks) }
-
-// BalanceReport summarizes how evenly replicas are spread over DataNodes.
-type BalanceReport struct {
-	MinReplicas, MaxReplicas int
-	MeanReplicas             float64
-}
-
-// Balance computes a replica-distribution report over live nodes.
-func (nn *NameNode) Balance() BalanceReport {
-	r := BalanceReport{MinReplicas: int(^uint(0) >> 1)}
-	total, n := 0, 0
-	for _, d := range nn.datanodes {
-		if !d.alive {
-			continue
-		}
-		c := d.BlockCount()
-		if c < r.MinReplicas {
-			r.MinReplicas = c
-		}
-		if c > r.MaxReplicas {
-			r.MaxReplicas = c
-		}
-		total += c
-		n++
-	}
-	if n > 0 {
-		r.MeanReplicas = float64(total) / float64(n)
-	} else {
-		r.MinReplicas = 0
-	}
-	return r
 }

@@ -81,47 +81,16 @@ func TestCreateInvalidSize(t *testing.T) {
 
 func TestOpenAndExists(t *testing.T) {
 	nn := newNN(t, 5)
-	if nn.Exists("a") {
-		t.Fatal("Exists on empty namespace")
+	if _, err := nn.Open("a"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Open on empty namespace error = %v, want ErrNotFound", err)
 	}
 	nn.Create("a", 100)
-	if !nn.Exists("a") {
-		t.Fatal("file missing after Create")
-	}
 	f, err := nn.Open("a")
 	if err != nil || f.Name != "a" {
 		t.Fatalf("Open: %v %v", f, err)
 	}
 	if _, err := nn.Open("b"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Open missing file error = %v", err)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	nn := newNN(t, 5, WithBlockSize(100))
-	f, _ := nn.Create("a", 300)
-	ids := make([]BlockID, 0)
-	for _, b := range f.Blocks {
-		ids = append(ids, b.ID)
-	}
-	if err := nn.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if nn.Exists("a") {
-		t.Fatal("file exists after Delete")
-	}
-	for _, id := range ids {
-		if len(nn.Locations(id)) != 0 {
-			t.Fatalf("block %d still has replicas after Delete", id)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if nn.DataNode(i).Used != 0 {
-			t.Fatalf("node %d Used = %d after Delete", i, nn.DataNode(i).Used)
-		}
-	}
-	if err := nn.Delete("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double Delete error = %v", err)
 	}
 }
 
@@ -136,17 +105,27 @@ func TestSmallClusterPartialReplication(t *testing.T) {
 	}
 }
 
-func TestCapacityLimit(t *testing.T) {
-	nn := newNN(t, 3, WithBlockSize(100), WithReplication(1), WithCapacity(250))
-	for i := 0; i < 6; i++ {
-		name := string(rune('a' + i))
-		if _, err := nn.Create(name, 100); err != nil {
-			t.Fatalf("Create %s: %v (each of 3 nodes fits 2 blocks of 100)", name, err)
-		}
+// TestCreateNoEligibleDataNode: with every DataNode dead or flaking there
+// is nowhere to place a replica, so Create fails with ErrNoSpace.
+func TestCreateNoEligibleDataNode(t *testing.T) {
+	nn := newNN(t, 3, WithBlockSize(100), WithReplication(1))
+	if _, err := nn.Decommission(0); err != nil {
+		t.Fatal(err)
 	}
-	// 7th block cannot fit anywhere (each node holds 2 at 200/250).
-	if _, err := nn.Create("overflow", 100); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("over-capacity Create error = %v, want ErrNoSpace", err)
+	if _, err := nn.Decommission(1); err != nil {
+		t.Fatal(err)
+	}
+	nn.Suspend(2)
+	if _, err := nn.Create("a", 100); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("Create with no live DataNode error = %v, want ErrNoSpace", err)
+	}
+	nn.Resume(2)
+	f, err := nn.Create("a", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if locs := nn.Locations(f.Blocks[0].ID); len(locs) != 1 || locs[0] != 2 {
+		t.Fatalf("Locations = %v, want the one live node [2]", locs)
 	}
 }
 
@@ -225,46 +204,18 @@ func TestRecordAccess(t *testing.T) {
 	}
 }
 
-func TestRackAwarePlacement(t *testing.T) {
-	nn := newNN(t, 20, WithRacks(5), WithPolicy(RackAwarePolicy{}), WithBlockSize(100), WithReplication(3))
-	f, err := nn.Create("a", 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range f.Blocks {
-		locs := nn.Locations(b.ID)
-		if len(locs) != 3 {
-			t.Fatalf("block %d: %d replicas", b.ID, len(locs))
-		}
-		racks := map[int]int{}
-		for _, n := range locs {
-			racks[nn.Rack(n)]++
-		}
-		if len(racks) < 2 {
-			t.Fatalf("block %d: all replicas on one rack %v", b.ID, locs)
-		}
-		// HDFS default: replicas 2 and 3 share a rack.
-		if nn.Rack(locs[1]) != nn.Rack(locs[2]) {
-			t.Fatalf("block %d: second and third replica on different racks", b.ID)
-		}
-		if nn.Rack(locs[0]) == nn.Rack(locs[1]) {
-			t.Fatalf("block %d: first and second replica share a rack", b.ID)
-		}
-	}
-}
-
 func TestPopularityPolicyExtraReplicas(t *testing.T) {
 	p := &PopularityPolicy{Weights: map[string]float64{"hot": 3}, MaxExtra: 5}
 	nn := newNN(t, 20, WithPolicy(p), WithBlockSize(100), WithReplication(3))
 	hot, _ := nn.Create("hot", 300)
 	cold, _ := nn.Create("cold", 300)
 	for _, b := range hot.Blocks {
-		if got := nn.ReplicaCount(b.ID); got != 5 {
+		if got := len(nn.Locations(b.ID)); got != 5 {
 			t.Fatalf("hot block has %d replicas, want 5 (3 + weight 3 - 1)", got)
 		}
 	}
 	for _, b := range cold.Blocks {
-		if got := nn.ReplicaCount(b.ID); got != 3 {
+		if got := len(nn.Locations(b.ID)); got != 3 {
 			t.Fatalf("cold block has %d replicas, want 3", got)
 		}
 	}
@@ -274,71 +225,8 @@ func TestPopularityMaxExtraCap(t *testing.T) {
 	p := &PopularityPolicy{Weights: map[string]float64{"hot": 100}, MaxExtra: 2}
 	nn := newNN(t, 20, WithPolicy(p), WithBlockSize(100), WithReplication(3))
 	hot, _ := nn.Create("hot", 100)
-	if got := nn.ReplicaCount(hot.Blocks[0].ID); got != 5 {
+	if got := len(nn.Locations(hot.Blocks[0].ID)); got != 5 {
 		t.Fatalf("capped hot block has %d replicas, want 5", got)
-	}
-}
-
-func TestBalanceReport(t *testing.T) {
-	nn := newNN(t, 10, WithBlockSize(100), WithReplication(3))
-	nn.Create("a", 3000)
-	r := nn.Balance()
-	if r.MeanReplicas != 9.0 { // 30 blocks × 3 replicas / 10 nodes
-		t.Fatalf("MeanReplicas = %v, want 9", r.MeanReplicas)
-	}
-	if r.MinReplicas > r.MaxReplicas {
-		t.Fatalf("min %d > max %d", r.MinReplicas, r.MaxReplicas)
-	}
-}
-
-func TestPlanRebalance(t *testing.T) {
-	nn := newNN(t, 4, WithBlockSize(100), WithReplication(1))
-	// Force imbalance: all blocks on node 0 via a capacity trick.
-	for i := 1; i < 4; i++ {
-		nn.DataNode(i).Capacity = 1 // too small for any block
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := nn.Create(string(rune('a'+i)), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i < 4; i++ {
-		nn.DataNode(i).Capacity = 0 // unlimited again
-	}
-	moves := nn.PlanRebalance(1)
-	if len(moves) == 0 {
-		t.Fatal("no rebalance moves proposed for a fully skewed cluster")
-	}
-	for _, m := range moves {
-		if err := nn.ApplyMove(m); err != nil {
-			t.Fatalf("ApplyMove(%+v): %v", m, err)
-		}
-	}
-	r := nn.Balance()
-	if r.MaxReplicas-r.MinReplicas > 2 {
-		t.Fatalf("still imbalanced after rebalance: %+v", r)
-	}
-	// Total replica count must be conserved.
-	total := 0
-	for i := 0; i < 4; i++ {
-		total += nn.DataNode(i).BlockCount()
-	}
-	if total != 8 {
-		t.Fatalf("replica count %d after rebalance, want 8", total)
-	}
-}
-
-func TestApplyMoveErrors(t *testing.T) {
-	nn := newNN(t, 3, WithBlockSize(100), WithReplication(1))
-	f, _ := nn.Create("a", 100)
-	id := f.Blocks[0].ID
-	holder := nn.Locations(id)[0]
-	other := (holder + 1) % 3
-	if err := nn.ApplyMove(RebalanceAdvice{Block: id, From: other, To: holder}); err == nil {
-		t.Fatal("move from non-holder succeeded")
-	}
-	if err := nn.ApplyMove(RebalanceAdvice{Block: 999, From: 0, To: 1}); err == nil {
-		t.Fatal("move of unknown block succeeded")
 	}
 }
 
@@ -380,48 +268,6 @@ func TestQuickCreateInvariants(t *testing.T) {
 		return total == size
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Used accounting matches the sum of stored block sizes, through
-// create/delete cycles.
-func TestQuickUsedAccounting(t *testing.T) {
-	f := func(seed uint64, ops []uint16) bool {
-		nn := NewNameNode(6, xrand.New(seed), WithBlockSize(64), WithReplication(2))
-		live := map[string]bool{}
-		for i, op := range ops {
-			name := string(rune('a' + i%8))
-			if op%3 == 0 && live[name] {
-				if nn.Delete(name) != nil {
-					return false
-				}
-				delete(live, name)
-			} else if !live[name] {
-				if _, err := nn.Create(name, int64(op%500)+1); err != nil {
-					return false
-				}
-				live[name] = true
-			}
-		}
-		// Recompute Used from scratch.
-		want := make([]int64, 6)
-		for _, name := range nn.Files() {
-			file, _ := nn.Open(name)
-			for _, b := range file.Blocks {
-				for _, node := range nn.Locations(b.ID) {
-					want[node] += b.Size
-				}
-			}
-		}
-		for i := 0; i < 6; i++ {
-			if nn.DataNode(i).Used != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -543,8 +389,8 @@ func TestStaleMetadataWindow(t *testing.T) {
 	if len(stale) != len(before) {
 		t.Fatalf("stale Locations = %v, want frozen %v", stale, before)
 	}
-	if nn.ReplicaCount(id) != len(before)-1 {
-		t.Fatalf("ReplicaCount = %d leaked stale data, want fresh %d", nn.ReplicaCount(id), len(before)-1)
+	if fresh := nn.liveLocations(id); len(fresh) != len(before)-1 {
+		t.Fatalf("liveLocations = %v leaked stale data, want %d fresh replicas", fresh, len(before)-1)
 	}
 	if !nn.EndStale() {
 		t.Fatal("EndStale returned false")
@@ -581,33 +427,4 @@ func TestAbortReplica(t *testing.T) {
 	}
 	// A fresh decommission of another replica holder re-plans the copy.
 	nn.AbortReplica(cp.Block, cp.To) // no-op on absent entry
-}
-
-// TestDeleteDropsPendingReplicas deletes a file while a re-replication of
-// one of its blocks is in flight: the planned copy must vanish with the
-// block, and committing it must fail with ErrNotFound instead of
-// registering a replica of a block that no longer exists.
-func TestDeleteDropsPendingReplicas(t *testing.T) {
-	nn := newNN(t, 6, WithBlockSize(100), WithReplication(3))
-	f, _ := nn.Create("a", 100)
-	copies, err := nn.Decommission(nn.Locations(f.Blocks[0].ID)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(copies) != 1 {
-		t.Fatalf("got %d copies, want 1", len(copies))
-	}
-	cp := copies[0]
-	if err := nn.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := nn.CommitReplica(cp.Block, cp.To); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("CommitReplica of a deleted block = %v, want ErrNotFound", err)
-	}
-	if nn.DataNode(cp.To).Holds(cp.Block) {
-		t.Fatalf("deleted block registered on node %d", cp.To)
-	}
-	if ids := nn.PendingBlockIDs(); len(ids) != 0 {
-		t.Fatalf("pending blocks remain after Delete: %v", ids)
-	}
 }

@@ -1,15 +1,10 @@
 package hdfs
 
-import (
-	"fmt"
-	"sort"
-)
-
 // PlacementPolicy chooses the DataNodes that receive a new block's replicas.
 type PlacementPolicy interface {
 	// Place returns the nodes for a block's replicas. Implementations must
 	// return distinct, live nodes and may return fewer than replicas when
-	// the cluster is too small or too full.
+	// the cluster has too few live nodes.
 	Place(nn *NameNode, b *Block, replicas int) ([]int, error)
 	// Name identifies the policy in reports.
 	Name() string
@@ -28,7 +23,7 @@ func (RandomPolicy) Place(nn *NameNode, b *Block, replicas int) ([]int, error) {
 	exclude := map[int]bool{}
 	var out []int
 	for len(out) < replicas {
-		node, err := nn.pickNode(b.Size, exclude)
+		node, err := nn.pickNode(exclude)
 		if err != nil {
 			if len(out) > 0 {
 				return out, nil // partially placed: under-replicated but usable
@@ -39,81 +34,6 @@ func (RandomPolicy) Place(nn *NameNode, b *Block, replicas int) ([]int, error) {
 		exclude[node] = true
 	}
 	return out, nil
-}
-
-// RackAwarePolicy mimics HDFS's default: the first replica on a random node,
-// the second on a different rack, the third on the same rack as the second
-// but a different node. Extra replicas are placed randomly.
-type RackAwarePolicy struct{}
-
-// Name implements PlacementPolicy.
-func (RackAwarePolicy) Name() string { return "rack-aware" }
-
-// Place implements PlacementPolicy.
-func (RackAwarePolicy) Place(nn *NameNode, b *Block, replicas int) ([]int, error) {
-	exclude := map[int]bool{}
-	var out []int
-	add := func(node int) {
-		out = append(out, node)
-		exclude[node] = true
-	}
-	first, err := nn.pickNode(b.Size, exclude)
-	if err != nil {
-		return nil, err
-	}
-	add(first)
-	if replicas == 1 {
-		return out, nil
-	}
-
-	// Second replica: prefer a node on a different rack.
-	second, ok := nn.pickNodeOnRack(b.Size, exclude, func(rack int) bool { return rack != nn.Rack(first) })
-	if !ok {
-		second, err = nn.pickNode(b.Size, exclude)
-		if err != nil {
-			return out, nil
-		}
-	}
-	add(second)
-
-	// Third replica: prefer the second replica's rack.
-	if replicas >= 3 {
-		third, ok := nn.pickNodeOnRack(b.Size, exclude, func(rack int) bool { return rack == nn.Rack(second) })
-		if !ok {
-			third, err = nn.pickNode(b.Size, exclude)
-			if err != nil {
-				return out, nil
-			}
-		}
-		add(third)
-	}
-
-	for len(out) < replicas {
-		node, err := nn.pickNode(b.Size, exclude)
-		if err != nil {
-			break
-		}
-		add(node)
-	}
-	return out, nil
-}
-
-// pickNodeOnRack picks a random live node whose rack satisfies the predicate.
-func (nn *NameNode) pickNodeOnRack(size int64, exclude map[int]bool, rackOK func(int) bool) (int, bool) {
-	var candidates []int
-	for _, d := range nn.datanodes {
-		if !d.alive || d.suspended || exclude[d.Node] || !rackOK(nn.Rack(d.Node)) {
-			continue
-		}
-		if d.Capacity > 0 && d.Used+size > d.Capacity {
-			continue
-		}
-		candidates = append(candidates, d.Node)
-	}
-	if len(candidates) == 0 {
-		return 0, false
-	}
-	return candidates[nn.rng.Intn(len(candidates))], true
 }
 
 // PopularityPolicy implements a Scarlett-style strategy (§VII, [9]): blocks
@@ -147,127 +67,4 @@ func (p *PopularityPolicy) Place(nn *NameNode, b *Block, replicas int) ([]int, e
 		extra = p.MaxExtra
 	}
 	return RandomPolicy{}.Place(nn, b, replicas+extra)
-}
-
-// RebalanceAdvice lists moves that would even out replica counts: each move
-// re-homes one replica from an overloaded node to an underloaded one.
-type RebalanceAdvice struct {
-	Block    BlockID
-	From, To int
-}
-
-// PlanRebalance suggests replica moves until every live node is within
-// `slack` replicas of the mean. It does not mutate state; use ApplyMove.
-func (nn *NameNode) PlanRebalance(slack int) []RebalanceAdvice {
-	if slack < 0 {
-		slack = 0
-	}
-	var advice []RebalanceAdvice
-	counts := map[int]int{}
-	for _, d := range nn.datanodes {
-		if d.alive {
-			counts[d.Node] = d.BlockCount()
-		}
-	}
-	if len(counts) < 2 {
-		return nil
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	mean := float64(total) / float64(len(counts))
-	hi := int(mean) + slack
-	lo := int(mean) - slack
-	if lo < 0 {
-		lo = 0
-	}
-
-	// Deterministic order: scan nodes ascending, both when picking the
-	// overloaded sources and when breaking target-count ties below, so the
-	// advice never depends on map iteration order.
-	live := make([]int, 0, len(counts))
-	for node := range counts {
-		live = append(live, node)
-	}
-	sort.Ints(live)
-	var over []int
-	for _, node := range live {
-		if counts[node] > hi {
-			over = append(over, node)
-		}
-	}
-	// planned tracks bytes this plan already routes to each target, so a
-	// sequence of moves cannot collectively overflow a capacity-bounded node
-	// that each single move would fit on.
-	planned := map[int]int64{}
-	for _, from := range over {
-		d := nn.datanodes[from]
-		var ids []BlockID
-		for id := range d.blocks {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if counts[from] <= hi {
-				break
-			}
-			// Find the least-loaded underloaded target with room that lacks
-			// this block; count ties break toward the lowest node ID.
-			size := nn.blocks[id].Size
-			to := -1
-			for _, node := range live {
-				if node == from || counts[node] >= lo+1 || nn.datanodes[node].Holds(id) {
-					continue
-				}
-				if td := nn.datanodes[node]; td.Capacity > 0 && td.Used+planned[node]+size > td.Capacity {
-					continue
-				}
-				if to == -1 || counts[node] < counts[to] {
-					to = node
-				}
-			}
-			if to == -1 {
-				continue
-			}
-			advice = append(advice, RebalanceAdvice{Block: id, From: from, To: to})
-			counts[from]--
-			counts[to]++
-			planned[to] += size
-		}
-	}
-	return advice
-}
-
-// ApplyMove executes a rebalance move: the replica on From is dropped after a
-// copy is registered on To.
-func (nn *NameNode) ApplyMove(m RebalanceAdvice) error {
-	b, err := nn.Block(m.Block)
-	if err != nil {
-		return err
-	}
-	from := nn.datanodes[m.From]
-	if !from.Holds(m.Block) {
-		return ErrNotFound
-	}
-	if nn.datanodes[m.To].Holds(m.Block) {
-		return ErrExists
-	}
-	// Enforce the same capacity bound pickNode applies at placement time:
-	// rebalancing must not overflow a capacity-bounded target.
-	if to := nn.datanodes[m.To]; to.Capacity > 0 && to.Used+b.Size > to.Capacity {
-		return fmt.Errorf("%w: node %d cannot take block %d", ErrNoSpace, m.To, m.Block)
-	}
-	nn.addReplica(b, m.To)
-	delete(from.blocks, m.Block)
-	from.Used -= b.Size
-	from.dropCached(m.Block)
-	locs := nn.locations[m.Block]
-	for i, n := range locs {
-		if n == m.From {
-			nn.locations[m.Block] = append(locs[:i], locs[i+1:]...)
-			break
-		}
-	}
-	return nil
 }

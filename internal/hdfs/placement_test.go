@@ -1,117 +1,13 @@
 package hdfs
 
-import (
-	"errors"
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// skewedNN builds a cluster with every block on node 0: the other nodes are
-// capacity-pinched during Create, then released.
-func skewedNN(t *testing.T, nodes, blocks int) *NameNode {
-	t.Helper()
-	nn := newNN(t, nodes, WithBlockSize(100), WithReplication(1))
-	for i := 1; i < nodes; i++ {
-		nn.DataNode(i).Capacity = 1
-	}
-	for i := 0; i < blocks; i++ {
-		if _, err := nn.Create(fmt.Sprintf("f%02d", i), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i < nodes; i++ {
-		nn.DataNode(i).Capacity = 0
-	}
-	return nn
-}
-
-// Regression: PlanRebalance used to pick move targets by iterating a map of
-// replica counts, so the same cluster state could yield different advice
-// across runs. The plan must be a pure function of the cluster state.
-func TestPlanRebalanceDeterministic(t *testing.T) {
-	nn := skewedNN(t, 16, 12)
-	first := nn.PlanRebalance(1)
-	if len(first) == 0 {
-		t.Fatal("no advice for a fully skewed cluster")
-	}
-	for trial := 1; trial < 20; trial++ {
-		again := nn.PlanRebalance(1)
-		if len(again) != len(first) {
-			t.Fatalf("trial %d: %d moves, first run had %d", trial, len(again), len(first))
-		}
-		for i := range again {
-			if again[i] != first[i] {
-				t.Fatalf("trial %d move %d: %+v, first run had %+v", trial, i, again[i], first[i])
-			}
-		}
-	}
-	// With every underloaded node tied at zero blocks, the ascending-ID
-	// tie-break keeps targets at the low node IDs.
-	if first[0].To != 1 {
-		t.Fatalf("first move targets node %d, want lowest-ID tie-break 1", first[0].To)
-	}
-}
-
-// Regression: ApplyMove used to skip the capacity check pickNode applies at
-// placement time, so rebalancing could overflow a nearly-full node.
-func TestApplyMoveRespectsCapacity(t *testing.T) {
-	nn := skewedNN(t, 3, 2) // node 0 holds two 100B blocks
-	ids := []BlockID{}
-	for _, name := range nn.Files() {
-		f, _ := nn.Open(name)
-		ids = append(ids, f.Blocks[0].ID)
-	}
-	nn.DataNode(1).Capacity = 60 // less than one block
-	if err := nn.ApplyMove(RebalanceAdvice{Block: ids[0], From: 0, To: 1}); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("move onto a full node: err = %v, want ErrNoSpace", err)
-	}
-	if nn.DataNode(1).BlockCount() != 0 || nn.DataNode(0).BlockCount() != 2 {
-		t.Fatal("refused move mutated replica state")
-	}
-	// A nearly-full node takes one block, then refuses the second.
-	nn.DataNode(1).Capacity = 150
-	if err := nn.ApplyMove(RebalanceAdvice{Block: ids[0], From: 0, To: 1}); err != nil {
-		t.Fatalf("move within capacity: %v", err)
-	}
-	if err := nn.ApplyMove(RebalanceAdvice{Block: ids[1], From: 0, To: 1}); !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("move overflowing a nearly-full node: err = %v, want ErrNoSpace", err)
-	}
-}
-
-// Regression: PlanRebalance used to advise moves onto capacity-bounded nodes
-// that could not take them — and could route several moves to a target that
-// only had room for one. Every planned move must apply cleanly.
-func TestPlanRebalanceRespectsCapacity(t *testing.T) {
-	nn := skewedNN(t, 3, 8)
-	nn.DataNode(1).Capacity = 60  // full for any block
-	nn.DataNode(2).Capacity = 250 // room for two blocks, not three
-	moves := nn.PlanRebalance(0)
-	if len(moves) == 0 {
-		t.Fatal("no advice for a skewed cluster with a usable target")
-	}
-	toTwo := 0
-	for _, m := range moves {
-		if m.To == 1 {
-			t.Fatalf("planned a move onto full node 1: %+v", m)
-		}
-		if m.To == 2 {
-			toTwo++
-		}
-		if err := nn.ApplyMove(m); err != nil {
-			t.Fatalf("planned move does not apply: %+v: %v", m, err)
-		}
-	}
-	if toTwo != 2 {
-		t.Fatalf("routed %d moves to a node with room for 2", toTwo)
-	}
-}
-
-// Regression: pickNodeOnRack ignored the suspended flag pickNode honors, so
-// RackAwarePolicy could place replicas on flaking nodes.
-func TestRackAwarePlacementSkipsSuspended(t *testing.T) {
-	nn := newNN(t, 4, WithRacks(2), WithPolicy(RackAwarePolicy{}), WithBlockSize(100), WithReplication(3))
+// RandomPolicy never places a replica on a flaking node: a suspended
+// DataNode refuses reads, so a replica there would be unreadable.
+func TestRandomPlacementSkipsSuspended(t *testing.T) {
+	nn := newNN(t, 4, WithBlockSize(100), WithReplication(3))
 	nn.Suspend(2)
-	nn.Suspend(3) // rack 1 is entirely suspended
+	nn.Suspend(3)
 	f, err := nn.Create("a", 300)
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +31,11 @@ func TestPopularityFractionalWeightRounds(t *testing.T) {
 	p := &PopularityPolicy{Weights: map[string]float64{"warm": 1.9, "tepid": 1.4}, MaxExtra: 5}
 	nn := newNN(t, 20, WithPolicy(p), WithBlockSize(100), WithReplication(3))
 	warm, _ := nn.Create("warm", 100)
-	if got := nn.ReplicaCount(warm.Blocks[0].ID); got != 4 {
+	if got := len(nn.Locations(warm.Blocks[0].ID)); got != 4 {
 		t.Fatalf("weight 1.9 block has %d replicas, want 4 (rounds up to 2 → 1 extra)", got)
 	}
 	tepid, _ := nn.Create("tepid", 100)
-	if got := nn.ReplicaCount(tepid.Blocks[0].ID); got != 3 {
+	if got := len(nn.Locations(tepid.Blocks[0].ID)); got != 3 {
 		t.Fatalf("weight 1.4 block has %d replicas, want 3 (rounds down to 1 → no extra)", got)
 	}
 }

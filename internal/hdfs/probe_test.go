@@ -10,9 +10,9 @@ import (
 )
 
 // TestProbesAgreeWithLocations: after random sequences of node failures,
-// flakes, recoveries, re-replication commits, file churn and stale-metadata
-// windows, ReplicaOn and HasReplica answer exactly what Locations does for
-// every block ever created (deleted ones included) and every node.
+// flakes, recoveries, re-replication commits, file creation and
+// stale-metadata windows, ReplicaOn and HasReplica answer exactly what
+// Locations does for every block and every node.
 func TestProbesAgreeWithLocations(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := xrand.New(seed)
@@ -31,7 +31,7 @@ func TestProbesAgreeWithLocations(t *testing.T) {
 		create()
 		for step := 0; step < 80; step++ {
 			n := rng.Intn(nodes)
-			switch rng.Intn(9) {
+			switch rng.Intn(8) {
 			case 0:
 				copies, err := nn.Decommission(n)
 				if err == nil {
@@ -52,9 +52,6 @@ func TestProbesAgreeWithLocations(t *testing.T) {
 					i := rng.Intn(len(pending))
 					cp := pending[i]
 					pending = slices.Delete(pending, i, i+1)
-					if _, err := nn.Block(cp.Block); err != nil {
-						break // its file was deleted since
-					}
 					if rng.Bool(0.8) {
 						_ = nn.CommitReplica(cp.Block, cp.To) // fails when the target died: fine
 					} else {
@@ -63,12 +60,6 @@ func TestProbesAgreeWithLocations(t *testing.T) {
 				}
 			case 7:
 				create()
-			case 8:
-				if names := nn.Files(); len(names) > 0 {
-					if err := nn.Delete(names[rng.Intn(len(names))]); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
 			for id := BlockID(0); id < nn.nextBlock; id++ {
 				locs := nn.Locations(id)

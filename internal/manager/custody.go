@@ -34,13 +34,12 @@ type Custody struct {
 	SelfCheck bool
 	// SelfCheckErr holds the first divergence SelfCheck found, or nil.
 	SelfCheckErr error
-	// Policy, when non-nil, replaces Algorithms 1+2 with a pluggable
-	// allocation policy (DESIGN.md §16): the manager snapshots demand and
-	// idle executors exactly as for the default path and hands the snapshot
-	// to the policy instead of the warm session. Nil — or the custody
-	// policy, which wiring maps to nil — keeps the paper's allocator, and
-	// with it the SelfCheck reference-oracle differential, which is a
-	// Custody-specific invariant and is skipped for other policies.
+	// Policy allocates the idle executors each round (DESIGN.md §16): the
+	// manager snapshots demand and idle executors and hands the snapshot to
+	// it. NewCustody installs the paper's Algorithms 1+2
+	// (policy.CustodyPolicy); the SelfCheck reference-oracle differential is
+	// a Custody-specific invariant and runs only while the active policy is
+	// named policy.Custody.
 	Policy policy.Policy
 	// PlanCheck validates every plan against the policy-generic contract
 	// (policy.Validate: executor membership, single ownership, slot and
@@ -51,31 +50,24 @@ type Custody struct {
 	// PlanCheckErr holds the first generic-contract breach, or nil.
 	PlanCheckErr error
 
-	// sess is the warm incremental allocation state (locality indices, pool
-	// indexes, arenas) reused across driver round-trips; demandBuf and
-	// idleBuf are the reused demand-snapshot buffers. Lazily initialized on
-	// the first reallocation.
-	sess      *core.Session
+	// demandBuf and idleBuf are the reused demand-snapshot buffers.
 	demandBuf []core.AppDemand
 	idleBuf   []core.ExecInfo
 }
 
 // NewCustody builds the Custody manager with the paper's configuration.
 func NewCustody() *Custody {
-	return &Custody{Opts: core.DefaultOptions(), Sticky: true}
+	return &Custody{Opts: core.DefaultOptions(), Sticky: true, Policy: policy.NewCustodyPolicy()}
 }
 
 // Name implements Manager.
 func (c *Custody) Name() string { return "custody" }
 
-// SetPolicy selects the allocation policy by registry name. The custody
-// name (and "") maps to the built-in warm-session path (Policy == nil),
-// keeping the default byte-identical to the pre-policy manager and the
-// SelfCheck reference differential armed.
+// SetPolicy selects the allocation policy by registry name; "" selects the
+// default, policy.Custody.
 func (c *Custody) SetPolicy(name string) error {
-	if name == "" || name == policy.Custody {
-		c.Policy = nil
-		return nil
+	if name == "" {
+		name = policy.Custody
 	}
 	p, err := policy.New(name)
 	if err != nil {
@@ -85,14 +77,8 @@ func (c *Custody) SetPolicy(name string) error {
 	return nil
 }
 
-// PolicyName returns the active policy's registry name; the built-in path
-// reports as "custody".
-func (c *Custody) PolicyName() string {
-	if c.Policy != nil {
-		return c.Policy.Name()
-	}
-	return policy.Custody
-}
+// PolicyName returns the active policy's registry name.
+func (c *Custody) PolicyName() string { return c.Policy.Name() }
 
 // Register implements Manager. Custody deliberately allocates nothing at
 // registration: "we do not allocate executors until users submit requests"
@@ -273,27 +259,18 @@ func (c *Custody) reallocate(env Env) {
 		demands = append(demands, d)
 	}
 
-	// Phase 3: allocate idle executors (slot-aware) on the warm session, so
-	// round-trips reuse the previous round's index structures and arenas.
+	// Phase 3: allocate idle executors (slot-aware) through the policy.
 	idle := c.idleBuf[:0]
 	for _, e := range cl.Free() {
 		idle = append(idle, core.ExecInfo{ID: e.ID, Node: e.Node.ID, Slots: e.Slots()})
 	}
-	if c.sess == nil {
-		c.sess = core.NewSession()
-	}
-	var plan core.Plan
-	if c.Policy != nil {
-		plan = c.Policy.Allocate(demands, idle, c.Opts)
-	} else {
-		plan = c.sess.Allocate(demands, idle, c.Opts)
-	}
+	plan := c.Policy.Allocate(demands, idle, c.Opts)
 	c.demandBuf = demands
 	c.idleBuf = idle
 	if c.PlanCheck && c.PlanCheckErr == nil {
 		c.PlanCheckErr = policy.Validate(demands, idle, plan, c.Opts)
 	}
-	if c.Policy == nil && c.SelfCheck && c.SelfCheckErr == nil {
+	if c.SelfCheck && c.SelfCheckErr == nil && c.PolicyName() == policy.Custody {
 		refOpts := c.Opts
 		refOpts.Observer = nil
 		want := core.AllocateReference(demands, idle, refOpts)

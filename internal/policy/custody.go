@@ -3,11 +3,9 @@ package policy
 import "repro/internal/core"
 
 // CustodyPolicy is the paper's two-level allocation (Algorithms 1 and 2)
-// exposed behind the Policy interface. It delegates to a warm core.Session,
-// so its plans are byte-identical to the manager's built-in path — the
-// manager in fact short-circuits the "custody" name to its own session and
-// never routes through this type; it exists so the registry is total and the
-// tournament can treat the default like any other contender.
+// exposed behind the Policy interface, and the Custody manager's default.
+// It runs each round on a warm core.Session, so consecutive rounds reuse the
+// previous round's locality indices, pool indexes and arenas.
 type CustodyPolicy struct {
 	sess *core.Session
 }

@@ -39,9 +39,8 @@ type Policy interface {
 	Allocate(apps []core.AppDemand, idle []core.ExecInfo, opts core.Options) core.Plan
 }
 
-// Custody is the name of the default policy (Algorithm 1+2). The manager
-// short-circuits it to its warm in-place session rather than going through
-// the registry, so selecting it is byte-identical to not selecting anything.
+// Custody is the name of the default policy (Algorithm 1+2), the one
+// manager.NewCustody installs.
 const Custody = "custody"
 
 // Names returns the registered policy names, default first, in the fixed

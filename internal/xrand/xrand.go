@@ -59,11 +59,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (r *Rand) Int63() int64 {
-	return int64(r.next() >> 1)
-}
-
 // Range returns a uniform float in [lo, hi).
 func (r *Rand) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
@@ -146,16 +141,6 @@ func (r *Rand) Sample(n, k int) []int {
 		chosen[j] = vi
 	}
 	return out
-}
-
-// Pareto returns a bounded Pareto-ish heavy-tailed value with the given
-// minimum and shape alpha (>0). Used for skewed popularity distributions.
-func (r *Rand) Pareto(min, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return min / math.Pow(u, 1/alpha)
 }
 
 // Zipf draws a value in [0, n) with probability proportional to
