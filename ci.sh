@@ -87,6 +87,7 @@ go test -run='^$' -fuzz='^FuzzAllocate$' -fuzztime=20s ./internal/core
 go test -run='^$' -fuzz='^FuzzSessionChurnEquivalence$' -fuzztime=10s ./internal/core
 go test -run='^$' -fuzz='^FuzzMinCostFlow$' -fuzztime=10s ./internal/maxflow
 go test -run='^$' -fuzz='^FuzzFabricEquivalence$' -fuzztime=10s ./internal/netsim
+go test -run='^$' -fuzz='^FuzzDelayEquivalence$' -fuzztime=10s ./internal/scheduler
 go test -run='^$' -fuzz='^FuzzMaxWeightAssignment$' -fuzztime=10s ./internal/matching
 
 echo "== modelcheck mutation smoke"

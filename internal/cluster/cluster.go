@@ -305,14 +305,17 @@ func (c *Cluster) Free() []*Executor {
 }
 
 // Owned returns the executors allocated to an application, ordered by ID.
-func (c *Cluster) Owned(app AppID) []*Executor {
-	var out []*Executor
+func (c *Cluster) Owned(app AppID) []*Executor { return c.AppendOwned(nil, app) }
+
+// AppendOwned appends the executors allocated to an application, ordered by
+// ID, to dst and returns the extended slice.
+func (c *Cluster) AppendOwned(dst []*Executor, app AppID) []*Executor {
 	for _, e := range c.executors {
 		if e.owner == app {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	return dst
 }
 
 // OwnedCount returns the number of executors allocated to an application.

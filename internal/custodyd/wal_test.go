@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -161,8 +162,10 @@ func TestWALInteriorCorruption(t *testing.T) {
 	}
 }
 
-// faultyFile makes each named call ("write", "sync", "truncate") fail once.
-// The failing write lands half the entry first, as a full disk does.
+// faultyFile makes each named call ("write", "enospc", "sync", "truncate")
+// fail once. A failing "write" lands half the entry and reports a short
+// write; "enospc" lands a third of it and reports the disk full, as write(2)
+// does once the filesystem runs out of blocks mid-entry.
 type faultyFile struct {
 	*os.File
 	fail map[string]bool
@@ -183,11 +186,15 @@ func (f *faultyFile) failing(call string) bool {
 }
 
 func (f *faultyFile) Write(p []byte) (int, error) {
-	if !f.failing("write") {
-		return f.File.Write(p)
+	switch {
+	case f.failing("write"):
+		n, err := f.File.Write(p[:len(p)/2])
+		return n, errors.Join(io.ErrShortWrite, err)
+	case f.failing("enospc"):
+		n, err := f.File.Write(p[:len(p)/3])
+		return n, errors.Join(&os.PathError{Op: "write", Path: f.Name(), Err: syscall.ENOSPC}, err)
 	}
-	n, err := f.File.Write(p[:len(p)/2])
-	return n, errors.Join(io.ErrShortWrite, err)
+	return f.File.Write(p)
 }
 
 func (f *faultyFile) Sync() error {
@@ -204,8 +211,8 @@ func (f *faultyFile) Truncate(size int64) error {
 	return f.File.Truncate(size)
 }
 
-// TestWALFailedAppendLeavesNoTrace: a short write or a failed fsync must
-// truncate the file back to the acknowledged ops, so the next boot replays
+// TestWALFailedAppendLeavesNoTrace: a short write, a full disk or a failed
+// fsync must truncate the file back to the acknowledged ops, so the next boot replays
 // exactly those. Only when that truncation fails too can the
 // unacknowledged op survive, and then only because the service stopped
 // before acknowledging it. Every case breaks the committing service.
@@ -217,6 +224,7 @@ func TestWALFailedAppendLeavesNoTrace(t *testing.T) {
 		survives bool    // the failed op is still in the log after reopening
 	}{
 		{name: "write", fail: []string{"write"}, wantErrs: []error{io.ErrShortWrite}},
+		{name: "enospc", fail: []string{"enospc"}, wantErrs: []error{syscall.ENOSPC}},
 		{name: "sync", fail: []string{"sync"}, wantErrs: []error{errSync}},
 		{name: "sync-and-truncate", fail: []string{"sync", "truncate"},
 			wantErrs: []error{errSync, errTruncate}, survives: true},
@@ -264,7 +272,7 @@ func TestWALFailedAppendLeavesNoTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if grew := after.Size() > before.Size(); grew != c.survives {
+			if kept := after.Size() > before.Size(); kept != c.survives || !kept && after.Size() != before.Size() {
 				t.Fatalf("log is %d bytes after the failed append, was %d before", after.Size(), before.Size())
 			}
 			if err := w.Close(); err != nil {

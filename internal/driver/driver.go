@@ -22,6 +22,7 @@ type Driver struct {
 	eng    *event.Engine
 	fabric *netsim.Fabric
 	nn     *hdfs.NameNode
+	loc    *probeCounter // nn as the task schedulers see it
 	cl     *cluster.Cluster
 	rng    *xrand.Rand
 	col    *metrics.Collector
@@ -32,8 +33,10 @@ type Driver struct {
 	tr        trace.Tracer
 	hints     map[*app.Task]int
 	running   map[*app.Task][]*attempt
-	execReady map[int]float64       // executor ID → time it becomes usable
+	execReady []float64             // executor ID → time it becomes usable
+	starting  []int                 // executors whose execReady may be ahead; every one that is ahead is here
 	prevOwner map[int]cluster.AppID // executor ID → last owner
+	offers    int                   // Scheduler.Offer calls
 	wake      *event.Timer
 	started   bool
 	inManager bool // re-entrancy guard for manager callbacks
@@ -107,19 +110,21 @@ func New(cfg Config) *Driver {
 			fabric.DiskResource(n.ID).Capacity *= n.Speed
 		}
 	}
+	nn := hdfs.NewNameNode(cfg.Nodes, rng, opts...)
 	return &Driver{
 		tr:        tr,
 		cfg:       cfg,
 		eng:       eng,
 		fabric:    fabric,
-		nn:        hdfs.NewNameNode(cfg.Nodes, rng, opts...),
+		nn:        nn,
+		loc:       &probeCounter{NameNode: nn},
 		cl:        cl,
 		rng:       rng,
 		col:       metrics.NewCollector(),
 		scheds:    map[cluster.AppID]scheduler.Scheduler{},
 		hints:     map[*app.Task]int{},
 		running:   map[*app.Task][]*attempt{},
-		execReady: map[int]float64{},
+		execReady: make([]float64, cl.TotalExecutors()),
 		prevOwner: map[int]cluster.AppID{},
 
 		failedNodes: map[int]bool{},
@@ -163,13 +168,13 @@ func (d *Driver) RegisterApp(name string) *app.Application {
 	case SchedFIFO:
 		s = scheduler.NewFIFO()
 	case SchedLocalityHard:
-		s = scheduler.NewLocalityHard(d.nn)
+		s = scheduler.NewLocalityHard(d.loc)
 	case SchedDelayTaskSet:
-		s = scheduler.NewDelayTaskSet(d.nn, d.cfg.LocalityWait)
+		s = scheduler.NewDelayTaskSet(d.loc, d.cfg.LocalityWait)
 	case SchedQuincy:
-		s = scheduler.NewQuincy(d.nn, func() []*cluster.Executor { return d.cl.Owned(id) })
+		s = scheduler.NewQuincy(d.loc, func() []*cluster.Executor { return d.cl.Owned(id) })
 	default:
-		ds := scheduler.NewDelay(d.nn, d.cfg.LocalityWait)
+		ds := scheduler.NewDelay(d.loc, d.cfg.LocalityWait)
 		ds.Hint = func(t *app.Task) (int, bool) {
 			e, ok := d.hints[t]
 			return e, ok
@@ -221,6 +226,7 @@ func (d *Driver) submitJob(a *app.Application, j *app.Job) {
 		}
 		for _, t := range s.Tasks {
 			if t.State == app.TaskReady {
+				t.ReadyAt = now
 				ready = append(ready, t)
 			}
 		}
@@ -234,9 +240,11 @@ func (d *Driver) submitJob(a *app.Application, j *app.Job) {
 // dispatch offers idle executors to their owners' schedulers until no more
 // tasks launch, then arms the wake-up timer for locality-wait expiries. The
 // flows of every launch start in one fabric batch: one rate recompute for
-// the whole pass.
+// the whole pass. Each call fills its own buffer with an app's executors, so
+// a dispatch re-entered from a launch leaves the outer snapshot alone.
 func (d *Driver) dispatch() {
 	now := d.eng.Now()
+	var owned []*cluster.Executor
 	d.fabric.Batch(func() {
 		progress := true
 		for progress {
@@ -246,7 +254,8 @@ func (d *Driver) dispatch() {
 				if sched.Pending() == 0 {
 					continue
 				}
-				for _, e := range d.cl.Owned(a.ID) {
+				owned = d.cl.AppendOwned(owned[:0], a.ID)
+				for _, e := range owned {
 					if e.FreeSlots() <= 0 {
 						continue
 					}
@@ -256,6 +265,7 @@ func (d *Driver) dispatch() {
 					if d.nodeExcluded(e.Node.ID, now) {
 						continue // blacklisted after repeated failures
 					}
+					d.offers++
 					t := sched.Offer(e, now)
 					if t == nil {
 						continue
@@ -270,7 +280,8 @@ func (d *Driver) dispatch() {
 }
 
 // armWake schedules a dispatch at the earliest locality-wait expiry or
-// executor startup completion.
+// executor startup completion. Only executors still starting up are
+// visited; one whose ready time has passed leaves the list.
 func (d *Driver) armWake() {
 	now := d.eng.Now()
 	earliest := math.Inf(1)
@@ -280,10 +291,18 @@ func (d *Driver) armWake() {
 			earliest = dl
 		}
 	}
-	for id, t := range d.execReady {
-		if t > now && t < earliest && d.cl.Executor(id).Owner() != cluster.NoApp {
+	for i := 0; i < len(d.starting); {
+		id := d.starting[i]
+		t := d.execReady[id]
+		if t <= now {
+			d.starting[i] = d.starting[len(d.starting)-1]
+			d.starting = d.starting[:len(d.starting)-1]
+			continue
+		}
+		if t < earliest && d.cl.Executor(id).Owner() != cluster.NoApp {
 			earliest = t
 		}
+		i++
 	}
 	if math.IsInf(earliest, 1) {
 		return
@@ -354,7 +373,11 @@ func (d *Driver) Allocate(e *cluster.Executor, id cluster.AppID) {
 	}
 	if d.cfg.ExecutorStartupSec > 0 {
 		if prev, ok := d.prevOwner[e.ID]; !ok || prev != id {
-			d.execReady[e.ID] = d.eng.Now() + d.cfg.ExecutorStartupSec
+			now := d.eng.Now()
+			if d.execReady[e.ID] <= now {
+				d.starting = append(d.starting, e.ID)
+			}
+			d.execReady[e.ID] = now + d.cfg.ExecutorStartupSec
 		}
 	}
 	d.prevOwner[e.ID] = id
@@ -375,6 +398,7 @@ func (d *Driver) TryLaunch(e *cluster.Executor, a *app.Application) bool {
 	if e.Owner() != cluster.NoApp || e.FreeSlots() <= 0 {
 		return false
 	}
+	d.offers++
 	t := d.scheds[a.ID].Offer(e, d.eng.Now())
 	if t == nil {
 		return false
@@ -395,4 +419,34 @@ func (d *Driver) Schedule(delay float64, fn func()) {
 // Hint implements manager.Env: record a scheduling suggestion for a task.
 func (d *Driver) Hint(t *app.Task, execID int) {
 	d.hints[t] = execID
+	if ds, ok := d.scheds[t.Job.App.ID].(*scheduler.Delay); ok {
+		ds.Hinted(t, execID)
+	}
+}
+
+// SchedulerWork returns the run's task-scheduler work counts: offers made to
+// the schedulers (by dispatch and TryLaunch) and the NameNode locality
+// queries (Locations, ReplicaOn, HasReplica) the schedulers issued.
+func (d *Driver) SchedulerWork() (offers, probes int) { return d.offers, d.loc.probes }
+
+// probeCounter is the NameNode as the task schedulers see it: it counts
+// their locality queries and passes everything else through.
+type probeCounter struct {
+	*hdfs.NameNode
+	probes int
+}
+
+func (p *probeCounter) Locations(id hdfs.BlockID) []int {
+	p.probes++
+	return p.NameNode.Locations(id)
+}
+
+func (p *probeCounter) ReplicaOn(id hdfs.BlockID, node int) bool {
+	p.probes++
+	return p.NameNode.ReplicaOn(id, node)
+}
+
+func (p *probeCounter) HasReplica(id hdfs.BlockID) bool {
+	p.probes++
+	return p.NameNode.HasReplica(id)
 }

@@ -85,6 +85,7 @@ type NameNode struct {
 	policy    PlacementPolicy
 	rng       *xrand.Rand
 	nextBlock BlockID
+	epoch     uint64 // bumped by every change to a ReplicaOn/HasReplica answer
 
 	BlockSize   int64
 	Replication int
@@ -236,7 +237,15 @@ func (nn *NameNode) addReplica(b *Block, node int) {
 	}
 	d.blocks[b.ID] = struct{}{}
 	nn.locations[b.ID] = append(nn.locations[b.ID], node)
+	nn.epoch++
 }
+
+// Epoch returns the replica epoch: a counter that changes whenever some
+// ReplicaOn, HasReplica or Locations answer may have changed (a replica
+// registered, a DataNode died, revived, flaked or recovered, a stale window
+// closed). Callers that index blocks by their answers rebuild on a new
+// epoch.
+func (nn *NameNode) Epoch() uint64 { return nn.epoch }
 
 // Open returns the file metadata.
 func (nn *NameNode) Open(name string) (*File, error) {
@@ -309,7 +318,9 @@ func (nn *NameNode) HasReplica(id BlockID) bool {
 // BeginStale freezes the metadata clients see: subsequent Locations calls
 // answer from a snapshot taken now, lagging reality until EndStale. Models a
 // NameNode that has not yet processed heartbeat losses/recoveries. Returns
-// false if a stale window is already open.
+// false if a stale window is already open. The snapshot is every block's
+// current answer, so opening a window changes no answer and leaves the
+// epoch alone.
 func (nn *NameNode) BeginStale() bool {
 	if nn.stale != nil {
 		return false
@@ -327,6 +338,7 @@ func (nn *NameNode) EndStale() bool {
 		return false
 	}
 	nn.stale = nil
+	nn.epoch++
 	return true
 }
 
@@ -342,6 +354,7 @@ func (nn *NameNode) Suspend(node int) bool {
 		return false
 	}
 	d.suspended = true
+	nn.epoch++
 	return true
 }
 
@@ -352,6 +365,7 @@ func (nn *NameNode) Resume(node int) bool {
 		return false
 	}
 	d.suspended = false
+	nn.epoch++
 	return true
 }
 
@@ -384,6 +398,7 @@ func (nn *NameNode) Decommission(node int) ([]ReplicaCopy, error) {
 		return nil, fmt.Errorf("hdfs: node %d already decommissioned", node)
 	}
 	d.alive = false
+	nn.epoch++
 	// Coherence rule: a dead node's in-memory cache is gone. Recommission
 	// brings the node back cold; a Suspend/Resume flake (process up) keeps
 	// its cache warm.
@@ -479,7 +494,10 @@ func (nn *NameNode) RegisteredReplicas(id BlockID) int { return len(nn.locations
 // Recommission brings a node back into service. Its old replicas become
 // visible again.
 func (nn *NameNode) Recommission(node int) {
-	nn.datanodes[node].alive = true
+	if d := nn.datanodes[node]; !d.alive {
+		d.alive = true
+		nn.epoch++
+	}
 }
 
 // pickNode selects a live node uniformly at random, excluding the given set.

@@ -12,7 +12,8 @@ import (
 // TestProbesAgreeWithLocations: after random sequences of node failures,
 // flakes, recoveries, re-replication commits, file creation and
 // stale-metadata windows, ReplicaOn and HasReplica answer exactly what
-// Locations does for every block and every node.
+// Locations does for every block and every node, and an operation that
+// changes any block's answer also changes Epoch.
 func TestProbesAgreeWithLocations(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := xrand.New(seed)
@@ -30,6 +31,7 @@ func TestProbesAgreeWithLocations(t *testing.T) {
 		create()
 		create()
 		for step := 0; step < 80; step++ {
+			before, epoch := allLocations(nn), nn.Epoch()
 			n := rng.Intn(nodes)
 			switch rng.Intn(8) {
 			case 0:
@@ -60,6 +62,17 @@ func TestProbesAgreeWithLocations(t *testing.T) {
 				}
 			case 7:
 				create()
+			}
+			after := allLocations(nn)
+			for id := range after {
+				var was []int // a block written by this step had no answer before
+				if id < len(before) {
+					was = before[id]
+				}
+				if !slices.Equal(was, after[id]) && nn.Epoch() == epoch {
+					t.Fatalf("seed %d step %d: Locations(%d) went from %v to %v but Epoch stayed %d",
+						seed, step, id, was, after[id], epoch)
+				}
 			}
 			for id := BlockID(0); id < nn.nextBlock; id++ {
 				locs := nn.Locations(id)
@@ -93,4 +106,13 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("probes allocate %v objects per call pair, want 0", allocs)
 	}
+}
+
+// allLocations returns every block's Locations answer, indexed by block.
+func allLocations(nn *NameNode) [][]int {
+	out := make([][]int, nn.nextBlock)
+	for id := range out {
+		out[id] = nn.Locations(BlockID(id))
+	}
+	return out
 }

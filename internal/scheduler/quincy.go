@@ -150,9 +150,3 @@ func (q *Quincy) PendingTasks() []*app.Task { return append([]*app.Task(nil), q.
 // NextDeadline implements Scheduler: Quincy never waits, so there is no
 // time-based retry.
 func (q *Quincy) NextDeadline(now float64) (float64, bool) { return 0, false }
-
-// Remove implements Scheduler.
-func (q *Quincy) Remove(t *app.Task) bool {
-	q.dirty = true
-	return q.takeFromQueue(t)
-}

@@ -9,12 +9,14 @@ import (
 	"repro/internal/hdfs"
 )
 
-// fakeLoc maps block → replica nodes.
+// fakeLoc maps block → replica nodes. Tests never change the map after
+// submitting, so its epoch stays 0.
 type fakeLoc map[hdfs.BlockID][]int
 
 func (f fakeLoc) Locations(b hdfs.BlockID) []int          { return f[b] }
 func (f fakeLoc) ReplicaOn(b hdfs.BlockID, node int) bool { return slices.Contains(f[b], node) }
 func (f fakeLoc) HasReplica(b hdfs.BlockID) bool          { return len(f[b]) > 0 }
+func (f fakeLoc) Epoch() uint64                           { return 0 }
 
 func mkCluster() *cluster.Cluster {
 	return cluster.New(cluster.Config{Nodes: 4, ExecutorsPerNode: 1})
@@ -127,22 +129,6 @@ func TestDelayNextDeadline(t *testing.T) {
 	}
 }
 
-func TestDelayRemove(t *testing.T) {
-	j, s := scaffold()
-	d := NewDelay(fakeLoc{}, 3)
-	t0 := mkShuffleTask(j, s, 0, 0)
-	d.Submit([]*app.Task{t0}, 0)
-	if !d.Remove(t0) {
-		t.Fatal("Remove failed")
-	}
-	if d.Pending() != 0 {
-		t.Fatal("task still pending after Remove")
-	}
-	if d.Remove(t0) {
-		t.Fatal("double Remove succeeded")
-	}
-}
-
 func TestFIFOIgnoresLocality(t *testing.T) {
 	j, s := scaffold()
 	f := NewFIFO()
@@ -205,6 +191,7 @@ func TestDelayHintLevelZero(t *testing.T) {
 	// t0 is hinted to executor e1 even though its block is elsewhere: the
 	// hint wins over t1's node-locality (level 0 < level 1).
 	hints[t0] = e1.ID
+	d.Hinted(t0, e1.ID)
 	if got := d.Offer(e1, 0); got != t0 {
 		t.Fatalf("hinted task not taken first: %v", got)
 	}

@@ -142,17 +142,3 @@ func (d *DelayTaskSet) NextDeadline(now float64) (float64, bool) {
 	}
 	return earliest, true
 }
-
-// Remove implements Scheduler.
-func (d *DelayTaskSet) Remove(t *app.Task) bool {
-	for _, ts := range d.sets {
-		for i, q := range ts.tasks {
-			if q == t {
-				ts.tasks = append(ts.tasks[:i], ts.tasks[i+1:]...)
-				d.compact()
-				return true
-			}
-		}
-	}
-	return false
-}

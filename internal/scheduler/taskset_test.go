@@ -104,19 +104,17 @@ func TestTaskSetNextDeadline(t *testing.T) {
 	}
 }
 
-func TestTaskSetRemoveAndCompact(t *testing.T) {
+func TestTaskSetCompactsAfterLaunch(t *testing.T) {
 	j, s := scaffold()
 	d := NewDelayTaskSet(fakeLoc{}, 3)
 	t0 := mkShuffleTask(j, s, 0, 0)
 	d.Submit([]*app.Task{t0}, 0)
-	if !d.Remove(t0) {
-		t.Fatal("Remove failed")
+	c := mkCluster()
+	if got := d.Offer(c.Node(0).Executors()[0], 0); got != t0 {
+		t.Fatalf("Offer = %v, want t0", got)
 	}
 	if d.Pending() != 0 || len(d.sets) != 0 {
-		t.Fatalf("pending=%d sets=%d after Remove", d.Pending(), len(d.sets))
-	}
-	if d.Remove(t0) {
-		t.Fatal("double Remove succeeded")
+		t.Fatalf("pending=%d sets=%d after the last launch", d.Pending(), len(d.sets))
 	}
 }
 
@@ -180,16 +178,5 @@ func TestQuincyCapacityRespected(t *testing.T) {
 	}
 	if q.Pending() != 2 {
 		t.Fatalf("pending = %d", q.Pending())
-	}
-}
-
-func TestQuincyRemove(t *testing.T) {
-	j, s := scaffold()
-	c := mkCluster()
-	q := NewQuincy(fakeLoc{}, func() []*cluster.Executor { return c.Owned(0) })
-	t0 := mkShuffleTask(j, s, 0, 0)
-	q.Submit([]*app.Task{t0}, 0)
-	if !q.Remove(t0) || q.Pending() != 0 {
-		t.Fatal("Remove failed")
 	}
 }
