@@ -152,18 +152,6 @@ func (j *Job) InputTasks() []*Task {
 	return in.Tasks
 }
 
-// UnfinishedInputTasks returns input tasks that have not completed — the
-// demand set Custody allocates executors for.
-func (j *Job) UnfinishedInputTasks() []*Task {
-	var out []*Task
-	for _, t := range j.InputTasks() {
-		if t.State != TaskDone {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // ReadyStages returns stages whose parents are complete but which still have
 // unfinished tasks.
 func (j *Job) ReadyStages() []*Stage {
@@ -233,17 +221,6 @@ func (a *Application) AddJob(j *Job, now float64) {
 			}
 		}
 	}
-}
-
-// ActiveJobs returns submitted, incomplete jobs.
-func (a *Application) ActiveJobs() []*Job {
-	var out []*Job
-	for _, j := range a.Jobs {
-		if j.submitted && !j.Complete() {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // RecordJobLocality folds a finished job into the history counters.

@@ -107,17 +107,6 @@ func TestMarkTaskDoneIdempotent(t *testing.T) {
 	}
 }
 
-func TestUnfinishedInputTasks(t *testing.T) {
-	j := buildSortJob(t, 3, 1)
-	if got := len(j.UnfinishedInputTasks()); got != 3 {
-		t.Fatalf("unfinished = %d", got)
-	}
-	j.MarkTaskDone(j.Stages[0].Tasks[1], 1)
-	if got := len(j.UnfinishedInputTasks()); got != 2 {
-		t.Fatalf("unfinished after one = %d", got)
-	}
-}
-
 func TestReadyStages(t *testing.T) {
 	j := buildSortJob(t, 1, 1)
 	rs := j.ReadyStages()
@@ -163,20 +152,6 @@ func TestApplicationHistory(t *testing.T) {
 	}
 	if a.LocalTasks != 6 || a.TotalTasks != 8 {
 		t.Fatalf("task history = %d/%d", a.LocalTasks, a.TotalTasks)
-	}
-}
-
-func TestActiveJobs(t *testing.T) {
-	a := NewApplication(0, "x")
-	j1 := buildSortJob(t, 1, 1)
-	a.AddJob(j1, 0)
-	if got := len(a.ActiveJobs()); got != 1 {
-		t.Fatalf("active = %d", got)
-	}
-	j1.MarkTaskDone(j1.Stages[0].Tasks[0], 1)
-	j1.MarkTaskDone(j1.Stages[1].Tasks[0], 2)
-	if got := len(a.ActiveJobs()); got != 0 {
-		t.Fatalf("active after completion = %d", got)
 	}
 }
 

@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 )
 
 // AppID identifies an application. NoApp marks an unallocated executor.
@@ -327,23 +326,6 @@ func (c *Cluster) OwnedCount(app AppID) int {
 		}
 	}
 	return n
-}
-
-// NodesOf returns the distinct node IDs hosting the application's executors,
-// sorted ascending.
-func (c *Cluster) NodesOf(app AppID) []int {
-	seen := map[int]bool{}
-	for _, e := range c.executors {
-		if e.owner == app {
-			seen[e.Node.ID] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // FreeOnNode returns the live unallocated executors on a node.

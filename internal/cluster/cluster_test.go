@@ -150,10 +150,6 @@ func TestOwnedAndFree(t *testing.T) {
 	if got := len(c.Free()); got != 5 {
 		t.Fatalf("Free = %d", got)
 	}
-	nodes := c.NodesOf(1)
-	if len(nodes) != 2 || nodes[0] != 0 || nodes[1] != 1 {
-		t.Fatalf("NodesOf(1) = %v (executor 0 → node 0, executor 3 → node 1)", nodes)
-	}
 }
 
 func TestFreeOnNode(t *testing.T) {

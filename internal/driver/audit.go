@@ -111,18 +111,18 @@ func (d *Driver) Audit() error {
 		if f.Done() {
 			continue
 		}
-		if src := f.Src(); src >= 0 && d.failedNodes[src] {
+		if src := f.Src(); d.failedNodes[src] {
 			fail("flow sourced at failed node %d still active", src)
 		}
-		if dst := f.Dst(); dst >= 0 && d.failedNodes[dst] {
+		if dst := f.Dst(); d.failedNodes[dst] {
 			fail("flow targeting failed node %d still active", dst)
 		}
 	}
 
 	// Block-cache coherence (when the tier is enabled): bytes cached never
 	// exceed capacity, every cached block is held by the node (admission
-	// happens only on serving nodes, invalidation wherever replicas move or
-	// die), and a failed node's cache is empty per the coherence rule —
+	// happens only on serving nodes, and a node never drops a replica), and
+	// a failed node's cache is empty per the coherence rule —
 	// node death drops the in-memory tier; flakes (Suspend) retain it.
 	if d.nn.CacheEnabled() {
 		for node := 0; node < d.nn.Nodes(); node++ {

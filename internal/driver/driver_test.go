@@ -360,24 +360,6 @@ func TestEveryTaskRunsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestNetworkLatencyConfig: a fabric latency shifts every read.
-func TestNetworkLatencyConfig(t *testing.T) {
-	base := smallConfig(custodyMgr())
-	lat := base
-	lat.Net.LatencySec = 0.2
-	run := func(cfg Config) float64 {
-		spec := workload.Spec{Kind: workload.WordCount, Apps: 1, JobsPerApp: 2, MeanInterarrival: 4, DatasetFiles: 1}
-		col, err := RunSchedule(cfg, workload.Generate(spec, xrand.New(3)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mean(col.JobCompletionTimes())
-	}
-	if run(lat) <= run(base) {
-		t.Fatal("adding network latency did not slow jobs down")
-	}
-}
-
 func TestReplicaSelectionConfig(t *testing.T) {
 	for _, sel := range []hdfs.ReplicaSelector{
 		hdfs.RandomSelector{}, hdfs.ClosestSelector{}, hdfs.NewLeastLoadedSelector(),

@@ -116,8 +116,8 @@ func (c *BlockCache) Hits() int64 { return c.hits }
 // Misses returns the number of Touch calls that did not.
 func (c *BlockCache) Misses() int64 { return c.misses }
 
-// Evictions returns the number of blocks evicted to make room. Invalidate
-// and Clear drops (coherence, not pressure) are not counted.
+// Evictions returns the number of blocks evicted to make room. Clear drops
+// (coherence, not pressure) are not counted.
 func (c *BlockCache) Evictions() int64 { return c.evictions }
 
 // Contains reports whether the block is cached without touching recency or
@@ -192,17 +192,6 @@ func (c *BlockCache) evictOne() {
 		victim = c.am.tail
 	}
 	c.drop(victim)
-}
-
-// Invalidate drops a block without eviction accounting (coherence: the
-// node lost or moved its replica). Returns whether it was cached.
-func (c *BlockCache) Invalidate(id BlockID) bool {
-	e, ok := c.entries[id]
-	if !ok {
-		return false
-	}
-	c.drop(e)
-	return true
 }
 
 // Clear empties the cache (node failure: the in-memory tier is gone).

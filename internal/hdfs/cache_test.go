@@ -103,23 +103,17 @@ func TestCache2QProbationEvictsFIFO(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateAndClear(t *testing.T) {
+func TestCacheClear(t *testing.T) {
 	c := NewBlockCache(300, Cache2Q)
 	c.Admit(1, 100)
 	c.Admit(2, 100)
 	c.Touch(2) // graduate 2 so both lists are exercised
-	if !c.Invalidate(1) || c.Invalidate(1) {
-		t.Fatal("Invalidate: want true then false")
-	}
-	if c.Contains(1) || c.Used() != 100 {
-		t.Fatalf("Invalidate left state: contains=%v used=%d", c.Contains(1), c.Used())
+	hits, misses := c.Hits(), c.Misses()
+	if n := c.Clear(); n != 2 {
+		t.Fatalf("Clear dropped %d, want 2", n)
 	}
 	if c.Evictions() != 0 {
-		t.Fatalf("Invalidate counted as eviction: %d", c.Evictions())
-	}
-	hits, misses := c.Hits(), c.Misses()
-	if n := c.Clear(); n != 1 {
-		t.Fatalf("Clear dropped %d, want 1", n)
+		t.Fatalf("Clear counted as eviction: %d", c.Evictions())
 	}
 	if c.Len() != 0 || c.Used() != 0 {
 		t.Fatalf("Clear left state: len=%d used=%d", c.Len(), c.Used())
@@ -144,10 +138,6 @@ func TestQuickCacheDeterminism(t *testing.T) {
 		for _, op := range ops {
 			id := BlockID(op % 16)
 			size := int64(op%200) + 1
-			if op%5 == 0 {
-				c.Invalidate(id)
-				continue
-			}
 			if !c.Touch(id) {
 				c.Admit(id, size)
 			}

@@ -64,9 +64,6 @@ func (d *DataNode) Holds(b BlockID) bool {
 	return ok
 }
 
-// BlockCount returns the number of block replicas stored on the DataNode.
-func (d *DataNode) BlockCount() int { return len(d.blocks) }
-
 // Alive reports whether the DataNode is in service (up and not suspended).
 func (d *DataNode) Alive() bool { return d.alive && !d.suspended }
 
@@ -341,9 +338,6 @@ func (nn *NameNode) EndStale() bool {
 	nn.epoch++
 	return true
 }
-
-// Stale reports whether a stale-metadata window is open.
-func (nn *NameNode) Stale() bool { return nn.stale != nil }
 
 // Suspend marks a DataNode flaky: it stops serving reads and drops out of
 // fresh Locations answers, but keeps its on-disk replicas. Returns false if

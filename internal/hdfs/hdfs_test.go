@@ -133,7 +133,7 @@ func TestDecommissionReplicates(t *testing.T) {
 	nn := newNN(t, 10, WithBlockSize(100), WithReplication(3))
 	f, _ := nn.Create("a", 1000)
 	victim := nn.Locations(f.Blocks[0].ID)[0]
-	before := nn.DataNode(victim).BlockCount()
+	before := len(nn.DataNode(victim).blocks)
 	if before == 0 {
 		t.Fatal("victim node holds no blocks")
 	}

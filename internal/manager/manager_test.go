@@ -114,7 +114,10 @@ func TestStandaloneSpreadOutDistinctNodes(t *testing.T) {
 	m := NewStandalone(xrand.New(3), true)
 	m.Register(env)
 	// Spread-out: 10 executors over 10 nodes → all nodes distinct.
-	nodes := env.cl.NodesOf(a0.ID)
+	nodes := map[int]bool{}
+	for _, e := range env.cl.Owned(a0.ID) {
+		nodes[e.Node.ID] = true
+	}
 	if len(nodes) != 10 {
 		t.Fatalf("spread-out app covers %d nodes, want 10", len(nodes))
 	}

@@ -55,9 +55,6 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 // Flow returns the flow pushed through edge id (the reverse edge's residual).
 func (g *Graph) Flow(id int) float64 { return g.cap[id^1] }
 
-// ResidualCap returns the remaining capacity of edge id.
-func (g *Graph) ResidualCap(id int) float64 { return g.cap[id] }
-
 // eps is the tolerance below which a residual capacity counts as zero for
 // float networks. Integer uses exact comparisons since values stay integral.
 const eps = 1e-9
@@ -138,11 +135,4 @@ func (g *Graph) Clone() *Graph {
 	c.to = append([]int(nil), g.to...)
 	c.cap = append([]float64(nil), g.cap...)
 	return c
-}
-
-// SetCap overwrites the capacity of edge id (and zeroes any pushed flow on
-// its reverse edge). Only meaningful before solving.
-func (g *Graph) SetCap(id int, capacity float64) {
-	g.cap[id] = capacity
-	g.cap[id^1] = 0
 }

@@ -59,8 +59,8 @@ func TestEdgeFlowAccessors(t *testing.T) {
 	if g.Flow(a) != 4 || g.Flow(b) != 4 {
 		t.Fatalf("edge flows = %v, %v, want 4, 4", g.Flow(a), g.Flow(b))
 	}
-	if g.ResidualCap(a) != 3 {
-		t.Fatalf("residual = %v, want 3", g.ResidualCap(a))
+	if g.cap[a] != 3 {
+		t.Fatalf("residual = %v, want 3", g.cap[a])
 	}
 }
 
@@ -136,7 +136,7 @@ func TestClone(t *testing.T) {
 		t.Fatalf("clone MaxFlow = %v", f)
 	}
 	// Solving the clone must not disturb the original.
-	if g.ResidualCap(0) != 5 {
+	if g.cap[0] != 5 {
 		t.Fatal("solving clone mutated original")
 	}
 }

@@ -67,13 +67,13 @@ type Resource struct {
 	Node     int
 	Capacity float64 // bytes per second
 
-	flows []*Flow // active flows crossing the resource, in ID order, once each
+	flows []*Flow // active flows crossing the resource, in ID order
 
 	// Progressive-filling state, meaningful while epoch equals the fabric's
 	// current pass.
 	epoch    uint64
 	residual float64 // capacity not yet handed to frozen flows
-	unfrozen int     // unfrozen flows crossing, counted once per listing
+	unfrozen int     // unfrozen flows crossing
 }
 
 // Flow is an in-progress transfer across a set of resources.
@@ -82,43 +82,35 @@ type Flow struct {
 	Bytes     float64 // total size
 	remaining float64
 	rate      float64
-	resources []*Resource
-	cap       Resource // private rate cap; listed in resources when set
+	resources []*Resource // each listed once
+	cap       Resource    // private rate cap; listed in resources when set
 	done      func()
-	started   float64
 	finished  bool
 	cancelled bool
-	src, dst  int // endpoint nodes; -1 for custom flows
+	src, dst  int // endpoint nodes
 }
 
-// Src returns the flow's source node (-1 for custom flows).
+// Src returns the flow's source node.
 func (f *Flow) Src() int { return f.src }
 
-// Dst returns the flow's destination node (-1 for custom flows).
+// Dst returns the flow's destination node.
 func (f *Flow) Dst() int { return f.dst }
-
-// Rate returns the flow's current max-min fair rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
 
 // Remaining returns the bytes left to transfer as of the last rate update.
 func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Started returns the simulated time at which the flow was started.
-func (f *Flow) Started() float64 { return f.started }
 
 // Done reports whether the flow completed (not cancelled).
 func (f *Flow) Done() bool { return f.finished }
 
 // Fabric owns all node resources and active flows.
 type Fabric struct {
-	eng     *event.Engine
-	up      []*Resource
-	down    []*Resource
-	disk    []*Resource
-	mem     []*Resource
-	flows   []*Flow // active flows in ID order
-	nextID  int64
-	latency float64
+	eng    *event.Engine
+	up     []*Resource
+	down   []*Resource
+	disk   []*Resource
+	mem    []*Resource
+	flows  []*Flow // active flows in ID order
+	nextID int64
 
 	lastUpdate float64
 	timer      *event.Timer
@@ -164,10 +156,6 @@ type Config struct {
 	// Memory resources are inert until a tiered read references them, so
 	// the default leaves every disk-tier simulation byte-identical.
 	MemoryBps float64
-	// LatencySec is a fixed per-transfer setup delay (connection
-	// establishment, RPC round-trip) charged before a flow starts moving
-	// bytes. Zero disables it.
-	LatencySec float64
 }
 
 // DefaultMemoryBps is the default memory-tier bandwidth: 10 GB/s, an order
@@ -194,7 +182,6 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 	}
 	f := &Fabric{
 		eng:     eng,
-		latency: cfg.LatencySec,
 		baseCap: make(map[*Resource]float64),
 	}
 	f.onTimer = f.onCompletion
@@ -229,12 +216,6 @@ func (fb *Fabric) serving(n int, tier Tier) *Resource {
 	return fb.disk[n]
 }
 
-// Nodes returns the number of nodes in the fabric.
-func (fb *Fabric) Nodes() int { return len(fb.up) }
-
-// ActiveFlows returns the number of flows currently in flight.
-func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
-
 // LocalRead starts a disk-only read of the given size on node n.
 func (fb *Fabric) LocalRead(n int, bytes float64, done func()) *Flow {
 	return fb.LocalReadTier(n, bytes, TierDisk, done)
@@ -247,28 +228,17 @@ func (fb *Fabric) LocalReadTier(n int, bytes float64, tier Tier, done func()) *F
 	return fb.start(n, n, bytes, 0, done, fb.serving(n, tier))
 }
 
-// RemoteRead starts a read of a block stored on src delivered to dst:
-// it consumes the source disk, the source uplink and the destination
-// downlink.
-func (fb *Fabric) RemoteRead(src, dst int, bytes float64, done func()) *Flow {
-	return fb.RemoteReadCap(src, dst, bytes, 0, done)
-}
-
-// RemoteReadCap is RemoteRead with an additional per-flow rate cap in
-// bytes/second (0 = uncapped), modeling protocol overhead on single-stream
-// remote block reads (HDFS remote reads do not reach line rate; the paper
-// cites network reads as "as much as 20 times slower than local data
-// access", §III-C). The cap is realized as a private resource embedded in
-// the flow, so max-min fairness still applies below it.
-func (fb *Fabric) RemoteReadCap(src, dst int, bytes, capBps float64, done func()) *Flow {
-	return fb.RemoteReadCapTier(src, dst, bytes, capBps, TierDisk, done)
-}
-
-// RemoteReadCapTier is RemoteReadCap with the source's serving tier made
-// explicit: a warm cache hit on src streams from its memory bandwidth
-// instead of its disk, leaving the disk free for other readers — the
-// network path (src uplink, dst downlink, optional per-flow cap) is
-// unchanged.
+// RemoteReadCapTier starts a read of a block stored on src delivered to
+// dst: it consumes src's serving resource for the tier (its disk, or its
+// memory bandwidth for a warm cache hit, leaving the disk free for other
+// readers), the source uplink and the destination downlink.
+//
+// capBps adds a per-flow rate cap in bytes/second (0 = uncapped), modeling
+// protocol overhead on single-stream remote block reads (HDFS remote reads
+// do not reach line rate; the paper cites network reads as "as much as 20
+// times slower than local data access", §III-C). The cap is realized as a
+// private resource embedded in the flow, so max-min fairness still applies
+// below it.
 func (fb *Fabric) RemoteReadCapTier(src, dst int, bytes, capBps float64, tier Tier, done func()) *Flow {
 	if src == dst {
 		return fb.LocalReadTier(src, bytes, tier, done)
@@ -287,27 +257,13 @@ func (fb *Fabric) Transfer(src, dst int, bytes float64, done func()) *Flow {
 	return fb.start(src, dst, bytes, 0, done, fb.up[src], fb.down[dst])
 }
 
-// StartCustom starts a flow over an explicit resource set. Intended for
-// tests and extensions. Custom flows carry no endpoints and are exempt from
-// partitions.
-func (fb *Fabric) StartCustom(bytes float64, done func(), resources ...*Resource) *Flow {
-	return fb.start(-1, -1, bytes, 0, done, resources...)
-}
-
-// UplinkResource exposes node n's uplink (for StartCustom and tests).
-func (fb *Fabric) UplinkResource(n int) *Resource { return fb.up[n] }
-
-// DownlinkResource exposes node n's downlink.
-func (fb *Fabric) DownlinkResource(n int) *Resource { return fb.down[n] }
-
 // DiskResource exposes node n's disk.
 func (fb *Fabric) DiskResource(n int) *Resource { return fb.disk[n] }
 
-// MemoryResource exposes node n's cache-memory bandwidth.
-func (fb *Fabric) MemoryResource(n int) *Resource { return fb.mem[n] }
-
 // start creates a flow over resources, followed by its private cap when
-// capBps > 0 and by the partition choke when it crosses the partition.
+// capBps > 0 and by the partition choke when it crosses the partition, and
+// admits it into the rate allocation at once. Flows therefore enter
+// fb.flows and every resource's list in ID order, each resource once.
 func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resources ...*Resource) *Flow {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("netsim: flow with invalid size %v", bytes))
@@ -321,7 +277,6 @@ func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resour
 		Bytes:     bytes,
 		remaining: bytes,
 		done:      done,
-		started:   fb.eng.Now(),
 		src:       src,
 		dst:       dst,
 	}
@@ -334,9 +289,9 @@ func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resour
 	}
 	fl.resources = resources
 	if bytes == 0 {
-		// Zero-byte flows complete after the setup latency without
+		// Zero-byte flows complete in an event of their own without
 		// touching the rate allocation.
-		fb.eng.Schedule(fb.latency, func() {
+		fb.eng.Schedule(0, func() {
 			if fl.cancelled {
 				return
 			}
@@ -348,28 +303,13 @@ func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resour
 		})
 		return fl
 	}
-	if fb.latency > 0 {
-		// Charge connection setup before the flow contends for bandwidth.
-		fb.eng.Schedule(fb.latency, func() {
-			if fl.cancelled {
-				return
-			}
-			fb.activate(fl)
-		})
-		return fl
-	}
-	fb.activate(fl)
-	return fl
-}
-
-// activate admits a flow into the fluid rate allocation.
-func (fb *Fabric) activate(fl *Flow) {
 	fb.advance()
-	fb.flows = insertFlow(fb.flows, fl)
-	for _, r := range fl.resources {
-		r.flows = insertFlow(r.flows, fl)
+	fb.flows = append(fb.flows, fl)
+	for _, r := range resources {
+		r.flows = append(r.flows, fl)
 	}
 	fb.changed()
+	return fl
 }
 
 // Cancel aborts a flow in flight. Its done callback never runs. Cancelling a
@@ -405,16 +345,6 @@ func flowIndex(list []*Flow, id int64) (int, bool) {
 		}
 	}
 	return lo, lo < len(list) && list[lo].ID == id
-}
-
-// insertFlow adds fl to an ID-ordered list unless it is already there. Flows
-// activate in ID order, so this is an append in practice.
-func insertFlow(list []*Flow, fl *Flow) []*Flow {
-	i, ok := flowIndex(list, fl.ID)
-	if ok {
-		return list
-	}
-	return slices.Insert(list, i, fl)
 }
 
 // removeFlow drops fl from an ID-ordered list, if it is there.
@@ -615,7 +545,7 @@ func (fb *Fabric) Partitioned() bool { return fb.partition != nil }
 // crossesPartition reports whether a flow between the endpoints would span
 // the active partition boundary.
 func (fb *Fabric) crossesPartition(src, dst int) bool {
-	return fb.partition != nil && src >= 0 && dst >= 0 && fb.partition[src] != fb.partition[dst]
+	return fb.partition != nil && fb.partition[src] != fb.partition[dst]
 }
 
 // SetPartition splits the fabric into groups (groups[node] is the node's
@@ -657,9 +587,6 @@ func (fb *Fabric) ClearPartition() {
 			fl.resources = slices.Delete(fl.resources, i, i+1)
 		}
 	}
-	// Flows still in setup latency keep the choke and join it when they
-	// activate, so its list must not keep the flows just released.
-	fb.choke.flows = nil
 	fb.partition = nil
 	fb.choke = nil
 	fb.changed()

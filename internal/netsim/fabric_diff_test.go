@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/event"
@@ -15,7 +16,10 @@ import (
 // completion time, the completed-flow and byte totals and the number of
 // events run must match too. Operations inside a Batch run unbatched on the
 // reference, so the comparison after the batch also proves that deferring
-// the recompute changes nothing.
+// the recompute changes nothing. After every operation the production
+// fabric's flow lists must also hold the structure its pass relies on: each
+// active flow lists each resource once, and a resource's list holds exactly
+// the active flows listing it, in strictly increasing ID order.
 
 // opBytes feeds an operation sequence from a byte string; past its end it
 // reads zeros.
@@ -41,7 +45,6 @@ const (
 	opRemote
 	opRemoteCap
 	opTransfer
-	opCustomDup
 	opZero
 	opCancel
 	opScaleLinks
@@ -79,7 +82,6 @@ func runFabricEquivalence(t *testing.T, data []byte) *fabricPair {
 		DownlinkBps: caps[b.next()%4],
 		DiskBps:     caps[b.next()%4],
 		MemoryBps:   caps[b.next()%4],
-		LatencySec:  [3]float64{0, 0, 0.5}[b.next()%3],
 	}
 	p := &fabricPair{
 		t:     t,
@@ -133,19 +135,6 @@ func (p *fabricPair) started(fp *Flow, fr *refFlow) {
 	p.ref = append(p.ref, fr)
 }
 
-// resource resolves a (kind, node) pair on both fabrics.
-func (p *fabricPair) resource(kind, node int) (*Resource, *refResource) {
-	switch kind % 4 {
-	case 0:
-		return p.fb.up[node], p.rf.up[node]
-	case 1:
-		return p.fb.down[node], p.rf.down[node]
-	case 2:
-		return p.fb.disk[node], p.rf.disk[node]
-	}
-	return p.fb.mem[node], p.rf.mem[node]
-}
-
 // step applies one operation to both fabrics. A batch applies up to four
 // operations inside Fabric.Batch, nesting at most twice.
 func (p *fabricPair) step(b *opBytes, depth int) {
@@ -173,13 +162,6 @@ func (p *fabricPair) step(b *opBytes, depth int) {
 		src, dst, sz := node(), node(), size()
 		dp, dr := p.callbacks()
 		p.started(p.fb.Transfer(src, dst, sz, dp), p.rf.Transfer(src, dst, sz, dr))
-	case opCustomDup:
-		// Lists its first resource twice: attached once, counted twice.
-		ap, ar := p.resource(b.next(), node())
-		bp, br := p.resource(b.next(), node())
-		sz := size()
-		dp, dr := p.callbacks()
-		p.started(p.fb.StartCustom(sz, dp, ap, bp, ap), p.rf.StartCustom(sz, dr, ar, br, ar))
 	case opZero:
 		src, dst := node(), node()
 		dp, dr := p.callbacks()
@@ -248,6 +230,57 @@ func (p *fabricPair) compare(op int) {
 	if p.fb.timer != nil && math.Float64bits(p.fb.timer.Time()) != math.Float64bits(p.rf.timer.Time()) {
 		t.Fatalf("op %d: completion at %v, reference %v", op, p.fb.timer.Time(), p.rf.timer.Time())
 	}
+	p.checkLists(op)
+}
+
+// checkLists checks the production fabric's flow lists after operation op:
+// fb.flows is strictly ID-ordered, each active flow lists each resource
+// once, and every resource's list is exactly the active flows listing it,
+// in fb.flows order.
+func (p *fabricPair) checkLists(op int) {
+	t := p.t
+	t.Helper()
+	fb := p.fb
+	want := map[*Resource][]*Flow{}
+	for i, fl := range fb.flows {
+		if i > 0 && fb.flows[i-1].ID >= fl.ID {
+			t.Fatalf("op %d: active flows out of ID order: %d before %d", op, fb.flows[i-1].ID, fl.ID)
+		}
+		for j, r := range fl.resources {
+			for _, prev := range fl.resources[:j] {
+				if prev == r {
+					t.Fatalf("op %d: flow %d lists its %v resource of node %d twice", op, fl.ID, r.Kind, r.Node)
+				}
+			}
+			want[r] = append(want[r], fl)
+		}
+	}
+	var all []*Resource
+	for n := range p.nodes {
+		all = append(all, fb.up[n], fb.down[n], fb.disk[n], fb.mem[n])
+	}
+	if fb.choke != nil {
+		all = append(all, fb.choke)
+	}
+	for r := range want {
+		if r.Kind == FlowCap && r != fb.choke {
+			all = append(all, r)
+		}
+	}
+	for _, r := range all {
+		if !slices.Equal(r.flows, want[r]) {
+			t.Fatalf("op %d: %v resource of node %d holds flows %v, want %v",
+				op, r.Kind, r.Node, flowIDs(r.flows), flowIDs(want[r]))
+		}
+	}
+}
+
+func flowIDs(list []*Flow) []int64 {
+	ids := make([]int64, len(list))
+	for i, fl := range list {
+		ids[i] = fl.ID
+	}
+	return ids
 }
 
 // TestFabricMatchesReference runs random operation sequences against the
@@ -256,13 +289,13 @@ func (p *fabricPair) compare(op int) {
 func TestFabricMatchesReference(t *testing.T) {
 	cases := []struct {
 		name   string
-		header []byte // nodes, uplink, downlink, disk, memory, latency
+		header []byte // nodes, uplink, downlink, disk, memory
 	}{
-		{"two-nodes", []byte{0, 0, 1, 2, 3, 0}},
-		{"five-nodes-mixed", []byte{3, 1, 3, 2, 0, 0}},
-		{"equal-capacities", []byte{1, 1, 1, 1, 1, 0}},
-		{"setup-latency", []byte{2, 0, 2, 1, 3, 2}},
-		{"equal-capacities-latency", []byte{3, 2, 2, 2, 2, 2}},
+		{"two-nodes", []byte{0, 0, 1, 2, 3}},
+		{"five-nodes-mixed", []byte{3, 1, 3, 2, 0}},
+		{"equal-capacities", []byte{1, 1, 1, 1, 1}},
+		{"four-nodes-slow-uplink", []byte{2, 0, 2, 1, 3}},
+		{"five-nodes-equal-capacities", []byte{3, 2, 2, 2, 2}},
 	}
 	var kinds [numOps]int
 	for _, c := range cases {
@@ -290,8 +323,8 @@ func TestFabricMatchesReference(t *testing.T) {
 // FuzzFabricEquivalence drives the differential from fuzzer-chosen bytes.
 // The committed corpus is under testdata/fuzz/FuzzFabricEquivalence.
 func FuzzFabricEquivalence(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 2, 3, 0, 1, 0, 0, 5, 7, 0, 3, 1, 1, 9, 2, 6, 0})
-	f.Add([]byte{3, 1, 1, 1, 1, 2, 0, 11, 3, 3, 0, 1, 2, 0, 4, 0, 2, 0, 2, 1, 5, 0, 6, 2})
+	f.Add([]byte{0, 0, 1, 2, 3, 1, 0, 0, 5, 7, 0, 3, 1, 1, 9, 2, 6, 0})
+	f.Add([]byte{3, 1, 1, 1, 1, 0, 10, 3, 3, 0, 1, 2, 0, 4, 0, 2, 0, 2, 1, 5, 0, 6, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runFabricEquivalence(t, data)
 	})
@@ -308,10 +341,10 @@ func TestUtilizationDeterministic(t *testing.T) {
 		// Distinct uplink capacities give every flow into node 0 its own
 		// inexact rate, so the sum depends on the order it is taken in.
 		for src := 1; src < 40; src++ {
-			fb.UplinkResource(src).Capacity = 100 / float64(src+2)
+			fb.up[src].Capacity = 100 / float64(src+2)
 			fb.Transfer(src, 0, 1e6, nil)
 		}
-		u := math.Float64bits(fb.Utilization(fb.DownlinkResource(0)))
+		u := math.Float64bits(fb.Utilization(fb.down[0]))
 		if trial == 0 {
 			first = u
 		} else if u != first {
@@ -358,7 +391,7 @@ func TestPassAllocs(t *testing.T) {
 	rng := xrand.New(3)
 	for i := 0; i < 100; i++ {
 		src, dst := rng.Intn(20), rng.Intn(20)
-		fb.RemoteReadCap(src, dst, 128e6, 50e6, nil)
+		fb.RemoteReadCapTier(src, dst, 128e6, 50e6, TierDisk, nil)
 		fb.Transfer(dst, src, 64e6, nil)
 	}
 	fb.SetPartition(append(make([]int, 10), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 1e8)

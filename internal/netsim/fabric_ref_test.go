@@ -14,14 +14,13 @@ import (
 // bottleneck. The production Fabric must reproduce its rates, completion
 // times and event counts bit for bit. Do not optimise it.
 type refFabric struct {
-	eng     *event.Engine
-	up      []*refResource
-	down    []*refResource
-	disk    []*refResource
-	mem     []*refResource
-	flows   map[*refFlow]struct{}
-	nextID  int64
-	latency float64
+	eng    *event.Engine
+	up     []*refResource
+	down   []*refResource
+	disk   []*refResource
+	mem    []*refResource
+	flows  map[*refFlow]struct{}
+	nextID int64
 
 	lastUpdate float64
 	timer      *event.Timer
@@ -60,7 +59,6 @@ func newRefFabric(eng *event.Engine, n int, cfg Config) *refFabric {
 	f := &refFabric{
 		eng:     eng,
 		flows:   make(map[*refFlow]struct{}),
-		latency: cfg.LatencySec,
 		baseCap: make(map[*refResource]float64),
 	}
 	memBps := cfg.MemoryBps
@@ -105,10 +103,6 @@ func (fb *refFabric) Transfer(src, dst int, bytes float64, done func()) *refFlow
 	return fb.start(src, dst, bytes, done, fb.up[src], fb.down[dst])
 }
 
-func (fb *refFabric) StartCustom(bytes float64, done func(), resources ...*refResource) *refFlow {
-	return fb.start(-1, -1, bytes, done, resources...)
-}
-
 func (fb *refFabric) start(src, dst int, bytes float64, done func(), resources ...*refResource) *refFlow {
 	if fb.crossesPartition(src, dst) {
 		resources = append(resources, fb.choke)
@@ -116,7 +110,7 @@ func (fb *refFabric) start(src, dst int, bytes float64, done func(), resources .
 	fb.nextID++
 	fl := &refFlow{ID: fb.nextID, Bytes: bytes, remaining: bytes, resources: resources, done: done, src: src, dst: dst}
 	if bytes == 0 {
-		fb.eng.Schedule(fb.latency, func() {
+		fb.eng.Schedule(0, func() {
 			if fl.cancelled {
 				return
 			}
@@ -125,15 +119,6 @@ func (fb *refFabric) start(src, dst int, bytes float64, done func(), resources .
 			if done != nil {
 				done()
 			}
-		})
-		return fl
-	}
-	if fb.latency > 0 {
-		fb.eng.Schedule(fb.latency, func() {
-			if fl.cancelled {
-				return
-			}
-			fb.activate(fl)
 		})
 		return fl
 	}
@@ -303,7 +288,7 @@ func (fb *refFabric) onCompletion() {
 }
 
 func (fb *refFabric) crossesPartition(src, dst int) bool {
-	return fb.partition != nil && src >= 0 && dst >= 0 && fb.partition[src] != fb.partition[dst]
+	return fb.partition != nil && fb.partition[src] != fb.partition[dst]
 }
 
 func (fb *refFabric) SetPartition(groups []int, chokeBps float64) {
