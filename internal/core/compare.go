@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/matching"
-	"repro/internal/maxflow"
-)
+import "repro/internal/maxflow"
 
 // IntraObjective is the §IV-B objective value of an intra-application
 // allocation: Σ 1/µ_ij over locally-satisfied tasks, i.e. the (fractional)
@@ -89,35 +86,6 @@ func OptimalIntraObjective(jobs []JobDemand, idle []ExecInfo, budget int) float6
 	}
 	_, cost := g.MinCostFlowImproving(0, sink, float64(budget))
 	return -cost
-}
-
-// TaskLocalityUpperBound computes, for a fixed executor-to-application
-// allocation, the maximum number of tasks that could run locally — the
-// maximum bipartite matching between tasks and the app's executors
-// (Hopcroft–Karp). This is the "upper bound performance that can be achieved
-// by task scheduling" (§III-B).
-func TaskLocalityUpperBound(jobs []JobDemand, executors []ExecInfo) int {
-	var adj [][]int
-	execsByNode := map[int][]int{}
-	for i, e := range executors {
-		execsByNode[e.Node] = append(execsByNode[e.Node], i)
-	}
-	for _, j := range jobs {
-		for _, t := range j.Tasks {
-			var row []int
-			seen := map[int]bool{}
-			for _, n := range t.Nodes {
-				if seen[n] {
-					continue
-				}
-				seen[n] = true
-				row = append(row, execsByNode[n]...)
-			}
-			adj = append(adj, row)
-		}
-	}
-	_, size := matching.HopcroftKarp(len(adj), len(executors), adj)
-	return size
 }
 
 // FractionalMaxMin computes the LP-relaxed maximum concurrent flow bound on

@@ -43,11 +43,6 @@ type Config struct {
 	// Files are the HDFS inputs created at boot.
 	Files []FileSpec
 
-	// RoundSimStep is the simulated-time slice a normal round covers;
-	// DegradedStepFactor scales it in degraded mode (coarser rounds).
-	RoundSimStep       float64
-	DegradedStepFactor float64
-
 	// AuditEveryOp runs Driver.Audit after every applied op, turning any
 	// invariant breach into an op error instead of a latent corruption.
 	AuditEveryOp bool
@@ -76,6 +71,13 @@ type Config struct {
 	BootHook func(*Service)
 }
 
+// roundSimStep is the simulated-time slice a normal round covers;
+// degradedStepFactor scales it in degraded mode (coarser rounds).
+const (
+	roundSimStep       = 1.0
+	degradedStepFactor = 4
+)
+
 // DefaultConfig is the service-mode cluster: small enough that a round is
 // sub-millisecond, contended enough that allocation competes.
 func DefaultConfig() Config {
@@ -92,8 +94,6 @@ func DefaultConfig() Config {
 			{Name: "svc-a", Blocks: 4},
 			{Name: "svc-b", Blocks: 6},
 		},
-		RoundSimStep:       1,
-		DegradedStepFactor: 4,
 	}
 }
 
@@ -127,12 +127,6 @@ func (c *Config) fill() {
 	if len(c.Files) == 0 {
 		c.Files = d.Files
 	}
-	if c.RoundSimStep == 0 {
-		c.RoundSimStep = d.RoundSimStep
-	}
-	if c.DegradedStepFactor == 0 {
-		c.DegradedStepFactor = d.DegradedStepFactor
-	}
 }
 
 // validate rejects configurations the driver would panic on.
@@ -147,9 +141,6 @@ func (c Config) validate() error {
 		if f.Name == "" || f.Blocks <= 0 {
 			return fmt.Errorf("custodyd: bad file spec %+v", f)
 		}
-	}
-	if c.RoundSimStep <= 0 || c.DegradedStepFactor < 1 {
-		return fmt.Errorf("custodyd: RoundSimStep = %v, DegradedStepFactor = %v", c.RoundSimStep, c.DegradedStepFactor)
 	}
 	if c.CacheMB < 0 {
 		return fmt.Errorf("custodyd: CacheMB = %d", c.CacheMB)

@@ -242,9 +242,9 @@ func (s *Server) roundLocked() {
 		start = s.cfg.Clock()
 	}
 	if !s.svc.Idle() {
-		step := s.cfg.Service.RoundSimStep
+		step := roundSimStep
 		if s.degraded {
-			step *= s.cfg.Service.DegradedStepFactor
+			step *= degradedStepFactor
 		}
 		if err := s.svc.Round(step, s.degraded); err != nil {
 			s.lastErr = err

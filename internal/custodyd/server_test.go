@@ -477,8 +477,8 @@ func TestDegradedModeLadder(t *testing.T) {
 	for _, op := range ops {
 		if op.Kind == OpRound && op.Degraded {
 			degradedOps++
-			if op.Step != testConfig().RoundSimStep*testConfig().DegradedStepFactor {
-				t.Fatalf("degraded round step %v, want coarser %v", op.Step, testConfig().RoundSimStep*testConfig().DegradedStepFactor)
+			if op.Step != roundSimStep*degradedStepFactor {
+				t.Fatalf("degraded round step %v, want coarser %v", op.Step, roundSimStep*degradedStepFactor)
 			}
 		}
 	}

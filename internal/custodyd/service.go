@@ -141,12 +141,12 @@ func (s *Service) ValidateSubmit(tenant int, kind string, file int) error {
 }
 
 // Round runs one allocation round covering step simulated seconds (0 →
-// the configured step). A degraded round skips the explicit Reallocate
-// pass: executor churn still flows through the driver's own event-driven
-// rounds (fallback-only locality), but no fresh data-aware plan is forced.
+// roundSimStep). A degraded round skips the explicit Reallocate pass:
+// executor churn still flows through the driver's own event-driven rounds
+// (fallback-only locality), but no fresh data-aware plan is forced.
 func (s *Service) Round(step float64, degraded bool) error {
 	if step <= 0 {
-		step = s.cfg.RoundSimStep
+		step = roundSimStep
 	}
 	return s.commit(Op{Kind: OpRound, Step: step, Degraded: degraded})
 }

@@ -75,19 +75,19 @@ func (d *Driver) InjectExecutorRecover(execID int) bool {
 	return true
 }
 
+// partitionBps is the leak capacity of a network partition's choke. netsim
+// capacities are bytes/s, so this trickle is 1 MB/s (8 Mbps).
+const partitionBps = 1e6
+
 // InjectPartition splits the network into groups (groups[node] = group id):
-// flows crossing the boundary are throttled to a trickle (Config.PartitionBps,
-// default 1 Mbps). No-op (false) while a partition is already in effect.
+// flows crossing the boundary are throttled to a trickle (partitionBps).
+// No-op (false) while a partition is already in effect.
 func (d *Driver) InjectPartition(groups []int) bool {
 	if d.fabric.Partitioned() {
 		d.faultNoop(-1, -1)
 		return false
 	}
-	bps := d.cfg.PartitionBps
-	if bps <= 0 {
-		bps = 1e6
-	}
-	d.fabric.SetPartition(groups, bps)
+	d.fabric.SetPartition(groups, partitionBps)
 	d.tr.Emit(trace.Event{Time: d.eng.Now(), Kind: trace.NetPartition, App: -1, Job: -1, Stage: -1, Task: -1, Exec: -1, Node: -1})
 	return true
 }

@@ -55,16 +55,6 @@ type Config struct {
 	// Manager is the cluster manager under test.
 	Manager manager.Manager
 
-	// MaxFanIn bounds the number of concurrent fetch flows per shuffle
-	// task; sources are bundled beyond it.
-	MaxFanIn int
-
-	// RemoteReadCapBps caps a single remote HDFS block read (protocol
-	// overhead keeps single-stream reads well below line rate; the paper
-	// cites remote reads as "as much as 20 times slower than local data
-	// access"). Zero disables the cap.
-	RemoteReadCapBps float64
-
 	// ExecutorStartupSec is charged when an executor changes owner
 	// (container/JVM start). Zero disables the charge.
 	ExecutorStartupSec float64
@@ -73,48 +63,25 @@ type Config struct {
 	// to task compute times (0.1 → uniform in [0.9, 1.1]).
 	ComputeNoise float64
 
-	// SlowNodeFraction / SlowFactor make a deterministic share of nodes
-	// run slower (compute and disk), producing persistent stragglers —
-	// heterogeneity the paper's testbed did not have but real clusters do.
+	// SlowNodeFraction makes a deterministic share of nodes run 3× slower
+	// (compute and disk), producing persistent stragglers — heterogeneity
+	// the paper's testbed did not have but real clusters do.
 	SlowNodeFraction float64
-	SlowFactor       float64
 
 	// StragglerProb makes a task a straggler with this probability,
-	// multiplying its compute time by StragglerFactor — the heavy tail
+	// multiplying its compute time by stragglerFactor — the heavy tail
 	// that speculative execution (§IV-B's mitigation hook) targets.
-	StragglerProb   float64
-	StragglerFactor float64
+	StragglerProb float64
 
-	// Resilience knobs (chaos layer). All default to zero, which reproduces
-	// the pre-resilience behavior exactly: immediate re-queue, no backoff,
-	// no blacklisting, instant connect failure. EnableResilience sets
-	// Spark-like values.
+	// resilient turns on the chaos-hardening constants (resilience.go):
+	// retry backoff, failure blacklisting and connect timeouts. Off, a
+	// failed attempt re-queues immediately, no node is ever excluded and a
+	// connect failure is instant — the plain paper reproduction. Only
+	// EnableResilience sets it.
+	resilient bool
 
-	// MaxTaskRetries caps the exponential-backoff growth of retry delays:
-	// the delay is RetryBackoffSec × 2^min(failures−1, MaxTaskRetries).
-	// Retries beyond the cap continue at the maximum delay — abandoning a
-	// task would break the simulator's jobs-complete contract; runaway
-	// retries surface in the TaskRetries metric instead.
-	MaxTaskRetries int
-	// RetryBackoffSec is the base delay before re-queuing a failed task
-	// attempt. Zero re-queues immediately.
-	RetryBackoffSec float64
-	// BlacklistThreshold excludes a node from scheduling after this many
-	// task failures within BlacklistWindowSec (Spark excludeOnFailure).
-	// Zero disables blacklisting.
-	BlacklistThreshold int
-	// BlacklistWindowSec is both the sliding window for counting failures
-	// and the duration of the exclusion.
-	BlacklistWindowSec float64
-	// ConnectTimeoutSec is charged when a task attempt tries to read from
-	// an unreachable replica source before the attempt fails.
-	ConnectTimeoutSec float64
-	// PartitionBps is the leak capacity of a network partition's choke
-	// (InjectPartition). Zero picks a 1 Mbps trickle.
-	PartitionBps float64
-
-	// Block-cache tier knobs (zero-default, like the resilience knobs: all
-	// zero reproduces the cacheless read path byte-for-byte).
+	// Block-cache tier knobs (zero-default: all zero reproduces the
+	// cacheless read path byte-for-byte).
 
 	// CacheBytes attaches an in-memory block cache of this byte capacity to
 	// every DataNode. Warm reads stream at the memory tier's bandwidth
@@ -138,12 +105,6 @@ type Config struct {
 	// Speculation enables straggler re-execution (§IV-B mentions straggler
 	// mitigation schemes as complementary).
 	Speculation bool
-	// SpeculationMultiplier: a running task is re-launched when it exceeds
-	// this multiple of the stage's median completed duration.
-	SpeculationMultiplier float64
-	// SpeculationQuantile: fraction of the stage that must be complete
-	// before speculation may trigger.
-	SpeculationQuantile float64
 }
 
 // DefaultConfig mirrors the paper's testbed (§VI-A1): 100 nodes, 8 cores
@@ -151,35 +112,25 @@ type Config struct {
 // 2 Gbps uplink / 40 Gbps downlink, delay scheduling with a 3 s wait.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                  1,
-		Nodes:                 100,
-		ExecutorsPerNode:      2,
-		SlotsPerExecutor:      4,
-		RackSize:              20,
-		BlockSize:             hdfs.DefaultBlockSize,
-		Replication:           hdfs.DefaultReplication,
-		Net:                   netsim.LinodeConfig(),
-		Scheduler:             SchedDelay,
-		LocalityWait:          scheduler.DefaultWait,
-		MaxFanIn:              8,
-		RemoteReadCapBps:      75e6,
-		ExecutorStartupSec:    0.5,
-		ComputeNoise:          0.1,
-		SpeculationMultiplier: 1.5,
-		SpeculationQuantile:   0.5,
+		Seed:               1,
+		Nodes:              100,
+		ExecutorsPerNode:   2,
+		SlotsPerExecutor:   4,
+		RackSize:           20,
+		BlockSize:          hdfs.DefaultBlockSize,
+		Replication:        hdfs.DefaultReplication,
+		Net:                netsim.LinodeConfig(),
+		Scheduler:          SchedDelay,
+		LocalityWait:       scheduler.DefaultWait,
+		ExecutorStartupSec: 0.5,
+		ComputeNoise:       0.1,
 	}
 }
 
-// EnableResilience turns on the chaos-hardening defaults: bounded retry
+// EnableResilience turns on the chaos-hardening constants: bounded retry
 // backoff, failure blacklisting, and connect timeouts. Chaos experiments and
 // tests call this; the plain paper reproduction leaves everything off.
-func (c *Config) EnableResilience() {
-	c.MaxTaskRetries = 4
-	c.RetryBackoffSec = 0.5
-	c.BlacklistThreshold = 3
-	c.BlacklistWindowSec = 30
-	c.ConnectTimeoutSec = 1
-}
+func (c *Config) EnableResilience() { c.resilient = true }
 
 // EnableCache turns on the block-cache tier with the given per-node byte
 // capacity and eviction policy (empty policy → LRU).
@@ -229,8 +180,6 @@ func (c Config) clusterConfig() cluster.Config {
 		ExecutorsPerNode: c.ExecutorsPerNode,
 		SlotsPerExecutor: c.SlotsPerExecutor,
 		RackSize:         c.RackSize,
-		Spec:             cluster.LinodeSpec(),
 		SlowNodeFraction: c.SlowNodeFraction,
-		SlowFactor:       c.SlowFactor,
 	}
 }

@@ -147,7 +147,7 @@ func (d *Driver) Engine() *event.Engine { return d.eng }
 // Fabric exposes the network fabric (chaos injection and tests).
 func (d *Driver) Fabric() *netsim.Fabric { return d.fabric }
 
-// Collector returns the metrics collector.
+// Collector returns the metrics collector (implements manager.Env).
 func (d *Driver) Collector() *metrics.Collector { return d.col }
 
 // CreateInput stores a file in the simulated HDFS.
@@ -407,9 +407,6 @@ func (d *Driver) TryLaunch(e *cluster.Executor, a *app.Application) bool {
 	d.launch(t, e, false)
 	return true
 }
-
-// Metrics implements manager.Env.
-func (d *Driver) Metrics() *metrics.Collector { return d.col }
 
 // Schedule implements manager.Env.
 func (d *Driver) Schedule(delay float64, fn func()) {

@@ -49,6 +49,20 @@ func runOneJob(t *testing.T, mgr manager.Manager) *Driver {
 	return d
 }
 
+// TestDefaultConfigMatchesPaper: the paper's testbed (§VI-A1) has 100
+// nodes with two executors each.
+func TestDefaultConfigMatchesPaper(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Manager = custodyMgr()
+	c := New(cfg).Cluster()
+	if c.NumNodes() != 100 {
+		t.Fatalf("paper cluster has 100 nodes, got %d", c.NumNodes())
+	}
+	if c.TotalExecutors() != 200 {
+		t.Fatalf("paper cluster has 200 executors (2/node), got %d", c.TotalExecutors())
+	}
+}
+
 func TestSingleJobCompletesCustody(t *testing.T) {
 	d := runOneJob(t, custodyMgr())
 	col := d.Collector()
@@ -303,7 +317,6 @@ func TestShuffleVolumeConservation(t *testing.T) {
 // remote ones on an otherwise idle cluster.
 func TestReadTimesReflectLocality(t *testing.T) {
 	cfg := smallConfig(standaloneMgr())
-	cfg.RemoteReadCapBps = 75e6
 	spec := workload.Spec{Kind: workload.WordCount, Apps: 2, JobsPerApp: 4, MeanInterarrival: 2, DatasetFiles: 2}
 	col, err := RunSchedule(cfg, workload.Generate(spec, xrand.New(41)))
 	if err != nil {

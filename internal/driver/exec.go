@@ -11,6 +11,27 @@ import (
 	"repro/internal/trace"
 )
 
+// Task-execution constants: every run uses these values.
+const (
+	// maxFanIn bounds the number of concurrent fetch flows per shuffle
+	// task; sources are bundled beyond it.
+	maxFanIn = 8
+	// remoteReadCapBps caps a single remote HDFS block read at 75 MB/s
+	// (protocol overhead keeps single-stream reads well below line rate;
+	// the paper cites remote reads as "as much as 20 times slower than
+	// local data access").
+	remoteReadCapBps = 75e6
+	// stragglerFactor multiplies a straggler's compute time
+	// (Config.StragglerProb).
+	stragglerFactor = 4
+	// speculationMultiplier: a running task is re-launched when it exceeds
+	// this multiple of the stage's median completed duration.
+	speculationMultiplier = 1.5
+	// speculationQuantile is the fraction of the stage that must be
+	// complete before speculation may trigger.
+	speculationQuantile = 0.5
+)
+
 // launch starts one attempt of a task on an executor: input read or shuffle
 // fetch over the fabric, then compute, then completion.
 func (d *Driver) launch(t *app.Task, e *cluster.Executor, spec bool) {
@@ -97,7 +118,7 @@ func (d *Driver) launch(t *app.Task, e *cluster.Executor, spec bool) {
 			// charged as usual.
 			tier = netsim.TierMemory
 		}
-		at.flows = append(at.flows, d.fabric.RemoteReadCapTier(src, node, bytes, d.cfg.RemoteReadCapBps, tier, done))
+		at.flows = append(at.flows, d.fabric.RemoteReadCapTier(src, node, bytes, remoteReadCapBps, tier, done))
 		return
 	}
 	d.startShuffleFetch(at)
@@ -105,7 +126,7 @@ func (d *Driver) launch(t *app.Task, e *cluster.Executor, spec bool) {
 
 // startShuffleFetch launches the fetch flows of a non-input task: it pulls
 // its share of every parent stage's output from the nodes the parent tasks
-// ran on, bundling sources beyond MaxFanIn.
+// ran on, bundling sources beyond maxFanIn.
 func (d *Driver) startShuffleFetch(at *attempt) {
 	t := at.task
 	dst := at.exec.Node.ID
@@ -145,13 +166,9 @@ func (d *Driver) startShuffleFetch(at *attempt) {
 		return
 	}
 
-	// Bundle sources into at most MaxFanIn groups to bound flow count; each
+	// Bundle sources into at most maxFanIn groups to bound flow count; each
 	// group's flow originates at its largest contributor.
-	fan := d.cfg.MaxFanIn
-	if fan <= 0 {
-		fan = 8
-	}
-	groups := fan
+	groups := maxFanIn
 	if len(nodes) < groups {
 		groups = len(nodes)
 	}
@@ -205,11 +222,7 @@ func (d *Driver) readFinished(at *attempt) {
 		compute *= d.rng.Range(1-n, 1+n)
 	}
 	if d.cfg.StragglerProb > 0 && d.rng.Bool(d.cfg.StragglerProb) {
-		f := d.cfg.StragglerFactor
-		if f <= 1 {
-			f = 4
-		}
-		compute *= f
+		compute *= stragglerFactor
 	}
 	at.timer = d.eng.Schedule(compute, func() { d.attemptFinished(at) })
 }
@@ -354,12 +367,12 @@ func (d *Driver) onJobComplete(j *app.Job) {
 }
 
 // maybeSpeculate launches duplicate attempts for stragglers: running tasks
-// whose age exceeds SpeculationMultiplier × the stage's median completed
-// duration, once SpeculationQuantile of the stage has finished.
+// whose age exceeds speculationMultiplier × the stage's median completed
+// duration, once speculationQuantile of the stage has finished.
 func (d *Driver) maybeSpeculate(s *app.Stage) {
 	now := d.eng.Now()
 	doneFrac := float64(s.Done()) / float64(len(s.Tasks))
-	if doneFrac < d.cfg.SpeculationQuantile || s.Complete() {
+	if doneFrac < speculationQuantile || s.Complete() {
 		return
 	}
 	var durations []float64
@@ -370,7 +383,7 @@ func (d *Driver) maybeSpeculate(s *app.Stage) {
 	}
 	sort.Float64s(durations)
 	median := metrics.Percentile(durations, 0.5)
-	threshold := median * d.cfg.SpeculationMultiplier
+	threshold := median * speculationMultiplier
 	for _, t := range s.Tasks {
 		if t.State != app.TaskRunning || len(d.running[t]) != 1 {
 			continue

@@ -8,19 +8,41 @@ import (
 	"repro/internal/trace"
 )
 
+// The chaos-hardening constants Config.EnableResilience turns on (Spark-like
+// values). With resilience off, retries re-queue immediately, no node is
+// excluded and a connect failure is charged no time.
+const (
+	// retryBackoffSec is the base delay before re-queuing a failed task
+	// attempt.
+	retryBackoffSec = 0.5
+	// maxRetryDoublings caps the exponential growth of retry delays.
+	// Retries beyond the cap continue at the maximum delay — abandoning a
+	// task would break the simulator's jobs-complete contract; runaway
+	// retries surface in the TaskRetries metric instead.
+	maxRetryDoublings = 4
+	// blacklistThreshold failures on one node within blacklistWindowSec
+	// exclude it from scheduling (Spark excludeOnFailure).
+	blacklistThreshold = 3
+	// blacklistWindowSec is both the sliding window for counting failures
+	// and the duration of the exclusion.
+	blacklistWindowSec = 30
+	// connectTimeoutSec is charged when a task attempt tries to read from
+	// an unreachable replica source before the attempt fails.
+	connectTimeoutSec = 1
+)
+
 // retryDelay returns the backoff before the fails-th retry of a task:
-// RetryBackoffSec × 2^min(fails−1, MaxTaskRetries). Zero when backoff is
-// disabled — the pre-resilience immediate re-queue.
+// retryBackoffSec × 2^min(fails−1, maxRetryDoublings). Zero with resilience
+// off — the pre-resilience immediate re-queue.
 func (d *Driver) retryDelay(fails int) float64 {
-	base := d.cfg.RetryBackoffSec
-	if base <= 0 || fails <= 0 {
+	if !d.cfg.resilient || fails <= 0 {
 		return 0
 	}
 	exp := fails - 1
-	if d.cfg.MaxTaskRetries > 0 && exp > d.cfg.MaxTaskRetries {
-		exp = d.cfg.MaxTaskRetries
+	if exp > maxRetryDoublings {
+		exp = maxRetryDoublings
 	}
-	return base * math.Pow(2, float64(exp))
+	return retryBackoffSec * math.Pow(2, float64(exp))
 }
 
 // requeueFailed re-queues tasks whose attempts were killed by a fault,
@@ -61,28 +83,29 @@ func (d *Driver) requeueFailed(ts []*app.Task) {
 }
 
 // recordNodeFailure feeds the per-node failure blacklist (Spark
-// excludeOnFailure-style): BlacklistThreshold failures within
-// BlacklistWindowSec exclude the node from scheduling for the window.
+// excludeOnFailure-style): blacklistThreshold failures within
+// blacklistWindowSec exclude the node from scheduling for the window. A
+// no-op with resilience off.
 func (d *Driver) recordNodeFailure(node int) {
-	if d.cfg.BlacklistThreshold <= 0 {
+	if !d.cfg.resilient {
 		return
 	}
 	now := d.eng.Now()
 	recent := d.failTimes[node][:0]
 	for _, ts := range d.failTimes[node] {
-		if now-ts <= d.cfg.BlacklistWindowSec {
+		if now-ts <= blacklistWindowSec {
 			recent = append(recent, ts)
 		}
 	}
 	recent = append(recent, now)
 	d.failTimes[node] = recent
-	if len(recent) < d.cfg.BlacklistThreshold {
+	if len(recent) < blacklistThreshold {
 		return
 	}
 	if until, ok := d.blacklist[node]; ok && until > now {
 		return // already excluded
 	}
-	until := now + d.cfg.BlacklistWindowSec
+	until := now + blacklistWindowSec
 	d.blacklist[node] = until
 	d.failTimes[node] = d.failTimes[node][:0]
 	d.col.BlacklistEvents++
@@ -117,10 +140,15 @@ func (d *Driver) sourceReadable(n int) bool {
 }
 
 // failConnect charges the connect timeout against an attempt whose chosen
-// replica source is unreachable, then fails the attempt.
+// replica source is unreachable, then fails the attempt. With resilience off
+// the timer still goes through the event queue, at delay zero.
 func (d *Driver) failConnect(at *attempt, src int) {
 	at.remaining = 1
-	at.timer = d.eng.Schedule(d.cfg.ConnectTimeoutSec, func() { d.connectTimedOut(at, src) })
+	timeout := 0.0
+	if d.cfg.resilient {
+		timeout = connectTimeoutSec
+	}
+	at.timer = d.eng.Schedule(timeout, func() { d.connectTimedOut(at, src) })
 }
 
 // connectTimedOut fails an attempt that could not reach its replica source:

@@ -96,26 +96,53 @@ func TestExecutorCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestBlacklistExcludesFailingNode: with a threshold of one, a single
-// executor crash blacklists its node for the window.
+// TestBlacklistExcludesFailingNode: three executor crashes on one node
+// within 30 s exclude the node for the window; two crashes exclude nothing.
+// The crash counts are literals so the test pins blacklistThreshold.
 func TestBlacklistExcludesFailingNode(t *testing.T) {
-	rec := trace.NewRecorder()
-	d, jobs := resilientDriver(t, rec)
-	d.cfg.BlacklistThreshold = 1
-	d.eng.At(4, func() { d.InjectExecutorFail(5) })
-	col := d.Run()
-	if got := len(col.Jobs); got != jobs {
-		t.Errorf("%d of %d jobs completed", got, jobs)
-	}
-	if col.BlacklistEvents == 0 {
-		t.Error("no blacklist events despite threshold 1")
-	}
-	if rec.Count(trace.NodeBlacklist) != col.BlacklistEvents {
-		t.Errorf("NodeBlacklist events = %d, counter = %d",
-			rec.Count(trace.NodeBlacklist), col.BlacklistEvents)
-	}
-	if err := d.Audit(); err != nil {
-		t.Errorf("final audit: %v", err)
+	for _, crashes := range []int{2, 3} {
+		rec := trace.NewRecorder()
+		d, jobs := resilientDriver(t, rec)
+		if d.cl.Executor(4).Node.ID != 2 || d.cl.Executor(5).Node.ID != 2 {
+			t.Fatal("executors 4 and 5 are not both on node 2")
+		}
+		d.eng.At(4, func() { d.InjectExecutorFail(4) })
+		d.eng.At(5, func() { d.InjectExecutorFail(5) })
+		if crashes == 3 {
+			d.eng.At(6, func() { d.InjectExecutorRecover(4) })
+			d.eng.At(7, func() { d.InjectExecutorFail(4) })
+		}
+		d.eng.At(10, func() {
+			d.InjectExecutorRecover(4)
+			d.InjectExecutorRecover(5)
+		})
+		var during, after bool
+		d.eng.At(8, func() { during = d.nodeExcluded(2, d.eng.Now()) })
+		d.eng.At(7+blacklistWindowSec+1, func() { after = d.nodeExcluded(2, d.eng.Now()) })
+		col := d.Run()
+		if got := len(col.Jobs); got != jobs {
+			t.Errorf("%d crashes: %d of %d jobs completed", crashes, got, jobs)
+		}
+		wantEvents := 0
+		if crashes == 3 {
+			wantEvents = 1
+		}
+		if col.BlacklistEvents != wantEvents {
+			t.Errorf("%d crashes: %d blacklist events, want %d", crashes, col.BlacklistEvents, wantEvents)
+		}
+		if during != (wantEvents == 1) {
+			t.Errorf("%d crashes: node 2 excluded = %v inside the window", crashes, during)
+		}
+		if after {
+			t.Errorf("%d crashes: node 2 still excluded after the window", crashes)
+		}
+		if rec.Count(trace.NodeBlacklist) != col.BlacklistEvents {
+			t.Errorf("NodeBlacklist events = %d, counter = %d",
+				rec.Count(trace.NodeBlacklist), col.BlacklistEvents)
+		}
+		if err := d.Audit(); err != nil {
+			t.Errorf("%d crashes: final audit: %v", crashes, err)
+		}
 	}
 }
 

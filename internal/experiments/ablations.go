@@ -397,7 +397,6 @@ func RunSpeculation(opts Options) (SpecResult, error) {
 		cfg.Seed = opts.Seed
 		cfg.Manager = NewManager(Custody, opts.Seed)
 		cfg.StragglerProb = 0.05 // heavy tail: 5% of tasks run 4× longer
-		cfg.StragglerFactor = 4
 		cfg.Speculation = on
 		col, err := driver.RunSchedule(cfg, sched)
 		if err != nil {

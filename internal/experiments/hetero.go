@@ -46,7 +46,6 @@ func RunHetero(opts Options) (HeteroResult, error) {
 				cfg.Manager = NewManager(mk, opts.Seed)
 				if slow {
 					cfg.SlowNodeFraction = 0.2
-					cfg.SlowFactor = 3
 				}
 				cfg.Speculation = specOn
 				col, err := driver.RunSchedule(cfg, sched)

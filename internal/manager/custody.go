@@ -17,10 +17,6 @@ import (
 type Custody struct {
 	// Opts configures the core allocator (intra-app strategy, budget fill).
 	Opts core.Options
-	// Sticky keeps an application's idle executors when they still carry
-	// locality for its pending tasks, instead of churning them through the
-	// pool every round. Enabled by default.
-	Sticky bool
 	// EmitHints forwards the plan's per-task executor choices to the
 	// applications as scheduling suggestions (§V). Off by default: the
 	// paper's experiments leave applications on unmodified delay
@@ -57,7 +53,7 @@ type Custody struct {
 
 // NewCustody builds the Custody manager with the paper's configuration.
 func NewCustody() *Custody {
-	return &Custody{Opts: core.DefaultOptions(), Sticky: true, Policy: policy.NewCustodyPolicy()}
+	return &Custody{Opts: core.DefaultOptions(), Policy: policy.NewCustodyPolicy()}
 }
 
 // Name implements Manager.
@@ -145,7 +141,7 @@ func (c *Custody) Reallocate(env Env) { c.reallocate(env) }
 // reallocate snapshots demand, reclaims useless idle executors, and applies
 // Algorithms 1+2.
 func (c *Custody) reallocate(env Env) {
-	env.Metrics().Reallocations++
+	env.Collector().Reallocations++
 	cl := env.Cluster()
 	apps := env.Apps()
 	share := fairShare(env)
@@ -168,8 +164,9 @@ func (c *Custody) reallocate(env Env) {
 	// Phase 1: decide which held idle executors to keep. Busy executors
 	// cannot move; their free slots already cover pending local tasks. An
 	// idle executor stays with its app if its node stores the block of a
-	// pending task not yet covered (Sticky), up to its slot capacity and
-	// the app's budget; otherwise it returns to the pool.
+	// pending task not yet covered, up to its slot capacity and the app's
+	// budget, instead of churning through the pool every round; otherwise
+	// it returns to the pool.
 	coverTasks := func(p *appPlan, node, slots int) int {
 		n := 0
 		for _, t := range p.pending {
@@ -202,15 +199,11 @@ func (c *Custody) reallocate(env Env) {
 				coverTasks(p, e.Node.ID, e.FreeSlots())
 				continue
 			}
-			keep := false
-			if c.Sticky && busy+kept < share {
-				keep = coverTasks(p, e.Node.ID, e.Slots()) > 0
-			}
-			if keep {
+			if busy+kept < share && coverTasks(p, e.Node.ID, e.Slots()) > 0 {
 				kept++
 			} else {
 				env.Release(e)
-				env.Metrics().ExecutorMigrations++
+				env.Collector().ExecutorMigrations++
 			}
 		}
 	}
@@ -276,7 +269,7 @@ func (c *Custody) reallocate(env Env) {
 		want := core.AllocateReference(demands, idle, refOpts)
 		if got, wantS := fmt.Sprintf("%#v", plan), fmt.Sprintf("%#v", want); got != wantS {
 			c.SelfCheckErr = fmt.Errorf("allocation diverged from reference oracle at reallocation %d:\n got  %s\n want %s",
-				env.Metrics().Reallocations, got, wantS)
+				env.Collector().Reallocations, got, wantS)
 		}
 	}
 	for _, as := range plan.Assignments {

@@ -36,8 +36,8 @@ type Env interface {
 	// scheduler accepts, the executor is allocated to the app and the task
 	// launched, and TryLaunch reports true. Used by the offer-based manager.
 	TryLaunch(e *cluster.Executor, a *app.Application) bool
-	// Metrics exposes the run's collector for manager-side counters.
-	Metrics() *metrics.Collector
+	// Collector exposes the run's collector for manager-side counters.
+	Collector() *metrics.Collector
 	// Schedule runs fn after delay simulated seconds (for offer retries).
 	Schedule(delay float64, fn func())
 	// Hint records a scheduling suggestion: the manager proposes running

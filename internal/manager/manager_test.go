@@ -40,11 +40,11 @@ func (f *fakeEnv) addApp(name string) *app.Application {
 	return a
 }
 
-func (f *fakeEnv) Now() float64                { return f.now }
-func (f *fakeEnv) Cluster() *cluster.Cluster   { return f.cl }
-func (f *fakeEnv) NameNode() *hdfs.NameNode    { return f.nn }
-func (f *fakeEnv) Apps() []*app.Application    { return f.apps }
-func (f *fakeEnv) Metrics() *metrics.Collector { return f.col }
+func (f *fakeEnv) Now() float64                  { return f.now }
+func (f *fakeEnv) Cluster() *cluster.Cluster     { return f.cl }
+func (f *fakeEnv) NameNode() *hdfs.NameNode      { return f.nn }
+func (f *fakeEnv) Apps() []*app.Application      { return f.apps }
+func (f *fakeEnv) Collector() *metrics.Collector { return f.col }
 
 func (f *fakeEnv) PendingInputTasks(a *app.Application) []*app.Task {
 	var out []*app.Task

@@ -83,7 +83,7 @@ func (o *Offer) offerOne(env Env, e *cluster.Executor) {
 		if env.TryLaunch(e, a) {
 			return
 		}
-		env.Metrics().OfferRejections++
+		env.Collector().OfferRejections++
 	}
 	// Everyone declined: retry later (delay-scheduling waits may expire),
 	// but only while someone still has queued work.

@@ -1,9 +1,8 @@
 // Package matching implements the bipartite-matching algorithms referenced
 // by the paper's intra-application analysis (§IV-B): maximum-cardinality
-// matching (Hopcroft–Karp) for task-level locality bounds, maximum-weight
-// assignment (Hungarian) as the exact comparator for constrained bipartite
-// matching, and the weight-greedy 2-approximation that Custody's job
-// prioritization is derived from.
+// matching (Hopcroft–Karp) for task-level locality bounds, and
+// maximum-weight assignment (Hungarian) as the exact comparator for
+// constrained bipartite matching.
 package matching
 
 // HopcroftKarp computes a maximum-cardinality matching in a bipartite graph

@@ -244,84 +244,6 @@ func TestQuickHungarianOptimal(t *testing.T) {
 	}
 }
 
-func TestGreedyMatchingBasic(t *testing.T) {
-	edges := []Edge{
-		{0, 0, 5}, {0, 1, 4}, {1, 0, 4}, {1, 1, 1},
-	}
-	pairs, total := GreedyMatching(edges)
-	// Greedy takes (0,0,5) then (1,1,1) → 6. Optimal is 8; ratio ≥ 1/2 holds.
-	if len(pairs) != 2 || total != 6 {
-		t.Fatalf("pairs=%v total=%v", pairs, total)
-	}
-}
-
-func TestGreedyDeterministicTieBreak(t *testing.T) {
-	edges := []Edge{{1, 1, 2}, {0, 0, 2}, {0, 1, 2}, {1, 0, 2}}
-	p1, _ := GreedyMatching(edges)
-	p2, _ := GreedyMatching([]Edge{{0, 1, 2}, {1, 0, 2}, {0, 0, 2}, {1, 1, 2}})
-	if len(p1) != len(p2) {
-		t.Fatalf("tie-break not deterministic: %v vs %v", p1, p2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("tie-break not input-order independent: %v vs %v", p1, p2)
-		}
-	}
-}
-
-func TestGreedyBudgeted(t *testing.T) {
-	edges := []Edge{{0, 0, 5}, {1, 1, 4}, {2, 2, 3}}
-	pairs, total := GreedyBudgeted(edges, 2)
-	if len(pairs) != 2 || total != 9 {
-		t.Fatalf("budgeted: %v %v", pairs, total)
-	}
-	pairs, _ = GreedyBudgeted(edges, 0)
-	if len(pairs) != 0 {
-		t.Fatalf("budget 0 chose %v", pairs)
-	}
-	pairs, _ = GreedyBudgeted(edges, 10)
-	if len(pairs) != 3 {
-		t.Fatalf("slack budget chose %v", pairs)
-	}
-}
-
-// Property: greedy achieves at least half the optimal weight
-// (2-approximation), and forms a valid matching.
-func TestQuickGreedyHalfOptimal(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		nl := rng.IntRange(1, 5)
-		nr := rng.IntRange(1, 5)
-		var edges []Edge
-		w := make([][]float64, nl)
-		for i := range w {
-			w[i] = make([]float64, nr)
-			for j := range w[i] {
-				w[i][j] = math.Inf(-1)
-				if rng.Bool(0.5) {
-					wt := float64(rng.IntRange(1, 20))
-					w[i][j] = wt
-					edges = append(edges, Edge{i, j, wt})
-				}
-			}
-		}
-		pairs, total := GreedyMatching(edges)
-		usedL, usedR := map[int]bool{}, map[int]bool{}
-		for _, e := range pairs {
-			if usedL[e.Left] || usedR[e.Right] {
-				return false
-			}
-			usedL[e.Left] = true
-			usedR[e.Right] = true
-		}
-		opt := bruteAssign(w)
-		return total*2+1e-9 >= opt
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkHopcroftKarp(b *testing.B) {
 	rng := xrand.New(3)
 	const nl, nr = 200, 200

@@ -341,53 +341,3 @@ func (c *Collector) JainFairness() float64 {
 	}
 	return sum * sum / (float64(n) * sumsq)
 }
-
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
-// the bucket counts plus the bucket width. Returns nil for empty input.
-func Histogram(xs []float64, n int) (counts []int, lo, width float64) {
-	if len(xs) == 0 || n <= 0 {
-		return nil, 0, 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	counts = make([]int, n)
-	if hi == lo {
-		counts[0] = len(xs)
-		return counts, lo, 0
-	}
-	width = (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts, lo, width
-}
-
-// CDF evaluates the empirical distribution of xs at the given probability
-// points (each in [0,1]), returning the corresponding quantiles. Returns
-// nil for an empty series: there is no distribution to evaluate, and
-// propagating Percentile's NaN sentinel would leak NaN cells into the
-// Markdown/CSV reports built on top of this (a workload with zero input
-// tasks produces exactly such empty series).
-func CDF(xs []float64, points []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = Percentile(sorted, p)
-	}
-	return out
-}

@@ -178,52 +178,3 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	counts, lo, width := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if lo != 0 || math.Abs(width-1.8) > 1e-12 {
-		t.Fatalf("lo=%v width=%v", lo, width)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram lost values: %v", counts)
-	}
-	// Degenerate inputs.
-	if c, _, _ := Histogram(nil, 5); c != nil {
-		t.Fatal("histogram of empty input")
-	}
-	counts, _, width = Histogram([]float64{3, 3, 3}, 4)
-	if counts[0] != 3 || width != 0 {
-		t.Fatalf("constant histogram: %v width %v", counts, width)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	q := CDF(xs, []float64{0, 0.5, 1})
-	if q[0] != 1 || q[2] != 4 {
-		t.Fatalf("CDF endpoints: %v", q)
-	}
-	if q[1] != 2.5 {
-		t.Fatalf("median = %v", q[1])
-	}
-}
-
-// TestCDFEmptySeries pins the NaN guard: an empty series (a workload with
-// zero input tasks) must yield nil, not a slice of Percentile's NaN
-// sentinel, which would leak into Markdown/CSV report cells.
-func TestCDFEmptySeries(t *testing.T) {
-	if q := CDF(nil, []float64{0, 0.5, 1}); q != nil {
-		t.Fatalf("CDF of empty series = %v, want nil", q)
-	}
-	if q := CDF([]float64{}, []float64{0.5}); q != nil {
-		t.Fatalf("CDF of empty series = %v, want nil", q)
-	}
-	// Non-empty series are unaffected by the guard.
-	if q := CDF([]float64{7}, []float64{0, 1}); len(q) != 2 || q[0] != 7 || q[1] != 7 {
-		t.Fatalf("CDF of singleton = %v", q)
-	}
-}

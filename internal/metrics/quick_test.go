@@ -21,43 +21,6 @@ func clamp(xs []float64) []float64 {
 	return out
 }
 
-// TestQuickCDFMonotone: for any series and any ascending probability grid,
-// the CDF quantiles are non-decreasing (a distribution function is
-// monotone) and every value lies inside [min, max] of the series.
-func TestQuickCDFMonotone(t *testing.T) {
-	prop := func(raw []float64, nPoints uint8) bool {
-		xs := clamp(raw)
-		if len(xs) == 0 {
-			return CDF(xs, []float64{0, 0.5, 1}) == nil
-		}
-		n := int(nPoints%32) + 2
-		points := make([]float64, n)
-		for i := range points {
-			points[i] = float64(i) / float64(n-1)
-		}
-		got := CDF(xs, points)
-		if len(got) != len(points) {
-			return false
-		}
-		lo, hi := xs[0], xs[0]
-		for _, x := range xs {
-			lo, hi = math.Min(lo, x), math.Max(hi, x)
-		}
-		for i, q := range got {
-			if q < lo || q > hi {
-				return false
-			}
-			if i > 0 && q < got[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickPercentileBrackets: any quantile of a sorted series is bracketed
 // by the series' min and max, and the extreme quantiles hit them exactly.
 func TestQuickPercentileBrackets(t *testing.T) {
