@@ -97,8 +97,12 @@ echo "== modelcheck mutation smoke"
 # tie-break (only the SelfCheck reference oracle can see it), and the
 # inverted Quincy edge-cost sign (only the policy-generic invariant core can
 # see it, DESIGN.md §16). With no mutant selected a tagged build behaves
-# like an untagged one, but only the mutation test needs to run here.
+# like an untagged one, but only the mutation tests need to run here. The
+# fabric's warm start has its own seeded bug: a replay that ignores the
+# resources new flows joined, which the fabric differential must catch
+# (DESIGN.md §10).
 go test -count=1 -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
+go test -count=1 -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
 
 echo "== modelcheck sweep (custodysim)"
 # The long-run CLI entry on a clean build: a bounded seed sweep must come

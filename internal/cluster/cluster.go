@@ -257,14 +257,17 @@ func (c *Cluster) FinishTask(e *Executor) error {
 }
 
 // Free returns all live unallocated executors, ordered by ID.
-func (c *Cluster) Free() []*Executor {
-	var out []*Executor
+func (c *Cluster) Free() []*Executor { return c.AppendFree(nil) }
+
+// AppendFree appends the live unallocated executors, ordered by ID, to dst
+// and returns the extended slice.
+func (c *Cluster) AppendFree(dst []*Executor) []*Executor {
 	for _, e := range c.executors {
 		if e.owner == NoApp && !e.dead {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	return dst
 }
 
 // Owned returns the executors allocated to an application, ordered by ID.

@@ -41,6 +41,11 @@ type Driver struct {
 	started   bool
 	inManager bool // re-entrancy guard for manager callbacks
 
+	// ownedBufs holds one executor buffer per dispatch nesting depth;
+	// dispatchDepth is the number of dispatch calls in progress.
+	ownedBufs     [][]*cluster.Executor
+	dispatchDepth int
+
 	// Chaos/resilience state. All maps stay empty (and cost nothing) until
 	// faults are injected or resilience knobs are enabled.
 	failedNodes map[int]bool               // nodes taken down via InjectNodeFail
@@ -107,7 +112,7 @@ func New(cfg Config) *Driver {
 	cl := cluster.New(cfg.clusterConfig())
 	for _, n := range cl.Nodes() {
 		if n.Speed != 1 && n.Speed > 0 {
-			fabric.DiskResource(n.ID).Capacity *= n.Speed
+			fabric.SetDiskSpeed(n.ID, n.Speed)
 		}
 	}
 	nn := hdfs.NewNameNode(cfg.Nodes, rng, opts...)
@@ -240,11 +245,17 @@ func (d *Driver) submitJob(a *app.Application, j *app.Job) {
 // dispatch offers idle executors to their owners' schedulers until no more
 // tasks launch, then arms the wake-up timer for locality-wait expiries. The
 // flows of every launch start in one fabric batch: one rate recompute for
-// the whole pass. Each call fills its own buffer with an app's executors, so
-// a dispatch re-entered from a launch leaves the outer snapshot alone.
+// the whole pass. Each nesting depth borrows its own buffer for an app's
+// executors, so a dispatch re-entered from a launch leaves the outer
+// snapshot alone.
 func (d *Driver) dispatch() {
 	now := d.eng.Now()
-	var owned []*cluster.Executor
+	depth := d.dispatchDepth
+	if depth == len(d.ownedBufs) {
+		d.ownedBufs = append(d.ownedBufs, nil)
+	}
+	owned := d.ownedBufs[depth]
+	d.dispatchDepth++
 	d.fabric.Batch(func() {
 		progress := true
 		for progress {
@@ -276,6 +287,8 @@ func (d *Driver) dispatch() {
 			}
 		}
 	})
+	d.dispatchDepth--
+	d.ownedBufs[depth] = owned
 	d.armWake()
 }
 
@@ -349,14 +362,17 @@ func (d *Driver) NameNode() *hdfs.NameNode { return d.nn }
 // Apps implements manager.Env.
 func (d *Driver) Apps() []*app.Application { return d.apps }
 
-// PendingInputTasks implements manager.Env.
+// PendingInputTasks implements manager.Env. It filters the scheduler's
+// fresh copy of its queue in place.
 func (d *Driver) PendingInputTasks(a *app.Application) []*app.Task {
-	var out []*app.Task
-	for _, t := range d.scheds[a.ID].PendingTasks() {
+	tasks := d.scheds[a.ID].PendingTasks()
+	out := tasks[:0]
+	for _, t := range tasks {
 		if t.IsInput() {
 			out = append(out, t)
 		}
 	}
+	clear(tasks[len(out):])
 	return out
 }
 

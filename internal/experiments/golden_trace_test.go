@@ -37,8 +37,9 @@ func goldenRun(kind workload.Kind, mk ManagerKind) (*trace.Recorder, string, err
 // goldenSim runs one golden configuration to completion under a trace
 // recorder. Besides the timeline it returns the run's work counts: events
 // the engine ran, the fabric's rate recomputes and completed flows, the
-// manager's allocation rounds and executor migrations, and the offers made
-// to the task schedulers and the NameNode locality queries they issued.
+// manager's allocation rounds and executor migrations, the offers made to
+// the task schedulers and the NameNode locality queries they issued, and the
+// resources the fabric's bottleneck scans visited.
 // None of them depends on the hardware, so checkWorkCounts holds them
 // exactly.
 func goldenSim(cfg driver.Config, sched workload.Schedule) (*trace.Recorder, string, error) {
@@ -51,8 +52,8 @@ func goldenSim(cfg driver.Config, sched workload.Schedule) (*trace.Recorder, str
 	col := d.Run()
 	fb := d.Fabric()
 	offers, probes := d.SchedulerWork()
-	counts := fmt.Sprintf("events=%d fabric_reallocations=%d flows_completed=%d manager_reallocations=%d executor_migrations=%d offers=%d probes=%d",
-		d.Engine().Executed(), fb.Reallocations, fb.CompletedFlows, col.Reallocations, col.ExecutorMigrations, offers, probes)
+	counts := fmt.Sprintf("events=%d fabric_reallocations=%d flows_completed=%d manager_reallocations=%d executor_migrations=%d offers=%d probes=%d scan_visits=%d",
+		d.Engine().Executed(), fb.Reallocations, fb.CompletedFlows, col.Reallocations, col.ExecutorMigrations, offers, probes, fb.ScanVisits)
 	return rec, counts, nil
 }
 

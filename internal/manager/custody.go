@@ -1,8 +1,9 @@
 package manager
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -46,9 +47,29 @@ type Custody struct {
 	// PlanCheckErr holds the first generic-contract breach, or nil.
 	PlanCheckErr error
 
-	// demandBuf and idleBuf are the reused demand-snapshot buffers.
+	// Scratch reused across rounds, so a round on an unchanged environment
+	// allocates almost nothing: the per-app plans, the tasks a held
+	// executor covers, the executor snapshot, the uncovered tasks sorted by
+	// job, the demand with the arenas its job and task lists live in, and,
+	// under EmitHints, the pending tasks by (app, job, task index).
+	plans     []appPlan
+	covered   map[*app.Task]bool
+	execBuf   []*cluster.Executor
+	byJob     []*app.Task
 	demandBuf []core.AppDemand
+	jobArena  []core.JobDemand
+	taskArena []core.TaskDemand
 	idleBuf   []core.ExecInfo
+	byKey     map[[3]int]*app.Task
+}
+
+// appPlan is one app's share of a round: its unlaunched input tasks, the
+// executors it holds after phase 1, and where its uncovered tasks sit in
+// Custody.byJob.
+type appPlan struct {
+	pending []*app.Task
+	held    int
+	lo, hi  int
 }
 
 // NewCustody builds the Custody manager with the paper's configuration.
@@ -146,19 +167,15 @@ func (c *Custody) reallocate(env Env) {
 	apps := env.Apps()
 	share := fairShare(env)
 
-	type appPlan struct {
-		a       *app.Application
-		pending []*app.Task // unlaunched input tasks
-		covered map[*app.Task]bool
-		byKey   map[[2]int]*app.Task // (job, task index) → task
+	plans := slices.Grow(c.plans[:0], len(apps))[:len(apps)]
+	c.plans = plans
+	if c.covered == nil {
+		c.covered = map[*app.Task]bool{}
 	}
-	plans := make([]*appPlan, len(apps))
+	covered := c.covered
+	clear(covered)
 	for i, a := range apps {
-		p := &appPlan{a: a, pending: env.PendingInputTasks(a), covered: map[*app.Task]bool{}, byKey: map[[2]int]*app.Task{}}
-		for _, t := range p.pending {
-			p.byKey[[2]int{t.Job.ID, t.Index}] = t
-		}
-		plans[i] = p
+		plans[i] = appPlan{pending: env.PendingInputTasks(a)}
 	}
 
 	// Phase 1: decide which held idle executors to keep. Busy executors
@@ -173,19 +190,20 @@ func (c *Custody) reallocate(env Env) {
 			if n == slots {
 				break
 			}
-			if p.covered[t] {
+			if covered[t] {
 				continue
 			}
 			if onNode(env, t, node) {
-				p.covered[t] = true
+				covered[t] = true
 				n++
 			}
 		}
 		return n
 	}
 	for i, a := range apps {
-		p := plans[i]
-		owned := cl.Owned(a.ID)
+		p := &plans[i]
+		owned := cl.AppendOwned(c.execBuf[:0], a.ID)
+		c.execBuf = owned
 		kept := 0
 		busy := 0
 		for _, e := range owned {
@@ -206,55 +224,71 @@ func (c *Custody) reallocate(env Env) {
 				env.Collector().ExecutorMigrations++
 			}
 		}
+		p.held = busy + kept
 	}
 
 	// Phase 2: build core demands from uncovered pending tasks, grouped by
-	// job; history comes from the app's finished-job accounting.
+	// job in job-ID order, each job's tasks in pending order; history comes
+	// from the app's finished-job accounting. Both arenas are sized for
+	// every uncovered task first (a job has at least one), so the job and
+	// task lists handed to the policy never move.
+	byJob := c.byJob[:0]
+	for i := range plans {
+		p := &plans[i]
+		p.lo = len(byJob)
+		for _, t := range p.pending {
+			if !covered[t] {
+				byJob = append(byJob, t)
+			}
+		}
+		p.hi = len(byJob)
+		slices.SortStableFunc(byJob[p.lo:p.hi], func(x, y *app.Task) int { return cmp.Compare(x.Job.ID, y.Job.ID) })
+	}
+	c.byJob = byJob
+	jobs := slices.Grow(c.jobArena[:0], len(byJob))
+	tds := slices.Grow(c.taskArena[:0], len(byJob))
 	demands := c.demandBuf[:0]
 	for i, a := range apps {
-		p := plans[i]
+		p := &plans[i]
 		d := core.AppDemand{
 			App:        int(a.ID),
 			Budget:     share,
-			Held:       cl.OwnedCount(a.ID),
+			Held:       p.held,
 			ExtraTasks: env.PendingCount(a) - len(p.pending),
 			LocalJobs:  a.LocalJobs,
 			TotalJobs:  a.TotalJobs,
 			LocalTasks: a.LocalTasks,
 			TotalTasks: a.TotalTasks,
 		}
-		byJob := map[int][]*app.Task{}
-		var jobIDs []int
-		for _, t := range p.pending {
-			if p.covered[t] {
-				continue
+		jb, tb := len(jobs), 0
+		for k, t := range byJob[p.lo:p.hi] {
+			if k == 0 || t.Job.ID != jobs[len(jobs)-1].Job {
+				jobs = append(jobs, core.JobDemand{Job: t.Job.ID})
+				tb = len(tds)
 			}
-			if _, ok := byJob[t.Job.ID]; !ok {
-				jobIDs = append(jobIDs, t.Job.ID)
-			}
-			byJob[t.Job.ID] = append(byJob[t.Job.ID], t)
+			nodes, fb := demandNodes(env, t)
+			tds = append(tds, core.TaskDemand{
+				Task:     t.Index,
+				Block:    t.Block,
+				Nodes:    nodes,
+				Fallback: fb,
+				Warm:     warmNodes(env, t, nodes, fb),
+			})
+			jobs[len(jobs)-1].Tasks = tds[tb:len(tds):len(tds)]
 		}
-		sort.Ints(jobIDs)
-		for _, jid := range jobIDs {
-			jd := core.JobDemand{Job: jid}
-			for _, t := range byJob[jid] {
-				nodes, fb := demandNodes(env, t)
-				jd.Tasks = append(jd.Tasks, core.TaskDemand{
-					Task:     t.Index,
-					Block:    t.Block,
-					Nodes:    nodes,
-					Fallback: fb,
-					Warm:     warmNodes(env, t, nodes, fb),
-				})
-			}
-			d.Jobs = append(d.Jobs, jd)
+		if len(jobs) > jb {
+			d.Jobs = jobs[jb:len(jobs):len(jobs)]
 		}
 		demands = append(demands, d)
 	}
+	c.jobArena = jobs
+	c.taskArena = tds
 
 	// Phase 3: allocate idle executors (slot-aware) through the policy.
 	idle := c.idleBuf[:0]
-	for _, e := range cl.Free() {
+	free := cl.AppendFree(c.execBuf[:0])
+	c.execBuf = free
+	for _, e := range free {
 		idle = append(idle, core.ExecInfo{ID: e.ID, Node: e.Node.ID, Slots: e.Slots()})
 	}
 	plan := c.Policy.Allocate(demands, idle, c.Opts)
@@ -272,20 +306,25 @@ func (c *Custody) reallocate(env Env) {
 				env.Collector().Reallocations, got, wantS)
 		}
 	}
+	if c.EmitHints {
+		if c.byKey == nil {
+			c.byKey = map[[3]int]*app.Task{}
+		}
+		clear(c.byKey)
+		for i, a := range apps {
+			for _, t := range plans[i].pending {
+				c.byKey[[3]int{int(a.ID), t.Job.ID, t.Index}] = t
+			}
+		}
+	}
 	for _, as := range plan.Assignments {
 		e := cl.Executor(as.Exec)
 		if e.Owner() != cluster.AppID(as.App) {
 			env.Allocate(e, cluster.AppID(as.App))
 		}
 		if c.EmitHints && as.Local {
-			for _, p := range plans {
-				if int(p.a.ID) != as.App {
-					continue
-				}
-				if t, ok := p.byKey[[2]int{as.Job, as.Task}]; ok {
-					env.Hint(t, as.Exec)
-				}
-				break
+			if t, ok := c.byKey[[3]int{as.App, as.Job, as.Task}]; ok {
+				env.Hint(t, as.Exec)
 			}
 		}
 	}
@@ -359,15 +398,8 @@ func containsNode(nodes []int, n int) bool {
 	return false
 }
 
-// onNode reports whether the task's block has a replica on the node.
+// onNode reports whether the NameNode lists a replica of the task's block on
+// the node.
 func onNode(env Env, t *app.Task, node int) bool {
-	if !t.IsInput() {
-		return false
-	}
-	for _, n := range env.NameNode().Locations(t.Block) {
-		if n == node {
-			return true
-		}
-	}
-	return false
+	return t.IsInput() && env.NameNode().ReplicaOn(t.Block, node)
 }

@@ -46,8 +46,10 @@ func (f *fakeEnv) NameNode() *hdfs.NameNode      { return f.nn }
 func (f *fakeEnv) Apps() []*app.Application      { return f.apps }
 func (f *fakeEnv) Collector() *metrics.Collector { return f.col }
 
+// PendingInputTasks copies the app's input tasks into one fresh slice, as
+// the driver's filtered scheduler copy is.
 func (f *fakeEnv) PendingInputTasks(a *app.Application) []*app.Task {
-	var out []*app.Task
+	out := make([]*app.Task, 0, len(f.pending[a.ID]))
 	for _, t := range f.pending[a.ID] {
 		if t.IsInput() {
 			out = append(out, t)
@@ -421,5 +423,53 @@ func TestCustodyEmitsHints(t *testing.T) {
 	m2.OnJobSubmit(env2, a2, job2)
 	if len(env2.hints) == 0 {
 		t.Fatal("no hints emitted with EmitHints on")
+	}
+}
+
+// TestCustodyWarmRoundAllocs pins the heap allocations of a Custody round
+// on an unchanged environment once the manager's scratch is warm. Two apps
+// share 8 two-executor nodes; each has two jobs of input tasks over a
+// 12-block file, more than its budget covers, so every round keeps the held
+// executors, rebuilds the demand of the uncovered tasks and runs the policy
+// over an empty idle pool. What remains per round:
+//   - one slice per app from PendingInputTasks: the environment's copy of
+//     the app's queue (the driver's is the task scheduler's PendingTasks);
+//   - one slice per uncovered task from NameNode.Locations in demandNodes,
+//     which becomes the task's preferred nodes.
+//
+// The plan is empty, so the policy allocates no Assignments slice: a plan
+// that granted anything would change the environment.
+func TestCustodyWarmRoundAllocs(t *testing.T) {
+	env := newFakeEnv(8, 2, 1)
+	f, err := env.nn.Create("in", 12*128<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		a := env.addApp("a")
+		for k, b := range f.Blocks {
+			env.pending[a.ID] = append(env.pending[a.ID], mkTask(a, 1+k%2, k, b.ID))
+		}
+	}
+	m := NewCustody()
+	m.Reallocate(env)
+	m.Reallocate(env)
+	held := [2]int{env.cl.OwnedCount(0), env.cl.OwnedCount(1)}
+	uncovered := 0
+	for _, d := range m.demandBuf {
+		for _, jd := range d.Jobs {
+			uncovered += len(jd.Tasks)
+		}
+	}
+	if held[0] == 0 || held[1] == 0 || uncovered == 0 {
+		t.Fatalf("apps hold %v executors with %d uncovered tasks; want both holding and demand left", held, uncovered)
+	}
+	want := float64(len(env.apps) + uncovered)
+	if n := testing.AllocsPerRun(50, func() { m.Reallocate(env) }); n != want {
+		t.Fatalf("warm Custody round made %v allocs, want %v (%d apps, %d uncovered tasks)",
+			n, want, len(env.apps), uncovered)
+	}
+	if got := [2]int{env.cl.OwnedCount(0), env.cl.OwnedCount(1)}; got != held {
+		t.Fatalf("rounds on an unchanged environment moved executors: held %v, then %v", held, got)
 	}
 }

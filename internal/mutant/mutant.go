@@ -1,14 +1,15 @@
-// Package mutant names the seeded bugs that prove the model checker has
-// teeth. Each mutation point in the allocator stack is guarded by
+// Package mutant names the seeded bugs that prove the model checker and the
+// differential tests have teeth. Each mutation point is guarded by
 // `mutant.Active == mutant.X`. Builds without the custodymutate tag fix
 // Active at None as a constant, so every guarded branch is compile-time
 // false and compiled out. A build with the tag makes Active a variable
 // that Select sets, so one tagged test binary can run each mutant in turn,
 // and with nothing selected it behaves like an untagged build.
 //
-// Run the mutation smoke test with:
+// Run the mutation smoke tests with:
 //
 //	go test -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
+//	go test -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
 package mutant
 
 // Name identifies one seeded bug.
@@ -29,4 +30,9 @@ const (
 	// internal/policy's Quincy flow network, so the policy starves every
 	// application: a bug only the policy-generic invariants can catch.
 	PolicyCostSign Name = "policy-cost-sign"
+	// NetsimWarmJoined makes internal/netsim's warm start skip the check
+	// that every joined or rescaled resource's share stays above a replayed
+	// level's, so a new flow that should become the bottleneck is frozen at
+	// a stale level: a divergence the fabric differential must catch.
+	NetsimWarmJoined Name = "netsim-warm-joined"
 )

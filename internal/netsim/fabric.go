@@ -15,6 +15,14 @@
 // so freezing a bottleneck walks only that resource's flows. Batch defers
 // the pass across a burst of changes at one instant.
 //
+// Passes are warm-started. Each pass keeps its bottleneck sequence (the
+// levels), and between passes the fabric logs the resources a new flow
+// joined or a rescale touched and the lowest level of any removed flow. The
+// next pass replays the old levels that no logged change can reach, without
+// scanning for them, and scans from the first level a change may move. The
+// replay computes the same residuals in the same order as a cold pass, so
+// the rates stay bit-identical (DESIGN.md §10).
+//
 // Flow completions are event-driven: after every rate change the fabric
 // advances each flow's remaining bytes and reschedules a single timer for the
 // earliest completion.
@@ -26,6 +34,7 @@ import (
 	"slices"
 
 	"repro/internal/event"
+	"repro/internal/mutant"
 )
 
 // ResourceKind identifies what a resource models.
@@ -65,7 +74,7 @@ func (k ResourceKind) String() string {
 type Resource struct {
 	Kind     ResourceKind
 	Node     int
-	Capacity float64 // bytes per second
+	capacity float64 // bytes per second; changed only through Fabric.scale
 
 	flows []*Flow // active flows crossing the resource, in ID order
 
@@ -74,7 +83,14 @@ type Resource struct {
 	epoch    uint64
 	residual float64 // capacity not yet handed to frozen flows
 	unfrozen int     // unfrozen flows crossing
+
+	// logged is the pass for which the resource sits in the fabric's
+	// change log: joined by a new flow or rescaled since the last pass.
+	logged uint64
 }
+
+// Capacity returns the resource's current capacity in bytes per second.
+func (r *Resource) Capacity() float64 { return r.capacity }
 
 // Flow is an in-progress transfer across a set of resources.
 type Flow struct {
@@ -88,7 +104,11 @@ type Flow struct {
 	finished  bool
 	cancelled bool
 	src, dst  int // endpoint nodes
+	level     int // filling level the last pass froze it at; noLevel if none
 }
+
+// noLevel is the level of a flow no pass has frozen yet.
+const noLevel = math.MaxInt
 
 // Src returns the flow's source node.
 func (f *Flow) Src() int { return f.src }
@@ -122,6 +142,16 @@ type Fabric struct {
 	epoch   uint64
 	touched []*Resource
 
+	// The warm start. levels is the last pass's bottleneck sequence. The
+	// change log since then: joined holds the resources a new flow joined
+	// or a rescale touched (each once, marked by Resource.logged), and
+	// minRemoved is the lowest level of a flow that left. SetPartition and
+	// ClearPartition rewrite flows' resource lists, so they drop levels and
+	// the next pass runs cold.
+	levels     []level
+	joined     []*Resource
+	minRemoved int
+
 	// batch is the Batch nesting depth; dirty records a change inside it
 	// whose pass is still owed.
 	batch int
@@ -144,6 +174,16 @@ type Fabric struct {
 	CompletedFlows int64
 	// Reallocations counts progressive-filling passes.
 	Reallocations int64
+	// ScanVisits counts the resources the bottleneck scans visited: the
+	// filling work the warm start saves.
+	ScanVisits int64
+}
+
+// level is one step of a pass's progressive filling: the bottleneck whose
+// unfrozen flows froze and the share they froze at.
+type level struct {
+	r     *Resource
+	share float64
 }
 
 // Config describes per-node capacities in bytes per second.
@@ -181,8 +221,9 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 		panic("netsim: NewFabric with non-positive capacity")
 	}
 	f := &Fabric{
-		eng:     eng,
-		baseCap: make(map[*Resource]float64),
+		eng:        eng,
+		baseCap:    make(map[*Resource]float64),
+		minRemoved: noLevel,
 	}
 	f.onTimer = f.onCompletion
 	memBps := cfg.MemoryBps
@@ -190,12 +231,27 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 		memBps = DefaultMemoryBps
 	}
 	for i := 0; i < n; i++ {
-		f.up = append(f.up, &Resource{Kind: Uplink, Node: i, Capacity: cfg.UplinkBps})
-		f.down = append(f.down, &Resource{Kind: Downlink, Node: i, Capacity: cfg.DownlinkBps})
-		f.disk = append(f.disk, &Resource{Kind: Disk, Node: i, Capacity: cfg.DiskBps})
-		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, Capacity: memBps})
+		f.up = append(f.up, &Resource{Kind: Uplink, Node: i, capacity: cfg.UplinkBps})
+		f.down = append(f.down, &Resource{Kind: Downlink, Node: i, capacity: cfg.DownlinkBps})
+		f.disk = append(f.disk, &Resource{Kind: Disk, Node: i, capacity: cfg.DiskBps})
+		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, capacity: memBps})
 	}
 	return f
+}
+
+// SetDiskSpeed multiplies node n's nominal disk bandwidth by speed, for a
+// node whose storage is faster or slower than the configured default. It
+// configures the fabric before it runs and panics once a flow has started:
+// capacity changes afterwards go through ScaleDisk, which the warm start
+// logs.
+func (fb *Fabric) SetDiskSpeed(n int, speed float64) {
+	if fb.nextID > 0 {
+		panic("netsim: SetDiskSpeed after a flow started")
+	}
+	if speed <= 0 || math.IsNaN(speed) {
+		panic(fmt.Sprintf("netsim: SetDiskSpeed with invalid speed %v", speed))
+	}
+	fb.disk[n].capacity *= speed
 }
 
 // Tier selects the storage tier a read is served from.
@@ -257,9 +313,6 @@ func (fb *Fabric) Transfer(src, dst int, bytes float64, done func()) *Flow {
 	return fb.start(src, dst, bytes, 0, done, fb.up[src], fb.down[dst])
 }
 
-// DiskResource exposes node n's disk.
-func (fb *Fabric) DiskResource(n int) *Resource { return fb.disk[n] }
-
 // start creates a flow over resources, followed by its private cap when
 // capBps > 0 and by the partition choke when it crosses the partition, and
 // admits it into the rate allocation at once. Flows therefore enter
@@ -279,9 +332,10 @@ func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resour
 		done:      done,
 		src:       src,
 		dst:       dst,
+		level:     noLevel,
 	}
 	if capBps > 0 {
-		fl.cap = Resource{Kind: FlowCap, Node: dst, Capacity: capBps}
+		fl.cap = Resource{Kind: FlowCap, Node: dst, capacity: capBps}
 		resources = append(resources, &fl.cap)
 	}
 	if fb.crossesPartition(src, dst) {
@@ -307,9 +361,19 @@ func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resour
 	fb.flows = append(fb.flows, fl)
 	for _, r := range resources {
 		r.flows = append(r.flows, fl)
+		fb.logChange(r)
 	}
 	fb.changed()
 	return fl
+}
+
+// logChange records that r gained a flow or changed capacity since the last
+// pass, once per pass.
+func (fb *Fabric) logChange(r *Resource) {
+	if r.logged != fb.epoch+1 {
+		r.logged = fb.epoch + 1
+		fb.joined = append(fb.joined, r)
+	}
 }
 
 // Cancel aborts a flow in flight. Its done callback never runs. Cancelling a
@@ -325,8 +389,9 @@ func (fb *Fabric) Cancel(fl *Flow) {
 	fb.changed()
 }
 
-// detach takes fl off its resources' flow lists.
+// detach takes fl off its resources' flow lists and logs the level it left.
 func (fb *Fabric) detach(fl *Flow) {
+	fb.minRemoved = min(fb.minRemoved, fl.level)
 	for _, r := range fl.resources {
 		r.flows = removeFlow(r.flows, fl)
 	}
@@ -414,12 +479,24 @@ func (fb *Fabric) changed() {
 // bottleneck, and within one bottleneck in flow-ID order), and ties between
 // equal shares go to the resource touched first in flow-ID order, so the
 // rates are reproducible bit for bit.
+//
+// The pass first replays the last pass's levels while no logged change can
+// reach them. Level i is replayed only below the lowest level a removed flow
+// froze at, only if its bottleneck was neither joined nor rescaled, and only
+// while every joined or rescaled resource's current share is strictly above
+// the level's share. Inside that prefix the bottleneck keeps its flows, so
+// its share and its place in the touched order are unchanged; every other
+// unlogged resource only lost flows, so its share can only rise and its
+// place only move later. The cold scan would therefore pick the same
+// bottleneck at the same share, ties included.
 func (fb *Fabric) reallocate() {
 	if fb.timer != nil {
 		fb.eng.Cancel(fb.timer)
 		fb.timer = nil
 	}
 	if len(fb.flows) == 0 {
+		fb.keepLevels(0)
+		fb.resetLog()
 		return
 	}
 	fb.Reallocations++
@@ -433,7 +510,7 @@ func (fb *Fabric) reallocate() {
 		for _, r := range fl.resources {
 			if r.epoch != fb.epoch {
 				r.epoch = fb.epoch
-				r.residual = r.Capacity
+				r.residual = r.capacity
 				r.unfrozen = 0
 				touched = append(touched, r)
 			}
@@ -441,12 +518,30 @@ func (fb *Fabric) reallocate() {
 		}
 	}
 	fb.touched = touched
-	for remaining := len(fb.flows); remaining > 0; {
+	remaining := len(fb.flows)
+
+	// Replay the levels no change can reach.
+	n := 0
+	for limit := min(len(fb.levels), fb.minRemoved); n < limit && remaining > 0; n++ {
+		lv := fb.levels[n]
+		if lv.r.logged == fb.epoch || !fb.logAbove(lv.share) {
+			break
+		}
+		if lv.r.epoch != fb.epoch || lv.r.residual/float64(lv.r.unfrozen) != lv.share {
+			panic("netsim: replayed level disagrees with the last pass")
+		}
+		remaining -= freeze(lv.r, lv.share, n)
+	}
+	fb.keepLevels(n)
+	fb.resetLog()
+
+	for ; remaining > 0; n++ {
 		// Find the bottleneck: the resource with the smallest fair share
 		// (first touched wins ties). Resources with no unfrozen flows left
 		// drop out of the scan for the rest of the pass.
 		var bottleneck *Resource
 		best := math.Inf(1)
+		fb.ScanVisits += int64(len(touched))
 		live := touched[:0]
 		for _, r := range touched {
 			if r.unfrozen == 0 {
@@ -465,22 +560,8 @@ func (fb *Fabric) reallocate() {
 			// flow crosses at least one resource.
 			panic("netsim: progressive filling found no bottleneck")
 		}
-		// Freeze every unfrozen flow crossing the bottleneck at the share,
-		// in flow-ID order.
-		for _, fl := range bottleneck.flows {
-			if fl.rate >= 0 {
-				continue
-			}
-			fl.rate = best
-			remaining--
-			for _, r := range fl.resources {
-				r.residual -= best
-				if r.residual < 0 {
-					r.residual = 0
-				}
-				r.unfrozen--
-			}
-		}
+		fb.levels = append(fb.levels, level{bottleneck, best})
+		remaining -= freeze(bottleneck, best, n)
 	}
 	// Drop the scratch pointers so per-flow caps do not keep finished flows
 	// reachable.
@@ -501,6 +582,57 @@ func (fb *Fabric) reallocate() {
 		panic("netsim: active flows but no positive rates")
 	}
 	fb.timer = fb.eng.AtStamp(fb.eng.Now()+soonest, fb.stamp, fb.onTimer)
+}
+
+// freeze fixes every unfrozen flow crossing the bottleneck r at share, in
+// flow-ID order, stamps it with level n, and returns how many it froze.
+func freeze(r *Resource, share float64, n int) int {
+	frozen := 0
+	for _, fl := range r.flows {
+		if fl.rate >= 0 {
+			continue
+		}
+		fl.rate = share
+		fl.level = n
+		frozen++
+		for _, q := range fl.resources {
+			q.residual -= share
+			if q.residual < 0 {
+				q.residual = 0
+			}
+			q.unfrozen--
+		}
+	}
+	return frozen
+}
+
+// logAbove reports whether every logged resource with unfrozen flows in
+// this pass has a current share strictly above share.
+func (fb *Fabric) logAbove(share float64) bool {
+	if mutant.Active == mutant.NetsimWarmJoined { // seeded bug: ignore the joined resources
+		return true
+	}
+	for _, r := range fb.joined {
+		if r.epoch == fb.epoch && r.unfrozen > 0 && r.residual/float64(r.unfrozen) <= share {
+			return false
+		}
+	}
+	return true
+}
+
+// keepLevels truncates the recorded levels to the first n, dropping the
+// pointers of the rest so per-flow caps do not keep finished flows
+// reachable.
+func (fb *Fabric) keepLevels(n int) {
+	clear(fb.levels[n:])
+	fb.levels = fb.levels[:n]
+}
+
+// resetLog empties the change log once a pass has consumed it.
+func (fb *Fabric) resetLog() {
+	clear(fb.joined)
+	fb.joined = fb.joined[:0]
+	fb.minRemoved = noLevel
 }
 
 // onCompletion fires when at least one flow should have drained.
@@ -565,13 +697,14 @@ func (fb *Fabric) SetPartition(groups []int, chokeBps float64) {
 	}
 	fb.advance()
 	fb.partition = append([]int(nil), groups...)
-	fb.choke = &Resource{Kind: FlowCap, Node: -1, Capacity: chokeBps}
+	fb.choke = &Resource{Kind: FlowCap, Node: -1, capacity: chokeBps}
 	for _, fl := range fb.flows {
 		if fb.crossesPartition(fl.src, fl.dst) {
 			fl.resources = append(fl.resources, fb.choke)
 			fb.choke.flows = append(fb.choke.flows, fl)
 		}
 	}
+	fb.keepLevels(0)
 	fb.changed()
 }
 
@@ -589,21 +722,25 @@ func (fb *Fabric) ClearPartition() {
 	}
 	fb.partition = nil
 	fb.choke = nil
+	fb.keepLevels(0)
 	fb.changed()
 }
 
 // scale sets a resource's capacity to factor × its nominal capacity,
-// remembering the nominal value across repeated scalings.
+// remembering the nominal value across repeated scalings, and logs the
+// change for the warm start. Every capacity change after construction goes
+// through here.
 func (fb *Fabric) scale(r *Resource, factor float64) {
 	if factor <= 0 || math.IsNaN(factor) {
 		panic(fmt.Sprintf("netsim: scale with invalid factor %v", factor))
 	}
 	base, ok := fb.baseCap[r]
 	if !ok {
-		base = r.Capacity
+		base = r.capacity
 		fb.baseCap[r] = base
 	}
-	r.Capacity = base * factor
+	r.capacity = base * factor
+	fb.logChange(r)
 	if factor == 1 {
 		delete(fb.baseCap, r)
 	}
@@ -635,5 +772,5 @@ func (fb *Fabric) Utilization(r *Resource) float64 {
 	for _, fl := range r.flows {
 		sum += fl.rate
 	}
-	return sum / r.Capacity
+	return sum / r.capacity
 }

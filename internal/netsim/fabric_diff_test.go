@@ -55,10 +55,16 @@ const (
 	numOps
 )
 
+// failer is the part of testing.TB the differential reports through.
+type failer interface {
+	Helper()
+	Fatalf(format string, args ...any)
+}
+
 // fabricPair holds the two fabrics under comparison and every flow started
 // on them, in start order.
 type fabricPair struct {
-	t          *testing.T
+	t          failer
 	nodes      int
 	engP, engR *event.Engine
 	fb         *Fabric
@@ -70,19 +76,9 @@ type fabricPair struct {
 	kinds      [numOps]int // operations applied, by kind
 }
 
-// runFabricEquivalence decodes a fabric configuration and up to 80
-// operations from data and checks the two fabrics agree throughout.
-func runFabricEquivalence(t *testing.T, data []byte) *fabricPair {
-	t.Helper()
-	b := &opBytes{data: data}
-	nodes := 2 + b.next()%4
-	caps := [4]float64{10, 20, 40, 100}
-	cfg := Config{
-		UplinkBps:   caps[b.next()%4],
-		DownlinkBps: caps[b.next()%4],
-		DiskBps:     caps[b.next()%4],
-		MemoryBps:   caps[b.next()%4],
-	}
+// newFabricPair builds a production fabric and a reference fabric of the
+// same shape, each on its own engine.
+func newFabricPair(t failer, nodes int, cfg Config) *fabricPair {
 	p := &fabricPair{
 		t:     t,
 		nodes: nodes,
@@ -93,14 +89,43 @@ func runFabricEquivalence(t *testing.T, data []byte) *fabricPair {
 	}
 	p.fb = NewFabric(p.engP, nodes, cfg)
 	p.rf = newRefFabric(p.engR, nodes, cfg)
-	now := 0.0
+	return p
+}
+
+// runFabricEquivalence decodes a fabric configuration and up to 80
+// operations from data and checks the two fabrics agree throughout.
+func runFabricEquivalence(t failer, data []byte) *fabricPair {
+	t.Helper()
+	b := &opBytes{data: data}
+	nodes := 2 + b.next()%4
+	caps := [4]float64{10, 20, 40, 100}
+	cfg := Config{
+		UplinkBps:   caps[b.next()%4],
+		DownlinkBps: caps[b.next()%4],
+		DiskBps:     caps[b.next()%4],
+		MemoryBps:   caps[b.next()%4],
+	}
+	p := newFabricPair(t, nodes, cfg)
 	for ops := 0; b.more() && ops < 80; ops++ {
-		now += float64(b.next()%4) * 0.25
-		p.engP.RunUntil(now)
-		p.engR.RunUntil(now)
+		p.runUntil(p.engP.Now() + float64(b.next()%4)*0.25)
 		p.step(b, 0)
 		p.compare(ops)
 	}
+	p.finish()
+	return p
+}
+
+// runUntil moves both engines to simulated time now.
+func (p *fabricPair) runUntil(now float64) {
+	p.engP.RunUntil(now)
+	p.engR.RunUntil(now)
+}
+
+// finish drains both engines and checks the final state, the completion
+// time of every flow, the totals and the number of events run.
+func (p *fabricPair) finish() {
+	t := p.t
+	t.Helper()
 	p.engP.Run()
 	p.engR.Run()
 	p.compare(-1)
@@ -120,7 +145,6 @@ func runFabricEquivalence(t *testing.T, data []byte) *fabricPair {
 	if p.engP.Executed() != p.engR.Executed() {
 		t.Fatalf("%d events run, reference %d", p.engP.Executed(), p.engR.Executed())
 	}
-	return p
 }
 
 // callbacks returns done callbacks that record the completion time of the
@@ -159,13 +183,9 @@ func (p *fabricPair) step(b *opBytes, depth int) {
 		p.started(p.fb.RemoteReadCapTier(src, dst, sz, capBps, tr, dp),
 			p.rf.RemoteReadCapTier(src, dst, sz, capBps, tr, dr))
 	case opTransfer:
-		src, dst, sz := node(), node(), size()
-		dp, dr := p.callbacks()
-		p.started(p.fb.Transfer(src, dst, sz, dp), p.rf.Transfer(src, dst, sz, dr))
+		p.transfer(node(), node(), size())
 	case opZero:
-		src, dst := node(), node()
-		dp, dr := p.callbacks()
-		p.started(p.fb.Transfer(src, dst, 0, dp), p.rf.Transfer(src, dst, 0, dr))
+		p.transfer(node(), node(), 0)
 	case opCancel:
 		if len(p.prod) == 0 {
 			return
@@ -174,9 +194,7 @@ func (p *fabricPair) step(b *opBytes, depth int) {
 		p.fb.Cancel(p.prod[i])
 		p.rf.Cancel(p.ref[i])
 	case opScaleLinks:
-		n, f := node(), factor()
-		p.fb.ScaleLinks(n, f)
-		p.rf.ScaleLinks(n, f)
+		p.scaleLinks(node(), factor())
 	case opScaleDisk:
 		n, f := node(), factor()
 		p.fb.ScaleDisk(n, f)
@@ -203,6 +221,18 @@ func (p *fabricPair) step(b *opBytes, depth int) {
 			}
 		})
 	}
+}
+
+// transfer starts a network transfer on both fabrics.
+func (p *fabricPair) transfer(src, dst int, size float64) {
+	dp, dr := p.callbacks()
+	p.started(p.fb.Transfer(src, dst, size, dp), p.rf.Transfer(src, dst, size, dr))
+}
+
+// scaleLinks rescales a node's links on both fabrics.
+func (p *fabricPair) scaleLinks(n int, factor float64) {
+	p.fb.ScaleLinks(n, factor)
+	p.rf.ScaleLinks(n, factor)
 }
 
 // compare checks the active flows and the completion timer after operation
@@ -283,30 +313,37 @@ func flowIDs(list []*Flow) []int64 {
 	return ids
 }
 
+// referenceCases are the fabric shapes of the differential battery.
+var referenceCases = []struct {
+	name   string
+	header []byte // nodes, uplink, downlink, disk, memory
+}{
+	{"two-nodes", []byte{0, 0, 1, 2, 3}},
+	{"five-nodes-mixed", []byte{3, 1, 3, 2, 0}},
+	{"equal-capacities", []byte{1, 1, 1, 1, 1}},
+	{"four-nodes-slow-uplink", []byte{2, 0, 2, 1, 3}},
+	{"five-nodes-equal-capacities", []byte{3, 2, 2, 2, 2}},
+}
+
+// referenceData is one seed's operation bytes for a battery shape.
+func referenceData(header []byte, seed uint64) []byte {
+	rng := xrand.New(seed)
+	data := append([]byte(nil), header...)
+	for i := 0; i < 300; i++ {
+		data = append(data, byte(rng.Intn(256)))
+	}
+	return data
+}
+
 // TestFabricMatchesReference runs random operation sequences against the
 // frozen solver on a table of fabric shapes. Equal capacities make shares
 // tie often, which exercises the first-touch tie-break.
 func TestFabricMatchesReference(t *testing.T) {
-	cases := []struct {
-		name   string
-		header []byte // nodes, uplink, downlink, disk, memory
-	}{
-		{"two-nodes", []byte{0, 0, 1, 2, 3}},
-		{"five-nodes-mixed", []byte{3, 1, 3, 2, 0}},
-		{"equal-capacities", []byte{1, 1, 1, 1, 1}},
-		{"four-nodes-slow-uplink", []byte{2, 0, 2, 1, 3}},
-		{"five-nodes-equal-capacities", []byte{3, 2, 2, 2, 2}},
-	}
 	var kinds [numOps]int
-	for _, c := range cases {
+	for _, c := range referenceCases {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 40; seed++ {
-				rng := xrand.New(seed)
-				data := append([]byte(nil), c.header...)
-				for i := 0; i < 300; i++ {
-					data = append(data, byte(rng.Intn(256)))
-				}
-				p := runFabricEquivalence(t, data)
+				p := runFabricEquivalence(t, referenceData(c.header, seed))
 				for k, n := range p.kinds {
 					kinds[k] += n
 				}
@@ -341,7 +378,7 @@ func TestUtilizationDeterministic(t *testing.T) {
 		// Distinct uplink capacities give every flow into node 0 its own
 		// inexact rate, so the sum depends on the order it is taken in.
 		for src := 1; src < 40; src++ {
-			fb.up[src].Capacity = 100 / float64(src+2)
+			fb.up[src].capacity = 100 / float64(src+2)
 			fb.Transfer(src, 0, 1e6, nil)
 		}
 		u := math.Float64bits(fb.Utilization(fb.down[0]))
@@ -398,4 +435,65 @@ func TestPassAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, fb.changed); allocs > 1 {
 		t.Fatalf("a pass allocates %v objects, want at most 1 (the completion timer)", allocs)
 	}
+}
+
+// TestWarmStartTies drives a symmetric fabric in which every filling level
+// ties: equal capacities everywhere and flows laid out in rings, so each
+// bottleneck shares its fair share with many later resources. Starts,
+// completions and a rescale land between passes. The warm fabric must match
+// the reference bit for bit, and so must a cold one that drops its levels
+// before every pass; the warm one must scan fewer resources.
+func TestWarmStartTies(t *testing.T) {
+	const nodes = 8
+	cfg := Config{UplinkBps: 100, DownlinkBps: 100, DiskBps: 100, MemoryBps: 100}
+	run := func(cold bool) *Fabric {
+		p := newFabricPair(t, nodes, cfg)
+		fb := p.fb
+		if cold {
+			fb.onTimer = func() {
+				fb.levels = fb.levels[:0]
+				fb.onCompletion()
+			}
+		}
+		op := 0
+		do := func(fn func()) {
+			if cold {
+				fb.levels = fb.levels[:0]
+			}
+			fn()
+			p.compare(op)
+			op++
+		}
+		// Two rings of transfers: every uplink and downlink carries two
+		// flows, so every share is 50. Sizes differ per ring, so the rings
+		// complete at different times.
+		for i := 0; i < nodes; i++ {
+			do(func() { p.transfer(i, (i+1)%nodes, 100) })
+			do(func() { p.transfer(i, (i+3)%nodes, 300) })
+		}
+		p.runUntil(1)
+		// A third ring joins: every share ties again, now at 100/3.
+		for i := 0; i < nodes; i++ {
+			do(func() { p.transfer(i, (i+5)%nodes, 200) })
+		}
+		p.runUntil(2)
+		do(func() { p.scaleLinks(3, 0.5) })
+		p.runUntil(4)
+		for i := 0; i < nodes; i += 2 {
+			do(func() { p.transfer(i, (i+1)%nodes, 50) })
+		}
+		p.runUntil(5)
+		do(func() { p.scaleLinks(3, 1) })
+		p.finish()
+		return fb
+	}
+	warm, cold := run(false), run(true)
+	if warm.Reallocations != cold.Reallocations {
+		t.Fatalf("warm fabric ran %d passes, cold %d", warm.Reallocations, cold.Reallocations)
+	}
+	if warm.ScanVisits >= cold.ScanVisits {
+		t.Fatalf("warm fabric's scans visited %d resources, cold %d: the replay kept no tied level",
+			warm.ScanVisits, cold.ScanVisits)
+	}
+	t.Logf("%d passes; scans visited %d resources warm, %d cold", warm.Reallocations, warm.ScanVisits, cold.ScanVisits)
 }

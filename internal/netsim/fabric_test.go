@@ -79,7 +79,7 @@ func TestMaxMinUnevenBottlenecks(t *testing.T) {
 	fb := NewFabric(eng, 3, cfg(30, 100, 1000))
 	// Flow A: 0→1 (up0, down1). Flow B: 0→2 (up0, down2). Shrinking down2
 	// from 100 gives the two flows different bottlenecks.
-	fb.down[2].Capacity = 12
+	fb.down[2].capacity = 12
 	var ta, tb float64 = -1, -1
 	fb.Transfer(0, 1, 180, func() { ta = eng.Now() })
 	fb.Transfer(0, 2, 120, func() { tb = eng.Now() })
@@ -203,7 +203,7 @@ func TestQuickCapacityRespected(t *testing.T) {
 					}
 					sum += fl.rate
 				}
-				if sum > r.Capacity*(1+1e-9) {
+				if sum > r.capacity*(1+1e-9) {
 					return false
 				}
 			}
@@ -253,4 +253,26 @@ func BenchmarkReallocate200Flows(b *testing.B) {
 		}
 		eng.Run()
 	}
+}
+
+// TestSetDiskSpeed: a node's disk speed scales its nominal bandwidth before
+// the fabric runs, and setting it once a flow has started panics, since
+// such a change would bypass the warm start's change log.
+func TestSetDiskSpeed(t *testing.T) {
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 2, cfg(100, 100, 40))
+	fb.SetDiskSpeed(1, 0.5)
+	if got := fb.disk[1].Capacity(); got != 20 {
+		t.Fatalf("disk capacity %v after speed 0.5, want 20", got)
+	}
+	var finish float64 = -1
+	fb.LocalRead(1, 100, func() { finish = eng.Now() })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetDiskSpeed after a flow started did not panic")
+		}
+		eng.Run()
+		approx(t, finish, 5, 1e-6, "local read on the slowed disk")
+	}()
+	fb.SetDiskSpeed(0, 2)
 }

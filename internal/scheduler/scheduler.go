@@ -51,7 +51,8 @@ type Scheduler interface {
 	Offer(e *cluster.Executor, now float64) *app.Task
 	// Pending returns the number of queued tasks.
 	Pending() int
-	// PendingTasks returns the queued tasks in FIFO order.
+	// PendingTasks returns the queued tasks in FIFO order, in a fresh slice
+	// the caller owns.
 	PendingTasks() []*app.Task
 	// NextDeadline returns the earliest future time at which an offer that
 	// is currently declined could be accepted (locality-wait expiry), and
