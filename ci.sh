@@ -147,12 +147,14 @@ if ! tail -1 artifacts/obsv.om | grep -q '^# EOF$'; then
 fi
 
 echo "== block-cache sweep"
-# Cache on: the quick A14 sweep must show real cache traffic (nonzero hits
-# on a cached row) and lands as an artifact. Cache off is the default
+# Build the study runner once; this stage and the tournament below reuse
+# it. Cache on: the quick A14 sweep must show real cache traffic (nonzero
+# hits on a cached row) and lands as an artifact. Cache off is the default
 # everywhere else in this script, so re-running the golden-trace suite
-# right after proves the zero-default contract: with CacheBytes=0 the six
+# right after proves the zero-default contract: with CacheBytes=0 the 16
 # golden replays stay byte-identical.
-go run ./cmd/custodybench -fig cache -quick > artifacts/cache-sweep.txt
+go build -o artifacts/custodybench ./cmd/custodybench
+artifacts/custodybench -fig cache -quick > artifacts/cache-sweep.txt
 if [ ! -s artifacts/cache-sweep.txt ]; then
     echo "cache sweep left artifacts/cache-sweep.txt empty or missing"
     exit 1
@@ -170,7 +172,7 @@ echo "== policy tournament (A15)"
 # complete all jobs with zero invariant-audit violations; the ranking
 # itself (JCT, locality, Jain fairness) is the figure, uploaded as a CI
 # artifact.
-go run ./cmd/custodybench -fig tournament -quick > artifacts/tournament.txt
+artifacts/custodybench -fig tournament -quick > artifacts/tournament.txt
 if [ ! -s artifacts/tournament.txt ]; then
     echo "policy tournament left artifacts/tournament.txt empty or missing"
     exit 1

@@ -89,103 +89,54 @@ func main() {
 		return
 	}
 
-	switch *fig {
-	case "approx":
-		n := 200
-		if *quick {
-			n = 40
-		}
-		fmt.Println(experiments.RunApprox(n, *seed).Render())
-	case "intra":
-		res, err := experiments.RunIntra(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "scarlett":
-		res, err := experiments.RunScarlett(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "offer":
-		res, err := experiments.RunOffer(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "wait":
-		res, err := experiments.RunWait(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "spec":
-		res, err := experiments.RunSpeculation(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "managers":
-		res, err := experiments.RunManagers(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "schedulers":
-		res, err := experiments.RunSchedulers(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "failures":
-		res, err := experiments.RunFailures(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "selectors":
-		res, err := experiments.RunSelectors(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "hetero":
-		res, err := experiments.RunHetero(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "hints":
-		res, err := experiments.RunHints(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "chaos":
-		res, err := experiments.RunChaos(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "cache":
-		res, err := experiments.RunCache(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	case "tournament":
-		res, err := experiments.RunTournament(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Render())
-	default:
-		fail(fmt.Errorf("unknown -fig %q", *fig))
+	out, err := ablations[*fig](opts)
+	if err != nil {
+		fail(err)
 	}
+	fmt.Println(out)
 }
 
 func fail(err error) {
 	log.Printf("custodybench: %v", err)
 	os.Exit(1)
+}
+
+// ablations maps each single-study -fig name to the study that prints it.
+// Validation and the usage text read its keys, so every accepted name has a
+// runner.
+var ablations = map[string]func(experiments.Options) (string, error){
+	"approx": func(o experiments.Options) (string, error) {
+		n := 200
+		if o.Quick {
+			n = 40
+		}
+		return experiments.RunApprox(n, o.Seed).Render(), nil
+	},
+	"intra":    study(experiments.RunIntra),
+	"scarlett": study(experiments.RunScarlett),
+	"offer":    study(experiments.RunOffer),
+	"wait": study(func(o experiments.Options) (experiments.WaitResult, error) {
+		return experiments.RunWait(o, nil)
+	}),
+	"spec":       study(experiments.RunSpeculation),
+	"managers":   study(experiments.RunManagers),
+	"schedulers": study(experiments.RunSchedulers),
+	"failures":   study(experiments.RunFailures),
+	"selectors":  study(experiments.RunSelectors),
+	"hetero":     study(experiments.RunHetero),
+	"hints":      study(experiments.RunHints),
+	"chaos":      study(experiments.RunChaos),
+	"cache":      study(experiments.RunCache),
+	"tournament": study(experiments.RunTournament),
+}
+
+// study adapts a runner to the ablations table: it runs and renders.
+func study[R interface{ Render() string }](run func(experiments.Options) (R, error)) func(experiments.Options) (string, error) {
+	return func(o experiments.Options) (string, error) {
+		res, err := run(o)
+		if err != nil {
+			return "", err
+		}
+		return res.Render(), nil
+	}
 }

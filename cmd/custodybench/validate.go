@@ -10,20 +10,12 @@ import (
 // accept -repeats, -md, and -bars.
 var sweepFigs = map[string]bool{"7": true, "8": true, "9": true, "10": true, "all": true}
 
-// ablationFigs are the single-study -fig values.
-var ablationFigs = map[string]bool{
-	"approx": true, "intra": true, "scarlett": true, "offer": true,
-	"wait": true, "spec": true, "managers": true, "schedulers": true,
-	"failures": true, "selectors": true, "hetero": true, "hints": true,
-	"chaos": true, "cache": true, "tournament": true,
-}
-
 func validFigNames() string {
-	names := make([]string, 0, len(sweepFigs)+len(ablationFigs))
+	names := make([]string, 0, len(sweepFigs)+len(ablations))
 	for f := range sweepFigs {
 		names = append(names, f)
 	}
-	for f := range ablationFigs {
+	for f := range ablations {
 		names = append(names, f)
 	}
 	sort.Strings(names)
@@ -39,7 +31,7 @@ func figUsage() string { return "what to reproduce: " + validFigNames() }
 // explicitly provided on the command line, so defaults never trip the
 // contradiction checks.
 func validateFlags(set map[string]bool, fig string, repeats int) error {
-	if !sweepFigs[fig] && !ablationFigs[fig] {
+	if _, ok := ablations[fig]; !ok && !sweepFigs[fig] {
 		return fmt.Errorf("unknown -fig %q (valid: %s)", fig, validFigNames())
 	}
 	if repeats < 1 {

@@ -44,11 +44,16 @@ func TestValidateFlags(t *testing.T) {
 		for _, name := range strings.Split(strings.TrimPrefix(figUsage(), "what to reproduce: "), " | ") {
 			listed[name] = true
 		}
-		for _, figs := range []map[string]bool{sweepFigs, ablationFigs} {
-			for name := range figs {
-				if !listed[name] {
-					t.Errorf("-fig %s is accepted but missing from the usage %q", name, figUsage())
-				}
+		accepted := []string{}
+		for name := range sweepFigs {
+			accepted = append(accepted, name)
+		}
+		for name := range ablations {
+			accepted = append(accepted, name)
+		}
+		for _, name := range accepted {
+			if !listed[name] {
+				t.Errorf("-fig %s is accepted but missing from the usage %q", name, figUsage())
 			}
 		}
 	})

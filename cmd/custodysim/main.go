@@ -11,8 +11,6 @@ import (
 	"log"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/custody"
 	"repro/internal/metrics"
@@ -56,7 +54,7 @@ func main() {
 		manager: *mgr, scheduler: *sched, workload: *wl, policy: *policy,
 		nodes: *nodes, execs: *execs, slots: *slots, apps: *apps, jobs: *jobs,
 		arrival: *arrival, wait: *wait,
-		cacheMB: *cacheMB, cachePolicy: *cachePol,
+		cacheMB: *cacheMB, cachePolicy: *cachePol, explain: *explain,
 		mcMode: *mcMode, mcServer: *mcServer, mcSeeds: *mcSeeds, mcCmds: *mcCmds,
 		mcReplay: *mcReplay, mcOut: *mcOut,
 	}); err != nil {
@@ -186,18 +184,11 @@ func main() {
 			*obsvOut, hub.Flight.Rounds(), d, g)
 	}
 	if *explain != "" {
-		appStr, jobStr, ok := strings.Cut(*explain, ".")
-		if !ok {
-			log.Printf("custodysim: -explain wants app.job (e.g. 0.5), got %q", *explain)
-			os.Exit(1)
+		appID, jobID, err := parseExplain(*explain)
+		if err == nil {
+			err = hub.Flight.Explain(os.Stdout, appID, jobID)
 		}
-		appID, err1 := strconv.Atoi(appStr)
-		jobID, err2 := strconv.Atoi(jobStr)
-		if err1 != nil || err2 != nil {
-			log.Printf("custodysim: -explain wants app.job (e.g. 0.5), got %q", *explain)
-			os.Exit(1)
-		}
-		if err := hub.Flight.Explain(os.Stdout, appID, jobID); err != nil {
+		if err != nil {
 			log.Printf("custodysim: %v", err)
 			os.Exit(1)
 		}

@@ -2,8 +2,11 @@ package main
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
+	"repro/internal/driver"
+	"repro/internal/hdfs"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -13,9 +16,19 @@ import (
 // custody); now they are rejected up front with a one-line error.
 var (
 	validManagers   = []string{"custody", "spark", "yarn", "offer"}
-	validSchedulers = []string{"delay", "delay-taskset", "fifo", "locality-hard", "quincy"}
+	validSchedulers = names(driver.SchedulerKinds())
+	validWorkloads  = names(workload.Kinds())
 	validPolicies   = policy.Names()
 )
+
+// names spells a package's kind list as the strings the flags take.
+func names[K ~string](kinds []K) []string {
+	out := make([]string, len(kinds))
+	for i, k := range kinds {
+		out[i] = string(k)
+	}
+	return out
+}
 
 // cliFlags carries the parsed flag values through validation.
 type cliFlags struct {
@@ -26,9 +39,21 @@ type cliFlags struct {
 	arrival, wait                float64
 	cacheMB                      int64
 	cachePolicy                  string
+	explain                      string
 	mcMode, mcServer             bool
 	mcSeeds, mcCmds              int
 	mcReplay, mcOut              string
+}
+
+// parseExplain splits -explain's app.job into its two IDs.
+func parseExplain(s string) (appID, jobID int, err error) {
+	appStr, jobStr, _ := strings.Cut(s, ".")
+	appID, err1 := strconv.Atoi(appStr)
+	jobID, err2 := strconv.Atoi(jobStr)
+	if err1 != nil || err2 != nil {
+		return 0, 0, fmt.Errorf("-explain wants app.job (e.g. 0.5), got %q", s)
+	}
+	return appID, jobID, nil
 }
 
 func oneOf(val string, valid []string) bool {
@@ -50,12 +75,8 @@ func validateFlags(set map[string]bool, f cliFlags) error {
 	if !oneOf(f.scheduler, validSchedulers) {
 		return fmt.Errorf("unknown -scheduler %q (valid: %s)", f.scheduler, strings.Join(validSchedulers, " | "))
 	}
-	kinds := make([]string, 0, len(workload.Kinds()))
-	for _, k := range workload.Kinds() {
-		kinds = append(kinds, string(k))
-	}
-	if !oneOf(f.workload, kinds) {
-		return fmt.Errorf("unknown -workload %q (valid: %s)", f.workload, strings.Join(kinds, " | "))
+	if !oneOf(f.workload, validWorkloads) {
+		return fmt.Errorf("unknown -workload %q (valid: %s)", f.workload, strings.Join(validWorkloads, " | "))
 	}
 	for _, c := range []struct {
 		name string
@@ -81,7 +102,7 @@ func validateFlags(set map[string]bool, f cliFlags) error {
 	if f.cacheMB < 0 {
 		return fmt.Errorf("-cache-mb must be non-negative, got %d", f.cacheMB)
 	}
-	if !oneOf(f.cachePolicy, []string{"", "lru", "2q"}) {
+	if !hdfs.ValidCachePolicy(hdfs.CachePolicy(f.cachePolicy)) {
 		return fmt.Errorf("unknown -cache-policy %q (valid: lru | 2q)", f.cachePolicy)
 	}
 	if set["cache-policy"] && !set["cache-mb"] {
@@ -89,6 +110,11 @@ func validateFlags(set map[string]bool, f cliFlags) error {
 	}
 	if f.wait < 0 {
 		return fmt.Errorf("-wait must be non-negative, got %g", f.wait)
+	}
+	if f.explain != "" {
+		if _, _, err := parseExplain(f.explain); err != nil {
+			return err
+		}
 	}
 	if f.mcMode && f.mcReplay != "" {
 		return fmt.Errorf("-modelcheck and -mc-replay are mutually exclusive (the replay file fixes its own commands)")

@@ -106,6 +106,29 @@ func TestValidateFlags(t *testing.T) {
 			want:   "-cache-policy requires -cache-mb",
 		},
 		{
+			name:   "explain-ok",
+			set:    map[string]bool{"explain": true},
+			mutate: func(f *cliFlags) { f.explain = "0.5" },
+		},
+		{
+			name:   "explain-without-dot",
+			set:    map[string]bool{"explain": true},
+			mutate: func(f *cliFlags) { f.explain = "foo" },
+			want:   `-explain wants app.job (e.g. 0.5), got "foo"`,
+		},
+		{
+			name:   "explain-non-numeric-job",
+			set:    map[string]bool{"explain": true},
+			mutate: func(f *cliFlags) { f.explain = "0.x" },
+			want:   `-explain wants app.job (e.g. 0.5), got "0.x"`,
+		},
+		{
+			name:   "explain-three-parts",
+			set:    map[string]bool{"explain": true},
+			mutate: func(f *cliFlags) { f.explain = "0.5.1" },
+			want:   `-explain wants app.job (e.g. 0.5), got "0.5.1"`,
+		},
+		{
 			name:   "modelcheck-with-cache",
 			set:    map[string]bool{"cache-mb": true},
 			mutate: func(f *cliFlags) { f.mcMode = true; f.cacheMB = 256 },

@@ -5,6 +5,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/hdfs"
@@ -26,6 +27,11 @@ const (
 	SchedLocalityHard SchedulerKind = "locality-hard"
 	SchedQuincy       SchedulerKind = "quincy"
 )
+
+// SchedulerKinds lists every scheduler kind Validate accepts.
+func SchedulerKinds() []SchedulerKind {
+	return []SchedulerKind{SchedDelay, SchedDelayTaskSet, SchedFIFO, SchedLocalityHard, SchedQuincy}
+}
 
 // Config describes one simulation run. The zero value is not usable; start
 // from DefaultConfig.
@@ -85,9 +91,9 @@ type Config struct {
 
 	// CacheBytes attaches an in-memory block cache of this byte capacity to
 	// every DataNode. Warm reads stream at the memory tier's bandwidth
-	// (Net.MemoryBps) instead of disk; hits, misses, and evictions land in
-	// the collector and grants on warm nodes are tagged cache-hit in obsv.
-	// Zero disables the tier entirely.
+	// (netsim.DefaultMemoryBps) instead of disk; hits, misses, and
+	// evictions land in the collector and grants on warm nodes are tagged
+	// cache-hit in obsv. Zero disables the tier entirely.
 	CacheBytes int64
 	// CachePolicy selects the eviction policy: hdfs.CacheLRU (default when
 	// empty) or hdfs.Cache2Q.
@@ -159,9 +165,7 @@ func (c Config) Validate() error {
 	if c.Net.UplinkBps <= 0 || c.Net.DownlinkBps <= 0 || c.Net.DiskBps <= 0 {
 		return fmt.Errorf("driver: non-positive capacity in Net config")
 	}
-	switch c.Scheduler {
-	case SchedDelay, SchedDelayTaskSet, SchedFIFO, SchedLocalityHard, SchedQuincy:
-	default:
+	if !slices.Contains(SchedulerKinds(), c.Scheduler) {
 		return fmt.Errorf("driver: unknown scheduler %q", c.Scheduler)
 	}
 	if c.CacheBytes < 0 {

@@ -215,11 +215,9 @@ type ScarlettResult struct{ Rows []PlacementRow }
 func RunScarlett(opts Options) (ScarlettResult, error) {
 	opts = opts.normalize()
 	spec := workload.DefaultSpec(workload.WordCount)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
 	spec.ZipfSkew = 1.4 // hot files
 	spec.DatasetFiles = 10
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(spec)
 
 	// Popularity weights follow the Zipf ranks the generator uses.
 	weights := map[string]float64{}
@@ -233,10 +231,8 @@ func RunScarlett(opts Options) (ScarlettResult, error) {
 	var out ScarlettResult
 	for _, mk := range []ManagerKind{Standalone, Custody} {
 		for _, pol := range []hdfs.PlacementPolicy{hdfs.RandomPolicy{}, &hdfs.PopularityPolicy{Weights: weights, MaxExtra: 6}} {
-			cfg := driver.DefaultConfig()
-			cfg.Seed = opts.Seed
+			cfg := opts.config(NewManager(mk, opts.Seed))
 			cfg.Placement = pol
-			cfg.Manager = NewManager(mk, opts.Seed)
 			col, err := driver.RunSchedule(cfg, sched)
 			if err != nil {
 				return out, err
@@ -279,16 +275,10 @@ type OfferResult struct{ Rows []OfferRow }
 // RunOffer compares standalone, offer-based, and Custody managers.
 func RunOffer(opts Options) (OfferResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.WordCount)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.WordCount))
 	var out OfferResult
 	for _, mk := range []ManagerKind{Standalone, Offer, Custody} {
-		cfg := driver.DefaultConfig()
-		cfg.Seed = opts.Seed
-		cfg.Manager = NewManager(mk, opts.Seed)
-		col, err := driver.RunSchedule(cfg, sched)
+		col, err := driver.RunSchedule(opts.config(NewManager(mk, opts.Seed)), sched)
 		if err != nil {
 			return out, err
 		}
@@ -333,17 +323,12 @@ func RunWait(opts Options, waits []float64) (WaitResult, error) {
 	if len(waits) == 0 {
 		waits = []float64{0, 1, 3, 10}
 	}
-	spec := workload.DefaultSpec(workload.Sort)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.Sort))
 	var out WaitResult
 	for _, w := range waits {
 		for _, mk := range []ManagerKind{Standalone, Custody} {
-			cfg := driver.DefaultConfig()
-			cfg.Seed = opts.Seed
+			cfg := opts.config(NewManager(mk, opts.Seed))
 			cfg.LocalityWait = w
-			cfg.Manager = NewManager(mk, opts.Seed)
 			col, err := driver.RunSchedule(cfg, sched)
 			if err != nil {
 				return out, err
@@ -387,15 +372,10 @@ type SpecResult struct{ Rows []SpecRow }
 // under high compute-time variance.
 func RunSpeculation(opts Options) (SpecResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.Sort)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.Sort))
 	var out SpecResult
 	for _, on := range []bool{false, true} {
-		cfg := driver.DefaultConfig()
-		cfg.Seed = opts.Seed
-		cfg.Manager = NewManager(Custody, opts.Seed)
+		cfg := opts.config(NewManager(Custody, opts.Seed))
 		cfg.StragglerProb = 0.05 // heavy tail: 5% of tasks run 4× longer
 		cfg.Speculation = on
 		col, err := driver.RunSchedule(cfg, sched)

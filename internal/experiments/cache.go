@@ -8,7 +8,6 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/metrics"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // CacheRow is one (cache size, eviction policy, manager) cell of the
@@ -42,10 +41,7 @@ var cacheSizesMB = []int64{0, 256, 1024, 4096}
 // visible).
 func RunCache(opts Options) (CacheResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.WordCount)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.WordCount))
 	var out CacheResult
 	for _, mb := range cacheSizesMB {
 		policies := []hdfs.CachePolicy{hdfs.CacheLRU}
@@ -57,10 +53,7 @@ func RunCache(opts Options) (CacheResult, error) {
 		}
 		for _, pol := range policies {
 			for _, mk := range []ManagerKind{Standalone, Custody, Offer} {
-				cfg := driver.DefaultConfig()
-				cfg.Seed = opts.Seed
-				cfg.LocalityWait = opts.LocalityWait
-				cfg.Manager = NewManager(mk, opts.Seed)
+				cfg := opts.config(NewManager(mk, opts.Seed))
 				polName := "-"
 				if mb > 0 {
 					cfg.EnableCache(mb<<20, pol)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/app"
 	"repro/internal/chaos"
 	"repro/internal/driver"
-	"repro/internal/hdfs"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -54,44 +52,14 @@ type ChaosResult struct{ Rows []ChaosRow }
 // not survival.
 func RunChaos(opts Options) (ChaosResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.Sort)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.Sort))
 	var out ChaosResult
 	for _, level := range ChaosLevels {
 		for _, mk := range []ManagerKind{Standalone, Custody} {
-			cfg := driver.DefaultConfig()
-			cfg.Seed = opts.Seed
-			cfg.LocalityWait = opts.LocalityWait
-			cfg.Manager = NewManager(mk, opts.Seed)
-			cfg.EnableResilience()
-			if opts.Quick {
-				cfg.Nodes = 16
-				cfg.RackSize = 4
+			col, rep, err := runChaos(opts, opts.config(NewManager(mk, opts.Seed)), sched, level)
+			if err != nil {
+				return out, err
 			}
-			d := driver.New(cfg)
-			files := make([]*hdfs.File, len(sched.Files))
-			for i, fs := range sched.Files {
-				f, err := d.CreateInput(fs.Name, fs.Size)
-				if err != nil {
-					return out, err
-				}
-				files[i] = f
-			}
-			handles := make([]*app.Application, spec.Apps)
-			for i := range handles {
-				handles[i] = d.RegisterApp(fmt.Sprintf("app%d", i))
-			}
-			d.Start()
-			for i, sub := range sched.Subs {
-				d.SubmitJobAt(sub.At, handles[sub.App], workload.BuildJob(spec.Kind, i+1, files[sub.FileIdx]))
-			}
-			profile := chaos.DefaultProfile().Scale(level.Scale)
-			plan := chaos.Plan(profile, sched.Horizon(), cfg.Nodes, cfg.Nodes*cfg.ExecutorsPerNode,
-				xrand.New(opts.Seed).Fork("chaos-plan"))
-			rep := chaos.Inject(d, plan, true)
-			col := d.Run()
 			out.Rows = append(out.Rows, ChaosRow{
 				Level:      level.Name,
 				Manager:    mk,
@@ -108,6 +76,27 @@ func RunChaos(opts Options) (ChaosResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// runChaos runs sched on cfg with resilience on, under level's multiple of
+// the default fault profile. The plan is drawn from the seed's "chaos-plan"
+// fork and injected with the invariant audit on. Quick runs shrink the
+// cluster to 16 nodes.
+func runChaos(opts Options, cfg driver.Config, sched workload.Schedule, level ChaosLevel) (*metrics.Collector, *chaos.Report, error) {
+	cfg.EnableResilience()
+	if opts.Quick {
+		cfg.Nodes = 16
+		cfg.RackSize = 4
+	}
+	d, err := driver.NewScheduled(cfg, sched)
+	if err != nil {
+		return nil, nil, err
+	}
+	profile := chaos.DefaultProfile().Scale(level.Scale)
+	plan := chaos.Plan(profile, sched.Horizon(), cfg.Nodes, cfg.Nodes*cfg.ExecutorsPerNode,
+		xrand.New(opts.Seed).Fork("chaos-plan"))
+	rep := chaos.Inject(d, plan, true)
+	return d.Run(), rep, nil
 }
 
 // Render formats the chaos sweep.

@@ -83,6 +83,26 @@ func (o Options) normalize() Options {
 	return o
 }
 
+// schedule generates the submission schedule a study replays under every
+// manager it compares ("a common job submission schedule that is shared by
+// all the experiments", §VI-A2): spec sized by the options and drawn with
+// their seed.
+func (o Options) schedule(spec workload.Spec) workload.Schedule {
+	spec.Apps = o.Apps
+	spec.JobsPerApp = o.JobsPerApp
+	return workload.Generate(spec, xrand.New(o.Seed))
+}
+
+// config is the paper's testbed running m, with the options' seed and
+// locality wait. Studies change only the fields they vary.
+func (o Options) config(m manager.Manager) driver.Config {
+	cfg := driver.DefaultConfig()
+	cfg.Seed = o.Seed
+	cfg.LocalityWait = o.LocalityWait
+	cfg.Manager = m
+	return cfg
+}
+
 // Cell is one (cluster size, workload, manager) measurement.
 type Cell struct {
 	Size    int
@@ -111,24 +131,14 @@ func RunSweep(sizes []int, kinds []workload.Kind, managers []ManagerKind, opts O
 			for _, mk := range managers {
 				pooled := metrics.NewCollector()
 				for r := 0; r < repeats; r++ {
-					seed := opts.Seed + uint64(r)
-					spec := workload.DefaultSpec(kind)
-					spec.Apps = opts.Apps
-					spec.JobsPerApp = opts.JobsPerApp
-					// One schedule per (workload, seed), shared across
-					// sizes and managers ("a common job submission
-					// schedule that is shared by all the experiments",
-					// §VI-A2).
-					sched := workload.Generate(spec, xrand.New(seed))
-					cfg := driver.DefaultConfig()
-					cfg.Seed = seed
+					o := opts
+					o.Seed += uint64(r)
+					cfg := o.config(NewManager(mk, o.Seed))
 					cfg.Nodes = size
 					cfg.RackSize = rackSize(size)
-					cfg.LocalityWait = opts.LocalityWait
-					cfg.Manager = NewManager(mk, seed)
-					col, err := driver.RunSchedule(cfg, sched)
+					col, err := driver.RunSchedule(cfg, o.schedule(workload.DefaultSpec(kind)))
 					if err != nil {
-						return nil, fmt.Errorf("sweep %s/%d/%s/seed%d: %w", kind, size, mk, seed, err)
+						return nil, fmt.Errorf("sweep %s/%d/%s/seed%d: %w", kind, size, mk, o.Seed, err)
 					}
 					merge(pooled, col)
 				}

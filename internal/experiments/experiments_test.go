@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -462,5 +463,37 @@ func TestRunChaosQuick(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "chaos sweep") {
 		t.Fatal("render missing header")
+	}
+}
+
+// TestStudiesHonorLocalityWait runs four studies that do not sweep the
+// locality wait at 1 s and 3 s. Each must build its runs with
+// Options.LocalityWait, so the rows must differ.
+func TestStudiesHonorLocalityWait(t *testing.T) {
+	studies := []struct {
+		name string
+		rows func(Options) (any, error)
+	}{
+		{"scarlett", func(o Options) (any, error) { r, err := RunScarlett(o); return r.Rows, err }},
+		{"offer", func(o Options) (any, error) { r, err := RunOffer(o); return r.Rows, err }},
+		{"spec", func(o Options) (any, error) { r, err := RunSpeculation(o); return r.Rows, err }},
+		{"failures", func(o Options) (any, error) { r, err := RunFailures(o); return r.Rows, err }},
+	}
+	for _, s := range studies {
+		t.Run(s.name, func(t *testing.T) {
+			var rows [2]any
+			for i, wait := range []float64{1, 3} {
+				o := quickOpts()
+				o.LocalityWait = wait
+				r, err := s.rows(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows[i] = r
+			}
+			if reflect.DeepEqual(rows[0], rows[1]) {
+				t.Fatalf("waits 1 s and 3 s gave identical rows %+v: the study ignores Options.LocalityWait", rows[0])
+			}
+		})
 	}
 }

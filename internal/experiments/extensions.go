@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/app"
 	"repro/internal/driver"
-	"repro/internal/hdfs"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // YARN is the YARN-like dynamic-pool manager (§VII), available to the
@@ -36,17 +33,11 @@ type ManagersResult struct{ Rows []ManagerRow }
 // Custody on the Sort workload.
 func RunManagers(opts Options) (ManagersResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.Sort)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.Sort))
 	var out ManagersResult
 	for _, mk := range []ManagerKind{Standalone, YARN, Offer, Custody} {
 		rec := trace.NewRecorder()
-		cfg := driver.DefaultConfig()
-		cfg.Seed = opts.Seed
-		cfg.LocalityWait = opts.LocalityWait
-		cfg.Manager = NewManager(mk, opts.Seed)
+		cfg := opts.config(NewManager(mk, opts.Seed))
 		cfg.Tracer = rec
 		col, err := driver.RunSchedule(cfg, sched)
 		if err != nil {
@@ -96,21 +87,15 @@ type SchedulersResult struct{ Rows []SchedulerRow }
 // RunSchedulers sweeps task schedulers × managers on WordCount.
 func RunSchedulers(opts Options) (SchedulersResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.WordCount)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.WordCount))
 	var out SchedulersResult
 	kinds := []driver.SchedulerKind{
 		driver.SchedFIFO, driver.SchedDelay, driver.SchedDelayTaskSet, driver.SchedQuincy,
 	}
 	for _, sk := range kinds {
 		for _, mk := range []ManagerKind{Standalone, Custody} {
-			cfg := driver.DefaultConfig()
-			cfg.Seed = opts.Seed
+			cfg := opts.config(NewManager(mk, opts.Seed))
 			cfg.Scheduler = sk
-			cfg.LocalityWait = opts.LocalityWait
-			cfg.Manager = NewManager(mk, opts.Seed)
 			col, err := driver.RunSchedule(cfg, sched)
 			if err != nil {
 				return out, err
@@ -155,32 +140,14 @@ type FailureResult struct{ Rows []FailureRow }
 // how each manager's completion times and locality degrade.
 func RunFailures(opts Options) (FailureResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.Sort)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.Sort))
 	var out FailureResult
 	for _, failures := range []int{0, 3} {
 		for _, mk := range []ManagerKind{Standalone, Custody} {
-			cfg := driver.DefaultConfig()
-			cfg.Seed = opts.Seed
-			cfg.Manager = NewManager(mk, opts.Seed)
-			d := driver.New(cfg)
-			files := make([]*hdfs.File, len(sched.Files))
-			for i, fs := range sched.Files {
-				f, err := d.CreateInput(fs.Name, fs.Size)
-				if err != nil {
-					return out, err
-				}
-				files[i] = f
-			}
-			handles := make([]*app.Application, spec.Apps)
-			for i := range handles {
-				handles[i] = d.RegisterApp(fmt.Sprintf("app%d", i))
-			}
-			d.Start()
-			for i, sub := range sched.Subs {
-				d.SubmitJobAt(sub.At, handles[sub.App], workload.BuildJob(spec.Kind, i+1, files[sub.FileIdx]))
+			cfg := opts.config(NewManager(mk, opts.Seed))
+			d, err := driver.NewScheduled(cfg, sched)
+			if err != nil {
+				return out, err
 			}
 			horizon := sched.Horizon()
 			for k := 0; k < failures; k++ {
@@ -189,7 +156,7 @@ func RunFailures(opts Options) (FailureResult, error) {
 			}
 			col := d.Run()
 			retried := 0
-			for _, h := range handles {
+			for _, h := range d.Apps() {
 				for _, j := range h.Jobs {
 					for _, s := range j.Stages {
 						for _, task := range s.Tasks {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // HeteroRow is one heterogeneity configuration's outcome.
@@ -28,10 +27,7 @@ type HeteroResult struct{ Rows []HeteroRow }
 // and how much speculation recovers.
 func RunHetero(opts Options) (HeteroResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.Sort)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.Sort))
 	var out HeteroResult
 	for _, slow := range []bool{false, true} {
 		for _, mk := range []ManagerKind{Standalone, Custody} {
@@ -40,10 +36,7 @@ func RunHetero(opts Options) (HeteroResult, error) {
 				specs = []bool{false, true}
 			}
 			for _, specOn := range specs {
-				cfg := driver.DefaultConfig()
-				cfg.Seed = opts.Seed
-				cfg.LocalityWait = opts.LocalityWait
-				cfg.Manager = NewManager(mk, opts.Seed)
+				cfg := opts.config(NewManager(mk, opts.Seed))
 				if slow {
 					cfg.SlowNodeFraction = 0.2
 				}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/manager"
 	"repro/internal/metrics"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // HintRow is one scheduling-suggestion configuration's outcome.
@@ -28,19 +27,12 @@ type HintsResult struct{ Rows []HintRow }
 // suggestions on the Sort workload.
 func RunHints(opts Options) (HintsResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.Sort)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.Sort))
 	var out HintsResult
 	for _, hints := range []bool{false, true} {
 		mgr := manager.NewCustody()
 		mgr.EmitHints = hints
-		cfg := driver.DefaultConfig()
-		cfg.Seed = opts.Seed
-		cfg.LocalityWait = opts.LocalityWait
-		cfg.Manager = mgr
-		col, err := driver.RunSchedule(cfg, sched)
+		col, err := driver.RunSchedule(opts.config(mgr), sched)
 		if err != nil {
 			return out, err
 		}

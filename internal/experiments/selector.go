@@ -8,7 +8,6 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/metrics"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // SelectorRow is one replica-selection policy's outcome.
@@ -29,10 +28,7 @@ type SelectorResult struct{ Rows []SelectorRow }
 // RunSelectors sweeps replica-selection policies under both managers.
 func RunSelectors(opts Options) (SelectorResult, error) {
 	opts = opts.normalize()
-	spec := workload.DefaultSpec(workload.WordCount)
-	spec.Apps = opts.Apps
-	spec.JobsPerApp = opts.JobsPerApp
-	sched := workload.Generate(spec, xrand.New(opts.Seed))
+	sched := opts.schedule(workload.DefaultSpec(workload.WordCount))
 	var out SelectorResult
 	mkSel := []func() hdfs.ReplicaSelector{
 		func() hdfs.ReplicaSelector { return hdfs.RandomSelector{} },
@@ -42,11 +38,8 @@ func RunSelectors(opts Options) (SelectorResult, error) {
 	for _, mk := range []ManagerKind{Standalone, Custody} {
 		for _, ms := range mkSel {
 			sel := ms()
-			cfg := driver.DefaultConfig()
-			cfg.Seed = opts.Seed
-			cfg.LocalityWait = opts.LocalityWait
+			cfg := opts.config(NewManager(mk, opts.Seed))
 			cfg.ReplicaSelection = sel
-			cfg.Manager = NewManager(mk, opts.Seed)
 			col, err := driver.RunSchedule(cfg, sched)
 			if err != nil {
 				return out, err

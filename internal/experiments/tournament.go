@@ -4,15 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/app"
-	"repro/internal/chaos"
-	"repro/internal/driver"
-	"repro/internal/hdfs"
 	"repro/internal/manager"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // TournamentRow is one (policy, workload, level) cell of the policy
@@ -57,47 +52,17 @@ func RunTournament(opts Options) (TournamentResult, error) {
 	kinds, levels := tournamentGrid(opts.Quick)
 	var out TournamentResult
 	for _, kind := range kinds {
-		spec := workload.DefaultSpec(kind)
-		spec.Apps = opts.Apps
-		spec.JobsPerApp = opts.JobsPerApp
-		sched := workload.Generate(spec, xrand.New(opts.Seed))
+		sched := opts.schedule(workload.DefaultSpec(kind))
 		for _, level := range levels {
 			for _, pol := range policy.Names() {
-				cfg := driver.DefaultConfig()
-				cfg.Seed = opts.Seed
-				cfg.LocalityWait = opts.LocalityWait
 				mgr := manager.NewCustody()
 				if err := mgr.SetPolicy(pol); err != nil {
 					return out, err
 				}
-				cfg.Manager = mgr
-				cfg.EnableResilience()
-				if opts.Quick {
-					cfg.Nodes = 16
-					cfg.RackSize = 4
+				col, rep, err := runChaos(opts, opts.config(mgr), sched, level)
+				if err != nil {
+					return out, err
 				}
-				d := driver.New(cfg)
-				files := make([]*hdfs.File, len(sched.Files))
-				for i, fs := range sched.Files {
-					f, err := d.CreateInput(fs.Name, fs.Size)
-					if err != nil {
-						return out, err
-					}
-					files[i] = f
-				}
-				handles := make([]*app.Application, spec.Apps)
-				for i := range handles {
-					handles[i] = d.RegisterApp(fmt.Sprintf("app%d", i))
-				}
-				d.Start()
-				for i, sub := range sched.Subs {
-					d.SubmitJobAt(sub.At, handles[sub.App], workload.BuildJob(spec.Kind, i+1, files[sub.FileIdx]))
-				}
-				profile := chaos.DefaultProfile().Scale(level.Scale)
-				plan := chaos.Plan(profile, sched.Horizon(), cfg.Nodes, cfg.Nodes*cfg.ExecutorsPerNode,
-					xrand.New(opts.Seed).Fork("chaos-plan"))
-				rep := chaos.Inject(d, plan, true)
-				col := d.Run()
 				out.Rows = append(out.Rows, TournamentRow{
 					Policy:     pol,
 					Workload:   kind,

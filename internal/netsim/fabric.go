@@ -191,15 +191,13 @@ type Config struct {
 	UplinkBps   float64
 	DownlinkBps float64
 	DiskBps     float64
-	// MemoryBps is the in-memory block-cache read bandwidth used by
-	// memory-tier reads (TierMemory). Zero defaults to DefaultMemoryBps.
-	// Memory resources are inert until a tiered read references them, so
-	// the default leaves every disk-tier simulation byte-identical.
-	MemoryBps float64
 }
 
-// DefaultMemoryBps is the default memory-tier bandwidth: 10 GB/s, an order
-// of magnitude above the testbed's SSD and well above any single link.
+// DefaultMemoryBps is every node's in-memory block-cache read bandwidth,
+// used by memory-tier reads (TierMemory): 10 GB/s, an order of magnitude
+// above the testbed's SSD and well above any single link. Memory resources
+// are inert until a tiered read references them, so disk-tier simulations
+// never see it.
 const DefaultMemoryBps = 10e9
 
 // LinodeConfig mirrors the paper's testbed (§VI-A1): 2 Gbps uplink,
@@ -226,15 +224,11 @@ func NewFabric(eng *event.Engine, n int, cfg Config) *Fabric {
 		minRemoved: noLevel,
 	}
 	f.onTimer = f.onCompletion
-	memBps := cfg.MemoryBps
-	if memBps <= 0 {
-		memBps = DefaultMemoryBps
-	}
 	for i := 0; i < n; i++ {
 		f.up = append(f.up, &Resource{Kind: Uplink, Node: i, capacity: cfg.UplinkBps})
 		f.down = append(f.down, &Resource{Kind: Downlink, Node: i, capacity: cfg.DownlinkBps})
 		f.disk = append(f.disk, &Resource{Kind: Disk, Node: i, capacity: cfg.DiskBps})
-		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, capacity: memBps})
+		f.mem = append(f.mem, &Resource{Kind: Memory, Node: i, capacity: DefaultMemoryBps})
 	}
 	return f
 }
@@ -640,10 +634,13 @@ func (fb *Fabric) onCompletion() {
 	fb.timer = nil
 	fb.advance()
 	const eps = 1e-9
+	now := fb.eng.Now()
 	var finished []*Flow
 	kept := fb.flows[:0]
 	for _, fl := range fb.flows {
-		if fl.remaining <= fl.Bytes*eps+eps {
+		// Done: the remainder is rounding noise, or it drains too fast to
+		// move the clock, so its timer would fire at now forever.
+		if fl.remaining <= fl.Bytes*eps+eps || now+fl.remaining/fl.rate == now {
 			finished = append(finished, fl)
 		} else {
 			kept = append(kept, fl)

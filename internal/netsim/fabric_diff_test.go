@@ -103,7 +103,6 @@ func runFabricEquivalence(t failer, data []byte) *fabricPair {
 		UplinkBps:   caps[b.next()%4],
 		DownlinkBps: caps[b.next()%4],
 		DiskBps:     caps[b.next()%4],
-		MemoryBps:   caps[b.next()%4],
 	}
 	p := newFabricPair(t, nodes, cfg)
 	for ops := 0; b.more() && ops < 80; ops++ {
@@ -316,13 +315,13 @@ func flowIDs(list []*Flow) []int64 {
 // referenceCases are the fabric shapes of the differential battery.
 var referenceCases = []struct {
 	name   string
-	header []byte // nodes, uplink, downlink, disk, memory
+	header []byte // nodes, uplink, downlink, disk
 }{
-	{"two-nodes", []byte{0, 0, 1, 2, 3}},
-	{"five-nodes-mixed", []byte{3, 1, 3, 2, 0}},
-	{"equal-capacities", []byte{1, 1, 1, 1, 1}},
-	{"four-nodes-slow-uplink", []byte{2, 0, 2, 1, 3}},
-	{"five-nodes-equal-capacities", []byte{3, 2, 2, 2, 2}},
+	{"two-nodes", []byte{0, 0, 1, 2}},
+	{"five-nodes-mixed", []byte{3, 1, 3, 2}},
+	{"equal-capacities", []byte{1, 1, 1, 1}},
+	{"four-nodes-slow-uplink", []byte{2, 0, 2, 1}},
+	{"five-nodes-equal-capacities", []byte{3, 2, 2, 2}},
 }
 
 // referenceData is one seed's operation bytes for a battery shape.
@@ -445,7 +444,7 @@ func TestPassAllocs(t *testing.T) {
 // before every pass; the warm one must scan fewer resources.
 func TestWarmStartTies(t *testing.T) {
 	const nodes = 8
-	cfg := Config{UplinkBps: 100, DownlinkBps: 100, DiskBps: 100, MemoryBps: 100}
+	cfg := Config{UplinkBps: 100, DownlinkBps: 100, DiskBps: 100}
 	run := func(cold bool) *Fabric {
 		p := newFabricPair(t, nodes, cfg)
 		fb := p.fb

@@ -61,15 +61,11 @@ func newRefFabric(eng *event.Engine, n int, cfg Config) *refFabric {
 		flows:   make(map[*refFlow]struct{}),
 		baseCap: make(map[*refResource]float64),
 	}
-	memBps := cfg.MemoryBps
-	if memBps <= 0 {
-		memBps = DefaultMemoryBps
-	}
 	for i := 0; i < n; i++ {
 		f.up = append(f.up, newRefResource(cfg.UplinkBps))
 		f.down = append(f.down, newRefResource(cfg.DownlinkBps))
 		f.disk = append(f.disk, newRefResource(cfg.DiskBps))
-		f.mem = append(f.mem, newRefResource(memBps))
+		f.mem = append(f.mem, newRefResource(DefaultMemoryBps))
 	}
 	return f
 }
@@ -266,9 +262,10 @@ func (fb *refFabric) onCompletion() {
 	fb.timer = nil
 	fb.advance()
 	const eps = 1e-9
+	now := fb.eng.Now()
 	var finished []*refFlow
 	for _, fl := range fb.sortedFlows() {
-		if fl.remaining <= fl.Bytes*eps+eps {
+		if fl.remaining <= fl.Bytes*eps+eps || now+fl.remaining/fl.rate == now {
 			finished = append(finished, fl)
 		}
 	}

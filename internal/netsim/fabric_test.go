@@ -276,3 +276,28 @@ func TestSetDiskSpeed(t *testing.T) {
 	}()
 	fb.SetDiskSpeed(0, 2)
 }
+
+// TestSubTickRemainderFinishes starts memory-tier reads a million simulated
+// seconds in, where one tick of the clock drains more bytes than the
+// completion tolerance. A flow left with a remainder too small to move the
+// clock must finish, not re-arm its timer at the same instant forever.
+func TestSubTickRemainderFinishes(t *testing.T) {
+	const reads = 16
+	eng := event.NewEngine()
+	fb := NewFabric(eng, 1, cfg(100, 100, 50))
+	done := 0
+	for i := 0; i < reads; i++ {
+		eng.At(1e6+float64(i), func() {
+			fb.LocalReadTier(0, float64(1000+i), TierMemory, func() { done++ })
+		})
+	}
+	for steps := 0; eng.Step(); steps++ {
+		if steps > 10*reads {
+			t.Fatalf("%d of %d reads finished after %d events; a timer keeps firing at %v",
+				done, reads, steps, eng.Now())
+		}
+	}
+	if done != reads {
+		t.Fatalf("%d of %d reads finished", done, reads)
+	}
+}
