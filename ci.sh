@@ -100,9 +100,12 @@ echo "== modelcheck mutation smoke"
 # like an untagged one, but only the mutation tests need to run here. The
 # fabric's warm start has its own seeded bug: a replay that ignores the
 # resources new flows joined, which the fabric differential must catch
-# (DESIGN.md §10).
+# (DESIGN.md §10). So does the executor pool's sort skip: a pool that
+# trusts an unsorted idle list, which the warm-session churn differential
+# must catch.
 go test -count=1 -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 go test -count=1 -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
+go test -count=1 -tags custodymutate -run '^TestTrustOrderMutant$' ./internal/core
 
 echo "== modelcheck sweep (custodysim)"
 # The long-run CLI entry on a clean build: a bounded seed sweep must come

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"unsafe"
@@ -102,11 +103,23 @@ func (c *churnCluster) advance(plan Plan, release int) {
 	c.topUp()
 }
 
+// errPlanDiverged marks a churn round whose fast-path plan differs from
+// AllocateReference's.
+var errPlanDiverged = errors.New("plans diverge")
+
 // runChurn drives one warm Session per option set through the cluster's
 // rounds, requiring byte-identical plans against AllocateReference and
 // exact satisfiability counters after every round.
 func runChurn(t *testing.T, mk func() *churnCluster, rounds, release int) {
 	t.Helper()
+	if err := churnRounds(mk, rounds, release); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// churnRounds is runChurn's body: it returns the first divergence, wrapping
+// errPlanDiverged when the plans differ, or nil.
+func churnRounds(mk func() *churnCluster, rounds, release int) error {
 	for oi, opts := range equivOptSets {
 		c := mk()
 		sess := NewSession()
@@ -115,14 +128,15 @@ func runChurn(t *testing.T, mk func() *churnCluster, rounds, release int) {
 			got := sess.Allocate(c.apps, c.idle, opts)
 			ws, gs := fmt.Sprintf("%#v", want), fmt.Sprintf("%#v", got)
 			if ws != gs {
-				t.Fatalf("opts[%d] round %d: plans diverge\nreference: %s\nfast path: %s", oi, round, ws, gs)
+				return fmt.Errorf("opts[%d] round %d: %w\nreference: %s\nfast path: %s", oi, round, errPlanDiverged, ws, gs)
 			}
 			if err := recountCounters(sess); err != nil {
-				t.Fatalf("opts[%d] round %d: %v", oi, round, err)
+				return fmt.Errorf("opts[%d] round %d: %w", oi, round, err)
 			}
 			c.advance(want, release)
 		}
 	}
+	return nil
 }
 
 // recountCounters checks the session's counters, as the last round left
@@ -143,7 +157,7 @@ func recountCounters(s *Session) error {
 				}
 				var ownAvail, unresAvail int32
 				for _, n := range t.d.Nodes {
-					ni, ok := p.byNode[n]
+					ni, ok := p.node(n)
 					if !ok {
 						continue
 					}
@@ -181,15 +195,20 @@ func recountCounters(s *Session) error {
 
 // TestSessionChurnEquivalence is the warm-session gate at the service's
 // regime: 8 apps × 24 jobs on 300 nodes, 1% of the executors released per
-// round, 24 rounds through one Session per option set.
+// round, 24 rounds through one Session per option set. Released executors
+// join the idle list in release order, so the pool's sort path runs.
 func TestSessionChurnEquivalence(t *testing.T) {
-	const nodes, execsPerNode = 300, 2
-	release := nodes * execsPerNode / 100
-	runChurn(t, func() *churnCluster {
-		rng := xrand.New(14)
-		return newChurnCluster(rng.Intn, nodes, execsPerNode, 8, 24, 8, 3, 0, release)
-	}, 24, release)
+	runChurn(t, serviceChurn, serviceChurnRounds, serviceChurnRelease)
 }
+
+// serviceChurn builds the instance TestSessionChurnEquivalence runs for
+// serviceChurnRounds rounds: 300 nodes of two executors each.
+func serviceChurn() *churnCluster {
+	rng := xrand.New(14)
+	return newChurnCluster(rng.Intn, 300, 2, 8, 24, 8, 3, 0, serviceChurnRelease)
+}
+
+const serviceChurnRounds, serviceChurnRelease = 24, 300 * 2 / 100
 
 // FuzzSessionChurnEquivalence runs the same gate on fuzzed cluster shapes:
 // up to 64 nodes, 8 apps and 32 jobs per app, job IDs that may repeat, and
@@ -244,20 +263,24 @@ func TestPoolExecSize(t *testing.T) {
 }
 
 // TestEdgeInstancesMatchReference covers inputs the churn instances never
-// draw: node IDs outside the idle-node bitset (negative and huge), and
-// duplicate job IDs with equal remaining counts, which Algorithm 2 must
-// serve in input order. A node without executors may also carry replicas.
+// draw: node IDs on both sides of the dense node index's bound, outside it
+// (negative and huge) and at its last entry, and duplicate job IDs with
+// equal remaining counts, which Algorithm 2 must serve in input order. A
+// node without executors may also carry replicas.
 func TestEdgeInstancesMatchReference(t *testing.T) {
-	huge := idleBitsLimit + 5
-	idle := []ExecInfo{{ID: 0, Node: -3, Slots: 2}, {ID: 1, Node: huge}, {ID: 2, Node: 64}, {ID: 3, Node: 64}, {ID: 4, Node: 7}}
+	huge, last, first := denseNodeLimit+5, denseNodeLimit-1, denseNodeLimit
+	idle := []ExecInfo{
+		{ID: 0, Node: -3, Slots: 2}, {ID: 1, Node: huge}, {ID: 2, Node: 64}, {ID: 3, Node: 64}, {ID: 4, Node: 7},
+		{ID: 5, Node: last}, {ID: 6, Node: first, Slots: 2},
+	}
 	apps := []AppDemand{
-		{App: 0, Budget: 3, Jobs: []JobDemand{
+		{App: 0, Budget: 4, Jobs: []JobDemand{
 			{Job: 5, Tasks: []TaskDemand{task(0, 10, -3, 9), task(1, 11, huge)}},
 			{Job: 5, Tasks: []TaskDemand{task(0, 12, 64), task(1, 13, -3)}},
-			{Job: 2, Tasks: []TaskDemand{task(0, 14, 1000), task(1, 15, 64, -3)}},
+			{Job: 2, Tasks: []TaskDemand{task(0, 14, 1000, last), task(1, 15, 64, -3), task(2, 18, first)}},
 		}},
-		{App: 1, Budget: 2, ExtraTasks: 1, Jobs: []JobDemand{
-			{Job: 5, Tasks: []TaskDemand{task(0, 16, 7, huge)}},
+		{App: 1, Budget: 3, ExtraTasks: 1, Jobs: []JobDemand{
+			{Job: 5, Tasks: []TaskDemand{task(0, 16, 7, huge), task(1, 19, last, first)}},
 			{Job: 5, Tasks: []TaskDemand{task(0, 17, 64)}},
 		}},
 	}
@@ -277,6 +300,73 @@ func TestEdgeInstancesMatchReference(t *testing.T) {
 				as := want.Assignments[0]
 				a[as.App].Held--
 				e = append(e, ExecInfo{ID: as.Exec, Node: as.Node, Slots: idle[as.Exec].Slots})
+			}
+		}
+	}
+}
+
+// TestDenseNodeIndexBound pins the dense index's size: it grows to the
+// largest in-range node ID seen, while IDs at or above denseNodeLimit, and
+// negative ones, stay in the far map and never grow it.
+func TestDenseNodeIndexBound(t *testing.T) {
+	sess := NewSession()
+	p := sess.st.pool
+	rounds := []struct {
+		nodes []int
+		want  int // len(nodeAt) after the round
+	}{
+		{[]int{3, denseNodeLimit, denseNodeLimit + 9, -1}, 4},
+		{[]int{denseNodeLimit, 1 << 40}, 4},
+		{[]int{denseNodeLimit - 1, denseNodeLimit}, denseNodeLimit},
+		{[]int{5}, denseNodeLimit}, // never shrinks
+	}
+	for ri, r := range rounds {
+		idle := make([]ExecInfo, len(r.nodes))
+		for i, n := range r.nodes {
+			idle[i] = ExecInfo{ID: i, Node: n, Slots: 1}
+		}
+		sess.Allocate(nil, idle, DefaultOptions())
+		if len(p.nodeAt) != r.want {
+			t.Fatalf("round %d (nodes %v): len(nodeAt) = %d, want %d", ri, r.nodes, len(p.nodeAt), r.want)
+		}
+		for _, n := range r.nodes {
+			if _, ok := p.node(n); !ok {
+				t.Fatalf("round %d: node %d holds an idle executor but is not indexed", ri, n)
+			}
+		}
+	}
+}
+
+// TestDisjointRoundsLeaveNoStaleIndex runs two rounds on one Session where
+// round 2 keeps none of round 1's nodes, while its tasks still list round
+// 1's nodes as replicas. A stale index entry would post those tasks to a
+// reused nodeState; the plans must match the reference, the counters must
+// recount, and no round-1 node may still be indexed.
+func TestDisjointRoundsLeaveNoStaleIndex(t *testing.T) {
+	round1 := []ExecInfo{{ID: 0, Node: 2}, {ID: 1, Node: 5, Slots: 2}, {ID: 2, Node: 9}, {ID: 3, Node: -4}, {ID: 4, Node: denseNodeLimit + 1}}
+	round2 := []ExecInfo{{ID: 5, Node: 1}, {ID: 6, Node: 3, Slots: 2}, {ID: 7, Node: 12}, {ID: 8, Node: -6}}
+	apps := []AppDemand{
+		{App: 0, Budget: 3, Jobs: []JobDemand{
+			{Job: 1, Tasks: []TaskDemand{task(0, 1, 2, 3), task(1, 2, 5), task(2, 3, -4, 12)}},
+		}},
+		{App: 1, Budget: 3, Jobs: []JobDemand{
+			{Job: 1, Tasks: []TaskDemand{task(0, 4, 9, 1), task(1, 5, denseNodeLimit+1), task(2, 6, 5, -6)}},
+		}},
+	}
+	for oi, opts := range equivOptSets {
+		sess := NewSession()
+		for round, idle := range [][]ExecInfo{round1, round2} {
+			want := AllocateReference(apps, idle, opts)
+			if ws, gs := fmt.Sprintf("%#v", want), fmt.Sprintf("%#v", sess.Allocate(apps, idle, opts)); ws != gs {
+				t.Fatalf("opts[%d] round %d: plans diverge\nreference: %s\nfast path: %s", oi, round, ws, gs)
+			}
+			if err := recountCounters(sess); err != nil {
+				t.Fatalf("opts[%d] round %d: %v", oi, round, err)
+			}
+		}
+		for _, e := range round1 {
+			if ni, ok := sess.st.pool.node(e.Node); ok {
+				t.Fatalf("opts[%d]: round-1 node %d is still indexed (nodes[%d]) in round 2", oi, e.Node, ni)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ type Session struct {
 // NewSession returns an empty allocation session.
 func NewSession() *Session {
 	s := &Session{}
-	s.st.pool = &execPool{byNode: map[int]int32{}}
+	s.st.pool = &execPool{far: map[int]int32{}}
 	return s
 }
 
@@ -149,7 +149,7 @@ func grow[T any](buf []T, n int) []T {
 // poolExec is one idle executor's state inside the pool. Once a slot is
 // taken by an application, the executor is reserved: its remaining slots may
 // only serve the same application (an executor belongs to one app,
-// constraint (2)). The cached indexes spare takeSlot every map lookup; the
+// constraint (2)). The cached indexes spare takeSlot every index lookup; the
 // struct stays at 40 bytes, which matters at 200k executors per round.
 type poolExec struct {
 	info    ExecInfo
@@ -198,61 +198,70 @@ type execPool struct {
 
 	nodes    []nodeState
 	nodesLen int
-	byNode   map[int]int32 // node ID → index into nodes
+	// nodeAt maps a node ID n in [0, denseNodeLimit) to 1 + its index into
+	// nodes, 0 when n holds no idle executor this round. It grows to the
+	// largest node ID seen and never shrinks; reset clears it through the
+	// previous round's execs. far holds the node IDs outside that range.
+	nodeAt []int32
+	far    map[int]int32
 
 	na    []nodeApp // (node, app) entries, listed per node from nodeState.naHead
 	naLen int
 
 	cursor int // global min-unreserved scan over execs (takeAny)
-
-	// idleNodes has bit n set when node n holds an idle executor this
-	// round, for node IDs below idleBitsLimit: one bit per node spares
-	// post and takeOnAny the byNode lookup of the many replica nodes with
-	// no idle executor. reset clears it through the previous round's execs.
-	idleNodes []uint64
 }
 
-// idleBitsLimit bounds the node IDs idleNodes covers (2 MB of bits); nodes
-// outside [0, idleBitsLimit) always fall through to the byNode lookup.
-const idleBitsLimit = 1 << 24
+// denseNodeLimit bounds the node IDs nodeAt covers, so the index stays at
+// most 4 MB; IDs outside [0, denseNodeLimit) go through the far map.
+const denseNodeLimit = 1 << 20
 
-// mayHold reports whether node n may hold an idle executor: false only
-// when the bitset proves it holds none.
+// node returns node n's index into nodes, and false when n holds no idle
+// executor this round.
 //
 //custody:noalloc
-func (p *execPool) mayHold(n int) bool {
-	if n < 0 || n >= idleBitsLimit {
-		return true
+func (p *execPool) node(n int) (int32, bool) {
+	if uint(n) < uint(len(p.nodeAt)) {
+		i := p.nodeAt[n]
+		return i - 1, i != 0
 	}
-	w := n >> 6
-	return w < len(p.idleNodes) && p.idleNodes[w]&(1<<(uint(n)&63)) != 0
+	if uint(n) < denseNodeLimit || len(p.far) == 0 {
+		return -1, false
+	}
+	ni, ok := p.far[n]
+	return ni, ok
 }
 
 // reset rebuilds the pool for a new round, reusing all arenas. Executors
 // are indexed in ascending ID order, so every per-node execIdx list comes
 // out ascending: the tie-stamp ordering minUnres and the availability
-// transitions rely on.
+// transitions rely on. Callers usually pass idle in ascending ID order
+// already, and then the sort is skipped.
 func (p *execPool) reset(idle []ExecInfo) {
 	p.nodesLen = 0
 	p.naLen = 0
-	clear(p.byNode)
-	for i := range p.execs { // the previous round's executors set every bit
-		if n := p.execs[i].info.Node; n >= 0 && n < idleBitsLimit {
-			p.idleNodes[n>>6] = 0
+	clear(p.far)
+	for i := range p.execs { // the previous round's executors set every entry
+		if n := p.execs[i].info.Node; uint(n) < denseNodeLimit {
+			p.nodeAt[n] = 0
 		}
 	}
 	p.execs = grow(p.execs, len(idle))
+	sorted, maxNode := true, -1
 	for i, e := range idle {
 		p.execs[i] = poolExec{info: e, free: int32(e.slots()), app: -1, nodeIdx: -1, naIdx: -1}
-		if n := e.Node; n >= 0 && n < idleBitsLimit {
-			w := n >> 6
-			if w >= len(p.idleNodes) {
-				p.idleNodes = grow(p.idleNodes, w+1) // never shrinks, so new words are still zero
-			}
-			p.idleNodes[w] |= 1 << (uint(n) & 63)
+		if i > 0 && e.ID < idle[i-1].ID {
+			sorted = false
+		}
+		if uint(e.Node) < denseNodeLimit {
+			maxNode = max(maxNode, e.Node)
 		}
 	}
-	slices.SortFunc(p.execs, func(x, y poolExec) int { return cmp.Compare(x.info.ID, y.info.ID) })
+	if !sorted && mutant.Active != mutant.TrustOrder { // seeded bug: never sort
+		slices.SortFunc(p.execs, func(x, y poolExec) int { return cmp.Compare(x.info.ID, y.info.ID) })
+	}
+	if maxNode >= len(p.nodeAt) {
+		p.nodeAt = grow(p.nodeAt, maxNode+1) // never shrinks, so new entries are still zero
+	}
 	p.size = 0
 	p.cursor = 0
 	for x := range p.execs {
@@ -261,10 +270,14 @@ func (p *execPool) reset(idle []ExecInfo) {
 			i = int32(len(p.execs) - 1 - x)
 		}
 		pe := &p.execs[i]
-		ni, ok := p.byNode[pe.info.Node]
+		ni, ok := p.node(pe.info.Node)
 		if !ok {
 			ni = p.newNode()
-			p.byNode[pe.info.Node] = ni
+			if n := pe.info.Node; uint(n) < denseNodeLimit {
+				p.nodeAt[n] = ni + 1
+			} else {
+				p.far[n] = ni
+			}
 		}
 		pe.nodeIdx = ni
 		ns := &p.nodes[ni]
@@ -336,10 +349,7 @@ func (p *execPool) nodeApp(ni int32, app int) int32 {
 //custody:noalloc
 func (p *execPool) post(t *taskState) {
 	for _, n := range t.d.Nodes {
-		if !p.mayHold(n) {
-			continue
-		}
-		ni, ok := p.byNode[n]
+		ni, ok := p.node(n)
 		if !ok {
 			continue
 		}
@@ -407,11 +417,8 @@ func (p *execPool) takeOnAny(nodes []int, a *appState) (e ExecInfo, newExec, ok 
 	best := int32(-1)
 	bestRes := false
 	for _, n := range nodes {
-		if !p.mayHold(n) {
-			continue
-		}
-		ni, present := p.byNode[n]
-		if !present {
+		ni, ok := p.node(n)
+		if !ok {
 			continue
 		}
 		if nai := p.findNodeApp(ni, a.d.App); nai >= 0 {

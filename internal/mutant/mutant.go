@@ -10,6 +10,7 @@
 //
 //	go test -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 //	go test -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
+//	go test -tags custodymutate -run '^TestTrustOrderMutant$' ./internal/core
 package mutant
 
 // Name identifies one seeded bug.
@@ -35,4 +36,9 @@ const (
 	// level's, so a new flow that should become the bottleneck is frozen at
 	// a stale level: a divergence the fabric differential must catch.
 	NetsimWarmJoined Name = "netsim-warm-joined"
+	// TrustOrder makes internal/core's executor pool skip its sort and
+	// trust the idle list to arrive in ascending executor ID, so an
+	// unsorted list breaks the lowest-ID tie-breaks: a divergence the
+	// warm-session churn differential must catch.
+	TrustOrder Name = "core-trust-order"
 )
