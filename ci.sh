@@ -96,7 +96,10 @@ echo "== modelcheck mutation smoke"
 # counterexample: the inverted fairness comparison, the descending executor
 # tie-break (only the SelfCheck reference oracle can see it), and the
 # inverted Quincy edge-cost sign (only the policy-generic invariant core can
-# see it, DESIGN.md §16). With no mutant selected a tagged build behaves
+# see it, DESIGN.md §16). The first two are hunted in both harness modes,
+# the bare driver and the custodyd service, since both run the same check
+# battery, and each shrunk counterexample must replay from its .repro on the
+# stack it came from. With no mutant selected a tagged build behaves
 # like an untagged one, but only the mutation tests need to run here. The
 # fabric's warm start has its own seeded bug: a replay that ignores the
 # resources new flows joined, which the fabric differential must catch
@@ -108,9 +111,11 @@ go test -count=1 -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/ne
 go test -count=1 -tags custodymutate -run '^TestTrustOrderMutant$' ./internal/core
 
 echo "== modelcheck sweep (custodysim)"
-# The long-run CLI entry on a clean build: a bounded seed sweep must come
-# back violation-free.
+# The long-run CLI entry on a clean build: a bounded seed sweep of each mode,
+# the bare driver and the custodyd service (committed ops, crash/recovery
+# cycles), must come back violation-free.
 go run ./cmd/custodysim -modelcheck -seeds 40 -mc-cmds 30
+go run ./cmd/custodysim -modelcheck -mc-server -seeds 16 -mc-cmds 60
 
 echo "== coverage gate"
 # Combined statement coverage of the allocation stack — core + manager +

@@ -156,10 +156,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// driverConfig derives the driver configuration: resilience on (a
+// DriverConfig derives the driver configuration: resilience on (a
 // long-running service must survive faults), no startup noise (recovery
-// digests must not depend on anything but the op stream).
-func (c Config) driverConfig(mgr manager.Manager) driver.Config {
+// digests must not depend on anything but the op stream). The model
+// checker's driver mode builds its bare driver from it, so both of its
+// modes check the same stack shape.
+func (c Config) DriverConfig(mgr manager.Manager) driver.Config {
 	dcfg := driver.DefaultConfig()
 	dcfg.Seed = c.Seed
 	dcfg.Nodes = c.Nodes

@@ -74,7 +74,7 @@ func newService(cfg Config, jnl Journal, replayed func(*Service) error) (*Servic
 		}
 	}
 	s.hub = obsv.NewHub(0)
-	dcfg := cfg.driverConfig(s.mgr)
+	dcfg := cfg.DriverConfig(s.mgr)
 	dcfg.Obsv = s.hub
 	s.mgr.Opts.Observer = s.hub
 	s.drv = driver.New(dcfg)

@@ -2,9 +2,14 @@
 // property-testing harness that drives randomized, xrand-seeded command
 // sequences against the real core.Session + manager.Custody + driver stack
 // while maintaining a small independent model (slot ledger, per-app demand,
-// replica map), checking invariants after every command. The battery splits
-// into a policy-generic core, checked for every allocation policy the
-// set-policy op can select (DESIGN.md §16):
+// replica map), checking invariants after every command. One harness serves
+// two stacks, both built from one custodyd.Config: driver mode drives the
+// bare driver (Run), service mode drives a custodyd.Service's committed op
+// log with crash/recovery cycles in the alphabet (RunServer). The two
+// differ only in how they build the stack and apply a command; the run
+// loop, check battery, fault picker, digest and shrinker are shared. The
+// battery splits into a policy-generic core, checked for every allocation
+// policy the set-policy op can select (DESIGN.md §16):
 //
 //   - slot conservation and ownership agreement between the model's
 //     trace-fed executor ledger and the live cluster;
@@ -34,7 +39,8 @@
 //
 // On violation the harness shrinks the command sequence with delta
 // debugging to a minimal deterministic reproducer, serializable as a .repro
-// file and replayable via `custodysim -mc-replay`. Seeded bugs prove the
+// file that records its mode and replayable on the same stack via Replay or
+// `custodysim -mc-replay`. Seeded bugs prove the
 // checker has teeth: under the custodymutate build tag, internal/mutant
 // selects a bug in internal/core's fairness comparison or executor
 // tie-break, or a cost-sign bug in the Quincy policy that only the
@@ -166,10 +172,12 @@ func genCommand(rng *xrand.Rand) Command {
 }
 
 // Repro is a serialized minimal reproducer: the harness seed (which fixes
-// HDFS placement and all driver randomness) plus the exact command list.
+// HDFS placement and all driver randomness), the exact command list, and
+// the stack it ran on. A file without "server" is a driver-mode reproducer.
 type Repro struct {
 	Seed     uint64    `json:"seed"`
 	Commands []Command `json:"commands"`
+	Server   bool      `json:"server,omitempty"`
 }
 
 // Encode renders the reproducer as indented JSON.

@@ -6,11 +6,12 @@ import (
 	"strings"
 
 	"repro/internal/app"
+	"repro/internal/chaos"
 	"repro/internal/cluster"
+	"repro/internal/custodyd"
 	"repro/internal/driver"
 	"repro/internal/hdfs"
 	"repro/internal/manager"
-	"repro/internal/netsim"
 	"repro/internal/obsv"
 	"repro/internal/policy"
 	"repro/internal/trace"
@@ -49,15 +50,22 @@ func (v Violation) String() string {
 type Result struct {
 	Seed       uint64
 	Commands   []Command
-	Applied    int // commands applied (stops at the first violating command)
+	Server     bool // the sequence drove the custodyd service stack
+	Applied    int  // commands applied (stops at the first violating command)
 	Violations []Violation
 	Digest     string // stable fingerprint of the final model state
 
-	hub *obsv.Hub // retained for the -explain chain of violation reports
+	hub    *obsv.Hub // retained for the -explain chain of violation reports
+	rounds int       // allocation rounds the observer saw
 }
 
 // Failed reports whether any invariant was violated.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
+
+// Repro returns the reproducer that replays this run.
+func (r *Result) Repro() Repro {
+	return Repro{Seed: r.Seed, Commands: r.Commands, Server: r.Server}
+}
 
 // forwardTracer breaks the construction cycle: the driver needs its Tracer
 // at New time, but the Model needs the driver's cluster topology.
@@ -69,79 +77,73 @@ func (f *forwardTracer) Emit(e trace.Event) {
 	}
 }
 
-// harness wires one fresh core+manager+driver stack to the model checker.
+// harness wires one fresh stack to the model checker. Both modes build it
+// from one custodyd.Config and differ only in how they build the stack and
+// how they apply a command: driver mode drives a bare driver built from
+// Config.DriverConfig, service mode drives a custodyd.Service's op log
+// (server.go). The model and observer attachment, the fault picker, the
+// check battery, step, the run loop and the digest are shared.
 type harness struct {
+	server bool
+	cfg    custodyd.Config
+	fw     *forwardTracer
+
+	// The current incarnation's stack and the checkers attached to it.
 	drv   *driver.Driver
 	mgr   *manager.Custody
 	hub   *obsv.Hub
+	files []*hdfs.File
 	model *Model
 	obs   *checkObserver
-	apps  []*app.Application
-	files []*hdfs.File
 
+	faults faultPicker
+
+	// Driver mode.
+	apps    []*app.Application
 	active  int   // activated applications (≥1)
 	nextJob []int // per-app next job ID
 
-	// Fault bookkeeping for restore target selection (selection only —
-	// checking never reads these).
-	failedNode int // ≤1 concurrent node failure; -1 when none
-	slowDisk   map[int]bool
-	degraded   map[int]bool
+	// Service mode.
+	svc     *custodyd.Service
+	jnl     *custodyd.MemJournal
+	crashes int
 
 	curCmd     int
 	violations []Violation
 }
 
-func newHarness(seed uint64) *harness {
-	h := &harness{failedNode: -1, slowDisk: map[int]bool{}, degraded: map[int]bool{}}
-	report := func(rule, detail string, app, job int) {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: rule, Detail: detail, App: app, Job: job})
-	}
-
-	cfg := driver.DefaultConfig()
+func newHarness(seed uint64, server bool) *harness {
+	h := &harness{server: server, fw: &forwardTracer{}, faults: newFaultPicker()}
+	cfg := custodyd.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Nodes = checkNodes
 	cfg.ExecutorsPerNode = execsPerNode
 	cfg.SlotsPerExecutor = slotsPerExec
 	cfg.RackSize = 3
-	cfg.BlockSize = 32 << 20
 	cfg.Replication = 2
-	cfg.Net = netsim.Config{UplinkBps: 250e6, DownlinkBps: 5e9, DiskBps: 400e6}
-	cfg.LocalityWait = 0.5
-	cfg.ExecutorStartupSec = 0
-	cfg.ComputeNoise = 0
-	cfg.EnableResilience()
-
-	h.mgr = manager.NewCustody()
-	cfg.Manager = h.mgr
-	h.hub = obsv.NewHub(0)
-	cfg.Obsv = h.hub
-	fw := &forwardTracer{}
-	cfg.Tracer = fw
-
-	h.drv = driver.New(cfg)
-	h.model = newModel(h.drv.Cluster(), report)
-	fw.dst = h.model
-
-	var slots []int
-	for _, e := range h.drv.Cluster().Executors() {
-		slots = append(slots, e.Slots())
+	cfg.MaxTenants = MaxApps
+	cfg.Files = []custodyd.FileSpec{{Name: "mc-a", Blocks: 4}, {Name: "mc-b", Blocks: 6}}
+	cfg.Tracer = h.fw
+	h.cfg = cfg
+	if server {
+		h.bootService()
+	} else {
+		h.bootDriver()
 	}
-	h.obs = newCheckObserver(slots, h.hub, report)
-	h.mgr.Opts.Observer = h.obs
-	// Re-run every round through the frozen reference oracle: observer
-	// invariants see fairness-key order but not which executor a tie
-	// resolved to, so a tie-break bug is only visible as a plan divergence.
-	h.mgr.SelfCheck = true
-	// Policy-generic plan contract (policy.Validate) for whichever policy
-	// the set-policy op selects, the default included.
-	h.mgr.PlanCheck = true
+	return h
+}
 
-	for _, in := range []struct {
-		name   string
-		blocks int64
-	}{{"mc-a", 4}, {"mc-b", 6}} {
-		f, err := h.drv.CreateInput(in.name, in.blocks*cfg.BlockSize)
+// bootDriver builds the driver-mode stack: the service's driver
+// configuration, with every application registered up front (the driver
+// forbids registration after Start) and activated by submit-app.
+func (h *harness) bootDriver() {
+	mgr := manager.NewCustody()
+	hub := obsv.NewHub(0)
+	dcfg := h.cfg.DriverConfig(mgr)
+	dcfg.Obsv = hub
+	h.attach(driver.New(dcfg), mgr, hub)
+	for _, spec := range h.cfg.Files {
+		f, err := h.drv.CreateInput(spec.Name, spec.Blocks*h.cfg.BlockSize)
 		if err != nil {
 			panic(err) // static configuration; cannot fail
 		}
@@ -153,12 +155,41 @@ func newHarness(seed uint64) *harness {
 	h.drv.Start()
 	h.active = 1
 	h.nextJob = make([]int, MaxApps)
-	return h
 }
 
-// apply executes one command against the live stack. Inapplicable targets
-// degrade to no-ops so every subsequence of a sequence stays valid.
-func (h *harness) apply(c Command) {
+// attach points the checkers at a freshly built stack: a new model fed by
+// the forward tracer, a new round observer teeing into the hub, and the
+// manager's checks. Service mode calls it from custodyd's BootHook on every
+// incarnation, before the journal replays, so the model is rebuilt from
+// genesis.
+func (h *harness) attach(drv *driver.Driver, mgr *manager.Custody, hub *obsv.Hub) {
+	h.drv, h.mgr, h.hub = drv, mgr, hub
+	h.model = newModel(drv.Cluster(), h.report)
+	h.fw.dst = h.model
+	var slots []int
+	for _, e := range drv.Cluster().Executors() {
+		slots = append(slots, e.Slots())
+	}
+	h.obs = newCheckObserver(slots, hub, h.report)
+	mgr.Opts.Observer = h.obs
+	// Re-run every round through the frozen reference oracle: observer
+	// invariants see fairness-key order but not which executor a tie
+	// resolved to, so a tie-break bug is only visible as a plan divergence.
+	mgr.SelfCheck = true
+	// Policy-generic plan contract (policy.Validate) for whichever policy
+	// the set-policy op selects, the default included.
+	mgr.PlanCheck = true
+}
+
+// report records one violation against the command being applied.
+func (h *harness) report(rule, detail string, app, job int) {
+	h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: rule, Detail: detail, App: app, Job: job})
+}
+
+// applyDriver executes one driver-mode command against the live stack.
+// Inapplicable targets degrade to no-ops so every subsequence of a sequence
+// stays valid.
+func (h *harness) applyDriver(c Command) {
 	eng := h.drv.Engine()
 	cl := h.drv.Cluster()
 	switch c.Op {
@@ -181,9 +212,13 @@ func (h *harness) apply(c Command) {
 			h.drv.Release(e)
 		}
 	case OpInjectFault:
-		h.injectFault(c)
+		if f, ok := h.faults.inject(h.drv, c); ok {
+			chaos.Apply(h.drv, f)
+		}
 	case OpRestoreFault:
-		h.restoreFault(c)
+		if f, ok := h.faults.restore(h.drv, c); ok {
+			chaos.Revert(h.drv, f)
+		}
 	case OpAdvanceClock:
 		eng.RunUntil(eng.Now() + c.F)
 	case OpCompleteTask:
@@ -247,103 +282,118 @@ func (h *harness) buildJob(id, shape int) *app.Job {
 	}
 }
 
-// injectFault applies fault family A on target B. Concurrent whole-node
-// failures are capped at Replication-1 (= 1) so no block can lose every
-// replica: data loss is a legal outcome of over-failing, not a scheduler
-// bug, and would drown the audit signal.
-func (h *harness) injectFault(c Command) {
-	cl := h.drv.Cluster()
+// faultPicker maps a fault command's operands to a concrete chaos.Fault in
+// both modes; driver mode applies it with chaos.Apply/Revert, service mode
+// logs it with Service.InjectFault/RestoreFault. Its target bookkeeping
+// serves restore selection only — checking never reads it. Concurrent
+// whole-node failures are capped at Replication-1 (= 1) so no block can
+// lose every replica: data loss is a legal outcome of over-failing, not a
+// scheduler bug, and would drown the audit signal.
+type faultPicker struct {
+	failedNode int // the one failed node; -1 when none
+	slowDisk   map[int]bool
+	degraded   map[int]bool
+}
+
+func newFaultPicker() faultPicker {
+	return faultPicker{failedNode: -1, slowDisk: map[int]bool{}, degraded: map[int]bool{}}
+}
+
+// inject maps fault family A on target B to a fault, or false when the
+// family's target is not applicable.
+func (p *faultPicker) inject(d *driver.Driver, c Command) (chaos.Fault, bool) {
+	cl := d.Cluster()
 	node := c.B % checkNodes
 	switch c.A % nFaultKinds {
 	case 0:
-		if h.failedNode < 0 && h.drv.InjectNodeFail(node) {
-			h.failedNode = node
+		if p.failedNode >= 0 || !cl.NodeAlive(node) {
+			return chaos.Fault{}, false
 		}
+		p.failedNode = node
+		return chaos.Fault{Kind: chaos.NodeFlap, Node: node, Exec: -1}, true
 	case 1:
-		h.drv.InjectExecutorFail(c.B % cl.TotalExecutors())
+		return chaos.Fault{Kind: chaos.ExecutorCrash, Node: -1, Exec: c.B % cl.TotalExecutors()}, true
 	case 2:
-		h.drv.InjectDataNodeFlake(node)
+		return chaos.Fault{Kind: chaos.FlakyDataNode, Node: node, Exec: -1}, true
 	case 3:
-		h.drv.InjectStaleMetadata()
+		return chaos.Fault{Kind: chaos.StaleMetadata, Node: -1, Exec: -1}, true
 	case 4:
-		if h.drv.InjectSlowDisk(node, 0.25) {
-			h.slowDisk[node] = true
-		}
+		p.slowDisk[node] = true
+		return chaos.Fault{Kind: chaos.SlowDisk, Node: node, Exec: -1, Factor: 0.25}, true
 	case 5:
-		if h.drv.InjectLinkDegrade(node, 0.25) {
-			h.degraded[node] = true
-		}
-	case 6:
+		p.degraded[node] = true
+		return chaos.Fault{Kind: chaos.LinkDegrade, Node: node, Exec: -1, Factor: 0.25}, true
+	default:
 		groups := make([]int, checkNodes)
 		for i := range groups {
 			if i >= checkNodes/2 {
 				groups[i] = 1
 			}
 		}
-		h.drv.InjectPartition(groups)
+		return chaos.Fault{Kind: chaos.Partition, Node: -1, Exec: -1, Groups: groups}, true
 	}
 }
 
-// restoreFault reverts fault family A, picking the lowest-numbered active
-// target deterministically.
-func (h *harness) restoreFault(c Command) {
-	cl := h.drv.Cluster()
-	nn := h.drv.NameNode()
+// restore maps fault family A to its lowest-numbered active target,
+// deterministically, or false when none is active.
+func (p *faultPicker) restore(d *driver.Driver, c Command) (chaos.Fault, bool) {
+	cl := d.Cluster()
 	switch c.A % nFaultKinds {
 	case 0:
-		if h.failedNode >= 0 && h.drv.InjectNodeRecover(h.failedNode) {
-			h.failedNode = -1
+		if p.failedNode < 0 {
+			return chaos.Fault{}, false
 		}
+		f := chaos.Fault{Kind: chaos.NodeFlap, Node: p.failedNode, Exec: -1}
+		p.failedNode = -1
+		return f, true
 	case 1:
 		for _, e := range cl.Executors() {
 			if !e.Alive() && cl.NodeAlive(e.Node.ID) {
-				h.drv.InjectExecutorRecover(e.ID)
-				break
+				return chaos.Fault{Kind: chaos.ExecutorCrash, Node: -1, Exec: e.ID}, true
 			}
 		}
 	case 2:
 		for n := 0; n < checkNodes; n++ {
-			if nn.DataNode(n).Suspended() {
-				h.drv.RestoreDataNode(n)
-				break
+			if d.NameNode().DataNode(n).Suspended() {
+				return chaos.Fault{Kind: chaos.FlakyDataNode, Node: n, Exec: -1}, true
 			}
 		}
 	case 3:
-		h.drv.RestoreMetadata()
+		return chaos.Fault{Kind: chaos.StaleMetadata, Node: -1, Exec: -1}, true
 	case 4:
 		for n := 0; n < checkNodes; n++ {
-			if h.slowDisk[n] {
-				h.drv.RestoreDisk(n)
-				delete(h.slowDisk, n)
-				break
+			if p.slowDisk[n] {
+				delete(p.slowDisk, n)
+				return chaos.Fault{Kind: chaos.SlowDisk, Node: n, Exec: -1, Factor: 0.25}, true
 			}
 		}
 	case 5:
 		for n := 0; n < checkNodes; n++ {
-			if h.degraded[n] {
-				h.drv.RestoreLinks(n)
-				delete(h.degraded, n)
-				break
+			if p.degraded[n] {
+				delete(p.degraded, n)
+				return chaos.Fault{Kind: chaos.LinkDegrade, Node: n, Exec: -1, Factor: 0.25}, true
 			}
 		}
-	case 6:
-		h.drv.HealPartition()
+	default:
+		return chaos.Fault{Kind: chaos.Partition, Node: -1, Exec: -1}, true
 	}
+	return chaos.Fault{}, false
 }
 
 // check runs the post-command invariant battery: model-vs-cluster slot
-// ledger, replica-map hygiene, and the driver's cross-layer audit.
+// ledger, replica-map hygiene, the driver's cross-layer audit, the
+// reference-oracle differential and the policy-generic plan contract.
 func (h *harness) check() {
 	h.model.Compare(h.drv.Cluster())
 	h.model.CheckReplicaMap(h.drv.NameNode(), h.files)
 	if err := h.drv.Audit(); err != nil {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: "audit", Detail: err.Error(), App: -1, Job: -1})
+		h.report("audit", err.Error(), -1, -1)
 	}
 	if err := h.mgr.SelfCheckErr; err != nil {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: "selfcheck", Detail: err.Error(), App: -1, Job: -1})
+		h.report("selfcheck", err.Error(), -1, -1)
 	}
 	if err := h.mgr.PlanCheckErr; err != nil {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: "plancheck", Detail: err.Error(), App: -1, Job: -1})
+		h.report("plancheck", err.Error(), -1, -1)
 	}
 }
 
@@ -354,19 +404,24 @@ func (h *harness) step(i int, c Command) {
 	h.curCmd = i
 	defer func() {
 		if r := recover(); r != nil {
-			h.violations = append(h.violations, Violation{Cmd: i, Rule: "panic", Detail: fmt.Sprint(r), App: -1, Job: -1})
+			h.report("panic", fmt.Sprint(r), -1, -1)
 		}
 	}()
-	h.apply(c)
+	if h.server {
+		h.applyService(c)
+	} else {
+		h.applyDriver(c)
+	}
 	h.check()
 }
 
-// Run executes the command sequence on a fresh stack seeded with seed,
-// stopping at the first command that produces a violation. It is a pure
-// function of its arguments: the same (seed, cmds) yields a byte-identical
-// Result, including the digest.
-func Run(seed uint64, cmds []Command) *Result {
-	h := newHarness(seed)
+// run executes the command sequence on a fresh stack of the given mode
+// seeded with seed, stopping at the first command that produces a
+// violation. It is a pure function of its arguments: the same
+// (seed, cmds, server) yields a byte-identical Result, including the
+// digest.
+func run(seed uint64, cmds []Command, server bool) *Result {
+	h := newHarness(seed, server)
 	applied := 0
 	for i, c := range cmds {
 		h.step(i, c)
@@ -378,31 +433,49 @@ func Run(seed uint64, cmds []Command) *Result {
 	return &Result{
 		Seed:       seed,
 		Commands:   cmds,
+		Server:     server,
 		Applied:    applied,
 		Violations: h.violations,
 		Digest:     h.digest(),
 		hub:        h.hub,
+		rounds:     h.obs.rounds,
 	}
 }
 
-// Check generates n commands from seed and runs them.
+// Run executes a driver-mode command sequence on a fresh stack.
+func Run(seed uint64, cmds []Command) *Result { return run(seed, cmds, false) }
+
+// RunServer executes a service-mode command sequence on a fresh service.
+func RunServer(seed uint64, cmds []Command) *Result { return run(seed, cmds, true) }
+
+// Replay runs a reproducer on the stack it was recorded from.
+func Replay(r Repro) *Result { return run(r.Seed, r.Commands, r.Server) }
+
+// Check generates n driver-mode commands from seed and runs them.
 func Check(seed uint64, n int) *Result { return Run(seed, Generate(seed, n)) }
 
-// digest fingerprints the final state: model ledger, observer counters,
-// simulated time, and any violations. Two identical runs must produce the
-// same digest — the determinism test's gate.
+// digest fingerprints the final state: model ledger, observer counters and
+// any violations, plus the service digest (op log position, tenant ledgers,
+// driver metrics) and crash count in service mode, or the policy and
+// simulated time in driver mode. Two identical runs must produce the same
+// digest — the determinism test's gate.
 func (h *harness) digest() string {
 	var b strings.Builder
 	line := func(format string, args ...any) {
 		fmt.Fprintf(&b, format, args...)
 		b.WriteByte('\n')
 	}
+	if h.server {
+		line("svc=%s crashes=%d", h.svc.Digest(), h.crashes)
+	}
 	for _, l := range h.model.digestLines() {
 		line("%s", l)
 	}
 	line("rounds=%d decisions=%d grants=%d", h.obs.rounds, h.obs.decisions, h.obs.grants)
-	line("policy=%s", h.mgr.PolicyName())
-	line("t=%.6f", h.drv.Engine().Now())
+	if !h.server {
+		line("policy=%s", h.mgr.PolicyName())
+		line("t=%.6f", h.drv.Engine().Now())
+	}
 	for _, v := range h.violations {
 		line("%s", v.String())
 	}

@@ -67,23 +67,51 @@ func TestRandomSequencesHoldInvariants(t *testing.T) {
 	}
 }
 
-// TestReproRoundTrip pins the .repro serialization: encode → decode → equal,
-// and replaying the decoded reproducer gives the original digest.
+// TestReproRoundTrip pins the .repro serialization in both modes:
+// encode → decode → equal, and replaying the decoded reproducer runs the
+// stack it was recorded from — the mode's own entry point gives the same
+// digest, and allocation rounds actually ran.
 func TestReproRoundTrip(t *testing.T) {
-	r := Repro{Seed: 7, Commands: Generate(7, 12)}
-	path := filepath.Join(t.TempDir(), "case.repro")
-	if err := WriteRepro(path, r); err != nil {
-		t.Fatalf("WriteRepro: %v", err)
+	for _, tc := range []struct {
+		repro Repro
+		run   func(uint64, []Command) *Result
+	}{
+		{Repro{Seed: 7, Commands: Generate(7, 12)}, Run},
+		{Repro{Seed: 42, Commands: GenerateServer(42, 60), Server: true}, RunServer},
+	} {
+		r := tc.repro
+		path := filepath.Join(t.TempDir(), "case.repro")
+		if err := WriteRepro(path, r); err != nil {
+			t.Fatalf("WriteRepro: %v", err)
+		}
+		got, err := ReadRepro(path)
+		if err != nil {
+			t.Fatalf("ReadRepro: %v", err)
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("round trip changed the reproducer:\n got %+v\nwant %+v", got, r)
+		}
+		want, replay := tc.run(r.Seed, r.Commands), Replay(got)
+		if replay.Server != r.Server || replay.Digest != want.Digest || replay.rounds == 0 {
+			t.Fatalf("server=%v reproducer replayed with server=%v digest %s after %d rounds, want digest %s after %d",
+				r.Server, replay.Server, replay.Digest, replay.rounds, want.Digest, want.rounds)
+		}
 	}
-	got, err := ReadRepro(path)
+}
+
+// TestReproWithoutModeIsDriverMode pins the file format's compatibility: a
+// .repro written before reproducers recorded their mode decodes and
+// replays as driver mode.
+func TestReproWithoutModeIsDriverMode(t *testing.T) {
+	r, err := DecodeRepro([]byte(`{"seed": 5, "commands": [{"op": "submit-job", "a": 1, "b": 2}, {"op": "grant-round"}, {"op": "advance-clock", "f": 1.5}]}`))
 	if err != nil {
-		t.Fatalf("ReadRepro: %v", err)
+		t.Fatalf("DecodeRepro: %v", err)
 	}
-	if !reflect.DeepEqual(got, r) {
-		t.Fatalf("round trip changed the reproducer:\n got %+v\nwant %+v", got, r)
+	if r.Server {
+		t.Fatal("a .repro without a server field decoded as service mode")
 	}
-	if a, b := Run(r.Seed, r.Commands).Digest, Run(got.Seed, got.Commands).Digest; a != b {
-		t.Fatalf("replayed reproducer digest %s != original %s", b, a)
+	if a, b := Replay(r).Digest, Run(r.Seed, r.Commands).Digest; a != b {
+		t.Fatalf("legacy .repro replayed to digest %s, driver mode gives %s", a, b)
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 // TestMutationSmoke proves the checker has teeth: for each seeded bug in
 // internal/mutant, the checker must (a) catch it within a bounded seed scan,
 // (b) shrink the counterexample to at most 12 commands, and (c) round-trip
-// it through a .repro file that replays to the same digest. The subtests
-// skip unless the bugs are compiled in.
+// it through a .repro file that Replay runs to the same digest. The
+// allocator mutants are hunted in both modes: the service mode runs the same
+// check battery over the custodyd stack. The subtests skip unless the bugs
+// are compiled in.
 //
 // Run with: go test -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 func TestMutationSmoke(t *testing.T) {
@@ -24,6 +26,8 @@ func TestMutationSmoke(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		mutant mutant.Name
+		// server hunts the mutant through the custodyd service stack.
+		server bool
 		// prefix runs before each generated sequence.
 		prefix []Command
 		// check adds mutant-specific requirements on the minimal reproducer.
@@ -35,6 +39,9 @@ func TestMutationSmoke(t *testing.T) {
 		// Same-node ties resolve to the highest executor ID; only the
 		// manager self-check against the reference oracle can see it.
 		{mutant: mutant.TieStamp},
+		// The same two bugs behind the service's committed ops.
+		{mutant: mutant.InvertFairness, server: true},
+		{mutant: mutant.TieStamp, server: true},
 		// Quincy starves every application. The set-policy prefix arms the
 		// mutated policy before any generated command runs. The
 		// Custody-specific invariants are detached while quincy is active, so
@@ -54,7 +61,11 @@ func TestMutationSmoke(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run(string(tc.mutant), func(t *testing.T) {
+		name, generate := string(tc.mutant), Generate
+		if tc.server {
+			name, generate = name+"-server", GenerateServer
+		}
+		t.Run(name, func(t *testing.T) {
 			if !mutant.Select(tc.mutant) {
 				t.Skip("requires -tags custodymutate (seeded bugs not compiled in)")
 			}
@@ -63,8 +74,8 @@ func TestMutationSmoke(t *testing.T) {
 				t.Fatalf("policyTarget(1) = %q, want quincy (registry order changed?)", policyTarget(1))
 			}
 			for seed := uint64(1); seed <= maxSeeds; seed++ {
-				cmds := append(append([]Command(nil), tc.prefix...), Generate(seed, cmdsPerSeed)...)
-				r := Run(seed, cmds)
+				cmds := append(append([]Command(nil), tc.prefix...), generate(seed, cmdsPerSeed)...)
+				r := Replay(Repro{Seed: seed, Commands: cmds, Server: tc.server})
 				if !r.Failed() {
 					continue
 				}
@@ -83,15 +94,15 @@ func TestMutationSmoke(t *testing.T) {
 				if tc.check != nil {
 					tc.check(t, min)
 				}
-				path := filepath.Join(t.TempDir(), string(tc.mutant)+".repro")
-				if err := WriteRepro(path, Repro{Seed: min.Seed, Commands: min.Commands}); err != nil {
+				path := filepath.Join(t.TempDir(), name+".repro")
+				if err := WriteRepro(path, min.Repro()); err != nil {
 					t.Fatalf("WriteRepro: %v", err)
 				}
 				got, err := ReadRepro(path)
 				if err != nil {
 					t.Fatalf("ReadRepro: %v", err)
 				}
-				replay := Run(got.Seed, got.Commands)
+				replay := Replay(got)
 				if !replay.Failed() || replay.Digest != min.Digest {
 					t.Fatalf(".repro does not replay (failed=%v digest %s vs %s)",
 						replay.Failed(), replay.Digest, min.Digest)

@@ -3,9 +3,7 @@ package modelcheck
 import (
 	"errors"
 	"fmt"
-	"strings"
 
-	"repro/internal/chaos"
 	"repro/internal/custodyd"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -15,8 +13,8 @@ import (
 // bare driver: every command becomes a committed, replayable op, and the
 // alphabet gains srv-crash — kill the incarnation and recover a fresh one
 // from the intent log, requiring a digest-identical resurrection. The same
-// model/observer battery checks every step, rebuilt per incarnation via
-// custodyd's BootHook so replay re-feeds the model from genesis.
+// harness and check battery as driver mode checks every step (harness.go);
+// only the stack's construction and the command semantics live here.
 const (
 	// OpSrvRegister activates the next tenant slot (no-op at quota).
 	OpSrvRegister Op = "srv-register"
@@ -65,87 +63,39 @@ func GenerateServer(seed uint64, n int) []Command {
 	return cmds
 }
 
-// serverHarness wires a custodyd.Service to the model checker. The
-// forwardTracer and BootHook combination re-attaches a fresh Model and
-// checkObserver to every incarnation — including the replay phase of a
-// crash recovery, so the model is reconstructed from the same trace stream
-// the original incarnation produced.
-type serverHarness struct {
-	cfg custodyd.Config
-	svc *custodyd.Service
-	jnl *custodyd.MemJournal
-	fw  *forwardTracer
-
-	model *Model
-	obs   *checkObserver
-
-	// Fault bookkeeping for target selection (selection only — checking
-	// never reads these). Node failures are capped at Replication-1
-	// concurrent, as in the driver harness.
-	failedNode int
-	slowDisk   map[int]bool
-	degraded   map[int]bool
-
-	curCmd     int
-	crashes    int
-	violations []Violation
-	report     func(rule, detail string, app, job int)
-}
-
-func newServerHarness(seed uint64) *serverHarness {
-	h := &serverHarness{failedNode: -1, slowDisk: map[int]bool{}, degraded: map[int]bool{}}
-	h.report = func(rule, detail string, app, job int) {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: rule, Detail: detail, App: app, Job: job})
+// bootService builds the service-mode stack: a custodyd.Service over an
+// in-memory journal, with the checkers attached by BootHook so every
+// incarnation — including the replay phase of a crash recovery — rebuilds
+// the model from the same trace stream the original incarnation produced.
+func (h *harness) bootService() {
+	h.cfg.BootHook = func(s *custodyd.Service) {
+		h.attach(s.Driver(), s.Manager(), s.Hub())
+		h.files = s.Files()
 	}
-	h.fw = &forwardTracer{}
-	cfg := custodyd.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Nodes = checkNodes
-	cfg.ExecutorsPerNode = execsPerNode
-	cfg.SlotsPerExecutor = slotsPerExec
-	cfg.RackSize = 3
-	cfg.Replication = 2
-	cfg.MaxTenants = MaxApps
-	cfg.Files = []custodyd.FileSpec{{Name: "mc-a", Blocks: 4}, {Name: "mc-b", Blocks: 6}}
-	cfg.Tracer = h.fw
-	cfg.BootHook = h.attach
-	h.cfg = cfg
 	h.jnl = custodyd.NewMemJournal()
-	svc, err := custodyd.NewService(cfg, h.jnl)
+	svc, err := custodyd.NewService(h.cfg, h.jnl)
 	if err != nil {
 		panic(err) // static configuration; cannot fail
 	}
 	h.svc = svc
-	return h
 }
 
-// attach is the BootHook: called on every incarnation between stack
-// construction and intent-log replay, so the fresh model and observer see
-// the replayed history exactly as the original incarnation emitted it.
-func (h *serverHarness) attach(s *custodyd.Service) {
-	h.model = newModel(s.Driver().Cluster(), h.report)
-	h.fw.dst = h.model
-	var slots []int
-	for _, e := range s.Driver().Cluster().Executors() {
-		slots = append(slots, e.Slots())
-	}
-	h.obs = newCheckObserver(slots, s.Hub(), h.report)
-	s.Manager().Opts.Observer = h.obs
-}
-
-// opError records a rejected or failed service op. Ops refused by
+// opError records a failed service op; nil is no error. Ops refused by
 // validation (quota, no tenants) are expected no-ops, filtered by callers;
 // anything else is a counterexample.
-func (h *serverHarness) opError(err error) {
-	h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: "op-error", Detail: err.Error(), App: -1, Job: -1})
+func (h *harness) opError(err error) {
+	if err != nil {
+		h.report("op-error", err.Error(), -1, -1)
+	}
 }
 
-// apply executes one command against the service. Inapplicable targets
-// degrade to no-ops so every subsequence of a sequence stays valid.
-func (h *serverHarness) apply(c Command) {
+// applyService executes one service-mode command as a committed op.
+// Inapplicable targets degrade to no-ops so every subsequence of a sequence
+// stays valid.
+func (h *harness) applyService(c Command) {
 	switch c.Op {
 	case OpSrvRegister:
-		if _, err := h.svc.Register(fmt.Sprintf("srv-%d", h.svc.Tenants())); err != nil && !errors.Is(err, custodyd.ErrTenantQuota) {
+		if _, err := h.svc.Register(fmt.Sprintf("srv-%d", h.svc.Tenants())); !errors.Is(err, custodyd.ErrTenantQuota) {
 			h.opError(err)
 		}
 	case OpSrvSubmit:
@@ -154,114 +104,23 @@ func (h *serverHarness) apply(c Command) {
 		}
 		kinds := workload.Kinds()
 		kind := string(kinds[c.B%len(kinds)])
-		if _, err := h.svc.Submit(c.A%h.svc.Tenants(), kind, c.B%len(h.svc.Files())); err != nil {
-			h.opError(err)
-		}
+		_, err := h.svc.Submit(c.A%h.svc.Tenants(), kind, c.B%len(h.files))
+		h.opError(err)
 	case OpSrvRound:
-		if err := h.svc.Round(c.F, c.A%2 == 1); err != nil {
-			h.opError(err)
-		}
+		h.opError(h.svc.Round(c.F, c.A%2 == 1))
 	case OpSrvInject:
-		if f, ok := h.pickInject(c); ok {
-			if err := h.svc.InjectFault(f); err != nil {
-				h.opError(err)
-			}
+		if f, ok := h.faults.inject(h.drv, c); ok {
+			h.opError(h.svc.InjectFault(f))
 		}
 	case OpSrvRestore:
-		if f, ok := h.pickRestore(c); ok {
-			if err := h.svc.RestoreFault(f); err != nil {
-				h.opError(err)
-			}
+		if f, ok := h.faults.restore(h.drv, c); ok {
+			h.opError(h.svc.RestoreFault(f))
 		}
 	case OpSrvCrash:
 		h.crash()
 	case OpSrvDrain:
-		if err := h.svc.Drain(); err != nil {
-			h.opError(err)
-		}
+		h.opError(h.svc.Drain())
 	}
-}
-
-// pickInject maps (A, B) to a concrete driver-level fault. Node failures
-// are capped at one concurrent so no block can lose every replica.
-func (h *serverHarness) pickInject(c Command) (chaos.Fault, bool) {
-	cl := h.svc.Driver().Cluster()
-	node := c.B % checkNodes
-	switch c.A % nFaultKinds {
-	case 0:
-		if h.failedNode >= 0 || !cl.NodeAlive(node) {
-			return chaos.Fault{}, false
-		}
-		h.failedNode = node
-		return chaos.Fault{Kind: chaos.NodeFlap, Node: node, Exec: -1}, true
-	case 1:
-		return chaos.Fault{Kind: chaos.ExecutorCrash, Node: -1, Exec: c.B % cl.TotalExecutors()}, true
-	case 2:
-		return chaos.Fault{Kind: chaos.FlakyDataNode, Node: node, Exec: -1}, true
-	case 3:
-		return chaos.Fault{Kind: chaos.StaleMetadata, Node: -1, Exec: -1}, true
-	case 4:
-		h.slowDisk[node] = true
-		return chaos.Fault{Kind: chaos.SlowDisk, Node: node, Exec: -1, Factor: 0.25}, true
-	case 5:
-		h.degraded[node] = true
-		return chaos.Fault{Kind: chaos.LinkDegrade, Node: node, Exec: -1, Factor: 0.25}, true
-	default:
-		groups := make([]int, checkNodes)
-		for i := range groups {
-			if i >= checkNodes/2 {
-				groups[i] = 1
-			}
-		}
-		return chaos.Fault{Kind: chaos.Partition, Node: -1, Exec: -1, Groups: groups}, true
-	}
-}
-
-// pickRestore maps fault family A to the lowest-numbered active target,
-// deterministically.
-func (h *serverHarness) pickRestore(c Command) (chaos.Fault, bool) {
-	cl := h.svc.Driver().Cluster()
-	nn := h.svc.Driver().NameNode()
-	switch c.A % nFaultKinds {
-	case 0:
-		if h.failedNode < 0 {
-			return chaos.Fault{}, false
-		}
-		f := chaos.Fault{Kind: chaos.NodeFlap, Node: h.failedNode, Exec: -1}
-		h.failedNode = -1
-		return f, true
-	case 1:
-		for _, e := range cl.Executors() {
-			if !e.Alive() && cl.NodeAlive(e.Node.ID) {
-				return chaos.Fault{Kind: chaos.ExecutorCrash, Node: -1, Exec: e.ID}, true
-			}
-		}
-	case 2:
-		for n := 0; n < checkNodes; n++ {
-			if nn.DataNode(n).Suspended() {
-				return chaos.Fault{Kind: chaos.FlakyDataNode, Node: n, Exec: -1}, true
-			}
-		}
-	case 3:
-		return chaos.Fault{Kind: chaos.StaleMetadata, Node: -1, Exec: -1}, true
-	case 4:
-		for n := 0; n < checkNodes; n++ {
-			if h.slowDisk[n] {
-				delete(h.slowDisk, n)
-				return chaos.Fault{Kind: chaos.SlowDisk, Node: n, Exec: -1, Factor: 0.25}, true
-			}
-		}
-	case 5:
-		for n := 0; n < checkNodes; n++ {
-			if h.degraded[n] {
-				delete(h.degraded, n)
-				return chaos.Fault{Kind: chaos.LinkDegrade, Node: n, Exec: -1, Factor: 0.25}, true
-			}
-		}
-	default:
-		return chaos.Fault{Kind: chaos.Partition, Node: -1, Exec: -1}, true
-	}
-	return chaos.Fault{}, false
 }
 
 // crash kills the incarnation and recovers a fresh one from the intent
@@ -269,103 +128,17 @@ func (h *serverHarness) pickRestore(c Command) (chaos.Fault, bool) {
 // crash-tolerance invariant — and the fresh model (rebuilt by attach during
 // replay) must still agree with the live cluster, which the post-command
 // check verifies.
-func (h *serverHarness) crash() {
+func (h *harness) crash() {
 	before := h.svc.Digest()
 	jnl := custodyd.NewMemJournal(h.jnl.Ops()...)
 	svc, err := custodyd.NewService(h.cfg, jnl)
 	if err != nil {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: "crash-recovery",
-			Detail: fmt.Sprintf("replay failed: %v", err), App: -1, Job: -1})
+		h.report("crash-recovery", fmt.Sprintf("replay failed: %v", err), -1, -1)
 		return
 	}
 	if got := svc.Digest(); got != before {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: "crash-recovery",
-			Detail: fmt.Sprintf("recovered digest %s != pre-crash digest %s", got, before), App: -1, Job: -1})
+		h.report("crash-recovery", fmt.Sprintf("recovered digest %s != pre-crash digest %s", got, before), -1, -1)
 	}
 	h.svc, h.jnl = svc, jnl
 	h.crashes++
-}
-
-// check runs the post-command invariant battery against the service's
-// stack.
-func (h *serverHarness) check() {
-	h.model.Compare(h.svc.Driver().Cluster())
-	h.model.CheckReplicaMap(h.svc.Driver().NameNode(), h.svc.Files())
-	if err := h.svc.Driver().Audit(); err != nil {
-		h.violations = append(h.violations, Violation{Cmd: h.curCmd, Rule: "audit", Detail: err.Error(), App: -1, Job: -1})
-	}
-}
-
-// step applies one command and checks invariants, converting panics into
-// violations.
-func (h *serverHarness) step(i int, c Command) {
-	h.curCmd = i
-	defer func() {
-		if r := recover(); r != nil {
-			h.violations = append(h.violations, Violation{Cmd: i, Rule: "panic", Detail: fmt.Sprint(r), App: -1, Job: -1})
-		}
-	}()
-	h.apply(c)
-	h.check()
-}
-
-// digest fingerprints the final server-mode state: the service digest
-// (which covers the op log position, tenant ledgers, and driver metrics),
-// the model ledger, observer counters, and crash count.
-func (h *serverHarness) digest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "svc=%s crashes=%d\n", h.svc.Digest(), h.crashes)
-	for _, l := range h.model.digestLines() {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "rounds=%d decisions=%d grants=%d\n", h.obs.rounds, h.obs.decisions, h.obs.grants)
-	for _, v := range h.violations {
-		b.WriteString(v.String())
-		b.WriteByte('\n')
-	}
-	s := b.String()
-	hash := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		hash = (hash ^ uint64(s[i])) * 0x100000001B3
-	}
-	return fmt.Sprintf("%016x", hash)
-}
-
-// RunServer executes a server-mode command sequence on a fresh service
-// seeded with seed, stopping at the first violating command. Like Run it is
-// a pure function of its arguments.
-func RunServer(seed uint64, cmds []Command) *Result {
-	h := newServerHarness(seed)
-	applied := 0
-	for i, c := range cmds {
-		h.step(i, c)
-		applied++
-		if len(h.violations) > 0 {
-			break
-		}
-	}
-	return &Result{
-		Seed:       seed,
-		Commands:   cmds,
-		Applied:    applied,
-		Violations: h.violations,
-		Digest:     h.digest(),
-		hub:        h.svc.Hub(),
-	}
-}
-
-// CheckServer generates n server-mode commands from seed and runs them.
-func CheckServer(seed uint64, n int) *Result { return RunServer(seed, GenerateServer(seed, n)) }
-
-// ShrinkServerResult shrinks a failing server-mode Result to a minimal
-// reproducer, re-running RunServer for every candidate subsequence.
-func ShrinkServerResult(r *Result) *Result {
-	if !r.Failed() {
-		return r
-	}
-	minimal := ShrinkCommands(r.Commands, func(cmds []Command) bool {
-		return RunServer(r.Seed, cmds).Failed()
-	})
-	return RunServer(r.Seed, minimal)
 }

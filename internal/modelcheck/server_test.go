@@ -7,12 +7,13 @@ import (
 // TestServerSequencesHoldInvariants sweeps seeded server-mode sequences —
 // submissions, degraded and normal rounds, fault windows, drains, and
 // crash/recover cycles — expecting the full battery (model ledger, round
-// observer, driver audit, digest-identical recovery) to stay quiet.
+// observer, driver audit, reference-oracle differential, plan contract,
+// digest-identical recovery) to stay quiet.
 func TestServerSequencesHoldInvariants(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		r := CheckServer(seed, 60)
+		r := RunServer(seed, GenerateServer(seed, 60))
 		if r.Failed() {
-			shrunk := ShrinkServerResult(r)
+			shrunk := ShrinkResult(r)
 			for _, v := range shrunk.Violations {
 				t.Errorf("seed %d: %s", seed, v)
 			}

@@ -40,15 +40,16 @@ func ShrinkCommands(cmds []Command, fails func([]Command) bool) []Command {
 }
 
 // ShrinkResult shrinks a failing Result to a minimal reproducer, re-running
-// the harness under the same seed for every candidate subsequence, and
-// returns the Result of the minimal sequence (so its report and explain
-// chain describe exactly the commands in the reproducer).
+// the harness of the Result's mode under the same seed for every candidate
+// subsequence, and returns the Result of the minimal sequence (so its
+// report and explain chain describe exactly the commands in the
+// reproducer).
 func ShrinkResult(r *Result) *Result {
 	if !r.Failed() {
 		return r
 	}
 	minimal := ShrinkCommands(r.Commands, func(cmds []Command) bool {
-		return Run(r.Seed, cmds).Failed()
+		return run(r.Seed, cmds, r.Server).Failed()
 	})
-	return Run(r.Seed, minimal)
+	return run(r.Seed, minimal, r.Server)
 }
