@@ -96,7 +96,9 @@ echo "== modelcheck mutation smoke"
 # counterexample: the inverted fairness comparison, the descending executor
 # tie-break (only the SelfCheck reference oracle can see it), and the
 # inverted Quincy edge-cost sign (only the policy-generic invariant core can
-# see it, DESIGN.md §16). The first two are hunted in both harness modes,
+# see it, DESIGN.md §16), and a crashed executor left in its old owner's
+# owned-executor index (the driver audit's cluster.Validate must report
+# it). The first two are hunted in both harness modes,
 # the bare driver and the custodyd service, since both run the same check
 # battery, and each shrunk counterexample must replay from its .repro on the
 # stack it came from. With no mutant selected a tagged build behaves

@@ -10,6 +10,9 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+
+	"repro/internal/mutant"
 )
 
 // AppID identifies an application. NoApp marks an unallocated executor.
@@ -69,6 +72,11 @@ func (e *Executor) FreeSlots() int { return e.slots - e.running }
 type Cluster struct {
 	nodes     []*Node
 	executors []*Executor
+
+	// owned indexes executors by owner: owned[app] holds the executors
+	// allocated to app (IDs are dense from 0), in ID order. setOwner is the
+	// only writer, and Validate checks it against a scan.
+	owned [][]*Executor
 }
 
 // Config controls cluster construction.
@@ -153,15 +161,43 @@ func (c *Cluster) Allocate(e *Executor, app AppID) error {
 	if app == NoApp {
 		return fmt.Errorf("cluster: Allocate to NoApp")
 	}
+	if app < 0 {
+		return fmt.Errorf("cluster: Allocate to negative app %d", app)
+	}
 	if e.dead {
 		return fmt.Errorf("cluster: executor %d is on a failed node", e.ID)
 	}
 	if e.owner != NoApp {
 		return fmt.Errorf("cluster: executor %d already owned by app %d", e.ID, e.owner)
 	}
-	e.owner = app
+	c.setOwner(e, app)
 	return nil
 }
+
+// setOwner moves e to a new owner and keeps the owned index in step: e
+// leaves its old owner's list and joins the new one's at its ID position.
+func (c *Cluster) setOwner(e *Executor, app AppID) {
+	if e.owner == app {
+		return
+	}
+	if e.owner != NoApp {
+		list := c.owned[e.owner]
+		i, _ := slices.BinarySearchFunc(list, e.ID, byID)
+		c.owned[e.owner] = slices.Delete(list, i, i+1)
+	}
+	if app != NoApp {
+		if int(app) >= len(c.owned) {
+			c.owned = append(c.owned, make([][]*Executor, int(app)+1-len(c.owned))...)
+		}
+		list := c.owned[app]
+		i, _ := slices.BinarySearchFunc(list, e.ID, byID)
+		c.owned[app] = slices.Insert(list, i, e)
+	}
+	e.owner = app
+}
+
+// byID orders executors by ID for the owned index's binary searches.
+func byID(e *Executor, id int) int { return e.ID - id }
 
 // FailNode takes a node out of service: its executors are forcibly freed
 // (any tasks on them are the caller's responsibility to re-queue) and
@@ -174,7 +210,7 @@ func (c *Cluster) FailNode(node int) []*Executor {
 			interrupted = append(interrupted, e)
 		}
 		e.running = 0
-		e.owner = NoApp
+		c.setOwner(e, NoApp)
 		e.dead = true
 	}
 	return interrupted
@@ -208,7 +244,11 @@ func (c *Cluster) FailExecutor(e *Executor) bool {
 		return false
 	}
 	e.running = 0
-	e.owner = NoApp
+	if mutant.Active == mutant.ClusterStaleOwner { // seeded bug: leave the owned index stale
+		e.owner = NoApp
+	} else {
+		c.setOwner(e, NoApp)
+	}
 	e.dead = true
 	return true
 }
@@ -231,7 +271,7 @@ func (c *Cluster) Release(e *Executor) error {
 	if e.running > 0 {
 		return fmt.Errorf("cluster: executor %d still running %d task(s)", e.ID, e.running)
 	}
-	e.owner = NoApp
+	c.setOwner(e, NoApp)
 	return nil
 }
 
@@ -274,23 +314,43 @@ func (c *Cluster) AppendFree(dst []*Executor) []*Executor {
 func (c *Cluster) Owned(app AppID) []*Executor { return c.AppendOwned(nil, app) }
 
 // AppendOwned appends the executors allocated to an application, ordered by
-// ID, to dst and returns the extended slice.
+// ID, to dst and returns the extended slice. It copies from the owned
+// index, never handing the index itself out: callers release and launch
+// while they walk the result.
 func (c *Cluster) AppendOwned(dst []*Executor, app AppID) []*Executor {
-	for _, e := range c.executors {
-		if e.owner == app {
-			dst = append(dst, e)
+	if app == NoApp {
+		for _, e := range c.executors {
+			if e.owner == NoApp {
+				dst = append(dst, e)
+			}
 		}
+		return dst
 	}
-	return dst
+	return append(dst, c.ownedList(app)...)
 }
 
 // OwnedCount returns the number of executors allocated to an application.
 func (c *Cluster) OwnedCount(app AppID) int {
+	if app == NoApp {
+		return len(c.executors) - c.allocated()
+	}
+	return len(c.ownedList(app))
+}
+
+// ownedList returns app's entry in the owned index; nil for an app that
+// was never allocated an executor.
+func (c *Cluster) ownedList(app AppID) []*Executor {
+	if app < 0 || int(app) >= len(c.owned) {
+		return nil
+	}
+	return c.owned[app]
+}
+
+// allocated returns the number of executors with an owner.
+func (c *Cluster) allocated() int {
 	n := 0
-	for _, e := range c.executors {
-		if e.owner == app {
-			n++
-		}
+	for _, list := range c.owned {
+		n += len(list)
 	}
 	return n
 }
@@ -312,6 +372,7 @@ func (c *Cluster) TotalExecutors() int { return len(c.executors) }
 // Validate checks internal consistency; used by tests and the driver's
 // failure-injection harness.
 func (c *Cluster) Validate() error {
+	owners := 0
 	for _, e := range c.executors {
 		if e.running < 0 || e.running > e.slots {
 			return fmt.Errorf("executor %d running=%d slots=%d", e.ID, e.running, e.slots)
@@ -322,6 +383,25 @@ func (c *Cluster) Validate() error {
 		if e.dead && (e.owner != NoApp || e.running > 0) {
 			return fmt.Errorf("executor %d dead but owner=%d running=%d", e.ID, e.owner, e.running)
 		}
+		if e.owner != NoApp {
+			owners++
+		}
+	}
+	// The owned index: every list entry is owned by its app and the lists
+	// are strictly ID-ordered, so equal totals make each list exactly the
+	// app's executors.
+	for app, list := range c.owned {
+		for i, e := range list {
+			if e.owner != AppID(app) {
+				return fmt.Errorf("owned index: app %d lists executor %d owned by %d", app, e.ID, e.owner)
+			}
+			if i > 0 && list[i-1].ID >= e.ID {
+				return fmt.Errorf("owned index: app %d lists executor %d after %d", app, e.ID, list[i-1].ID)
+			}
+		}
+	}
+	if n := c.allocated(); n != owners {
+		return fmt.Errorf("owned index lists %d executors, %d are allocated", n, owners)
 	}
 	return nil
 }

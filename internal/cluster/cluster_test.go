@@ -56,6 +56,9 @@ func TestAllocateRelease(t *testing.T) {
 	if err := c.Allocate(c.Executor(1), NoApp); err == nil {
 		t.Fatal("allocation to NoApp succeeded")
 	}
+	if err := c.Allocate(c.Executor(1), -2); err == nil {
+		t.Fatal("allocation to a negative app succeeded")
+	}
 	if err := c.Release(e); err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +164,28 @@ func TestValidate(t *testing.T) {
 	e.running = 5 // corrupt
 	if err := c.Validate(); err == nil {
 		t.Fatal("Validate accepted corrupted state")
+	}
+}
+
+// TestValidateCatchesStaleOwnedIndex: an owner change that bypasses the
+// owned index, in either direction, fails Validate.
+func TestValidateCatchesStaleOwnedIndex(t *testing.T) {
+	c := small()
+	e := c.Executor(2)
+	if err := c.Allocate(e, 1); err != nil {
+		t.Fatal(err)
+	}
+	e.owner = NoApp // still listed under app 1
+	if err := c.Validate(); err == nil {
+		t.Fatal("Validate accepted an index entry with no owner")
+	}
+	e.owner = 1
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c.Executor(4).owner = 1 // owned but not listed
+	if err := c.Validate(); err == nil {
+		t.Fatal("Validate accepted an owned executor missing from the index")
 	}
 }
 

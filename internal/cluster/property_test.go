@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -61,6 +62,24 @@ func TestValidateUnderChurn(t *testing.T) {
 			}
 			if err := c.Validate(); err != nil {
 				t.Fatalf("seed %d step %d: Validate: %v", seed, step, err)
+			}
+			// The owned index answers exactly what a scan answers: for
+			// every app, for one never allocated (0) and for NoApp.
+			for _, app := range append([]AppID{0, NoApp}, apps...) {
+				var want []*Executor
+				for _, e := range c.Executors() {
+					if e.Owner() == app {
+						want = append(want, e)
+					}
+				}
+				prefix := []*Executor{c.Executor(0)}
+				got := c.AppendOwned(prefix, app)
+				if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
+					t.Fatalf("seed %d step %d: AppendOwned(app %d) = %v, scan = %v", seed, step, app, got[1:], want)
+				}
+				if n := c.OwnedCount(app); n != len(want) {
+					t.Fatalf("seed %d step %d: OwnedCount(app %d) = %d, scan = %d", seed, step, app, n, len(want))
+				}
 			}
 		}
 	}

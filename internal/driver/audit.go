@@ -9,7 +9,8 @@ import (
 
 // Audit checks the cross-layer invariants that faults must never break:
 //
-//   - cluster slot conservation (cluster.Validate) and dead-executor state;
+//   - cluster slot conservation, dead-executor state and the owned-executor
+//     index (cluster.Validate);
 //   - task conservation: every task is exactly one of done, running with a
 //     live attempt on a live executor, ready (queued with its scheduler or
 //     waiting out a retry backoff), or waiting on an unready stage — no

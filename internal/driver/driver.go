@@ -46,6 +46,12 @@ type Driver struct {
 	ownedBufs     [][]*cluster.Executor
 	dispatchDepth int
 
+	// fetchTally is startShuffleFetch's bytes per source node, indexed by
+	// node ID, and fetchNodes the nodes it touched; the tally is all zero
+	// between calls.
+	fetchTally []float64
+	fetchNodes []int
+
 	// Chaos/resilience state. All maps stay empty (and cost nothing) until
 	// faults are injected or resilience knobs are enabled.
 	failedNodes map[int]bool               // nodes taken down via InjectNodeFail
@@ -131,6 +137,8 @@ func New(cfg Config) *Driver {
 		running:   map[*app.Task][]*attempt{},
 		execReady: make([]float64, cl.TotalExecutors()),
 		prevOwner: map[int]cluster.AppID{},
+
+		fetchTally: make([]float64, cl.NumNodes()),
 
 		failedNodes: map[int]bool{},
 		degraded:    map[int]bool{},

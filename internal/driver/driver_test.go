@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/app"
@@ -427,5 +428,113 @@ func TestShuffleFetchOnePass(t *testing.T) {
 	}
 	if got := d.Fabric().Reallocations - before; got != 1 {
 		t.Fatalf("4 fetches cost %d rate recomputes, want 1", got)
+	}
+}
+
+// runReduceJob runs one map-reduce job with the given input blocks and
+// reduce width on a cluster of the given size, and returns the finished
+// driver and job for tests that re-fetch its shuffle by hand.
+func runReduceJob(t *testing.T, nodes, blocks, reduces int) (*Driver, *app.Job) {
+	t.Helper()
+	cfg := smallConfig(custodyMgr())
+	cfg.Nodes = nodes
+	d := New(cfg)
+	f, err := d.CreateInput("in", int64(blocks)*cfg.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := d.RegisterApp("test")
+	d.Start()
+	b := app.NewJob(1, "Sort", "in")
+	in := b.AddInputStage("map", f.Blocks, app.TaskSpec{ComputeSec: 1, OutputBytes: 32 << 20})
+	b.AddShuffleStage("reduce", []*app.Stage{in}, reduces, 64<<20, app.TaskSpec{ComputeSec: 0.5})
+	j := b.Build()
+	d.SubmitJobAt(1.0, a, j)
+	d.Run()
+	return d, j
+}
+
+// fetch is one shuffle flow as the fabric sees it.
+type fetch struct {
+	src, dst int
+	bytes    float64
+}
+
+// mapFetches recomputes a reduce task's fetch flows with a map keyed by
+// source node and a sorted key list: the tally the dense one replaced.
+func mapFetches(t *app.Task, dst int, failed map[int]bool) []fetch {
+	perNode := map[int]float64{}
+	regen := 0.0
+	for _, p := range t.Stage.Parents {
+		for _, pt := range p.Tasks {
+			if pt.OutputBytes <= 0 || pt.RanOnNode < 0 {
+				continue
+			}
+			if failed[pt.RanOnNode] {
+				regen += float64(pt.OutputBytes)
+				continue
+			}
+			perNode[pt.RanOnNode] += float64(pt.OutputBytes)
+		}
+	}
+	var nodes []int
+	for n := range perNode {
+		nodes = append(nodes, n)
+	}
+	slices.Sort(nodes)
+	width := float64(len(t.Stage.Tasks))
+	var out []fetch
+	if regen > 0 {
+		out = append(out, fetch{dst, dst, regen / width})
+	}
+	groups := min(len(nodes), maxFanIn)
+	src := make([]int, groups)
+	bytes := make([]float64, groups)
+	for i, n := range nodes {
+		g := i % groups
+		if i < groups || perNode[n] > perNode[src[g]] {
+			src[g] = n
+		}
+		bytes[g] += perNode[n]
+	}
+	for g := range groups {
+		out = append(out, fetch{src[g], dst, bytes[g] / width})
+	}
+	return out
+}
+
+// TestShuffleTallyMatchesMap: the dense per-node tally starts the fetch
+// flows a map-and-sort recomputation predicts, bit for bit, with more
+// source nodes than maxFanIn, repeated sources, the reader's own node among
+// them and one failed source (lineage regeneration); a second reduce task
+// on the same driver sees a clean tally, and the tally is all zero after
+// each call.
+func TestShuffleTallyMatchesMap(t *testing.T) {
+	d, j := runReduceJob(t, 16, 24, 3)
+	for i, pt := range j.Stages[0].Tasks {
+		pt.RanOnNode = (i * 5) % 13 // 13 distinct nodes, most of them twice
+		pt.OutputBytes = 1<<20 + int64(i)*7919
+	}
+	d.failedNodes[5] = true
+	for k, dst := range []int{0, 14} {
+		task := j.Stages[1].Tasks[k]
+		at := &attempt{task: task, exec: d.Cluster().Node(dst).Executors()[0]}
+		d.startShuffleFetch(at)
+		var got []fetch
+		for _, f := range at.flows {
+			got = append(got, fetch{f.Src(), f.Dst(), f.Bytes})
+		}
+		want := mapFetches(task, dst, d.failedNodes)
+		if len(want) != 1+maxFanIn {
+			t.Fatalf("reduce %d: recomputation has %d flows, want regeneration plus %d groups", k, len(want), maxFanIn)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("reduce %d on node %d: fetches\n got %v\nwant %v", k, dst, got, want)
+		}
+		for n, b := range d.fetchTally {
+			if b != 0 {
+				t.Fatalf("reduce %d: tally[%d] = %v after the call, want 0", k, n, b)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/app"
@@ -131,11 +132,12 @@ func (d *Driver) startShuffleFetch(at *attempt) {
 	t := at.task
 	dst := at.exec.Node.ID
 
-	// Volume produced per source node across all parent stages. Output on
-	// nodes that have since failed is gone (no external shuffle service
-	// survives a machine loss); it is regenerated locally instead — the
-	// stand-in for recomputing the parent partitions from lineage.
-	perNode := map[int]float64{}
+	// Volume produced per source node across all parent stages, summed in
+	// the dense per-node tally in parent-task order. Output on nodes that
+	// have since failed is gone (no external shuffle service survives a
+	// machine loss); it is regenerated locally instead — the stand-in for
+	// recomputing the parent partitions from lineage.
+	tally, nodes := d.fetchTally, d.fetchNodes[:0]
 	regen := 0.0
 	for _, p := range t.Stage.Parents {
 		for _, pt := range p.Tasks {
@@ -144,22 +146,19 @@ func (d *Driver) startShuffleFetch(at *attempt) {
 					regen += float64(pt.OutputBytes)
 					continue
 				}
-				perNode[pt.RanOnNode] += float64(pt.OutputBytes)
+				if tally[pt.RanOnNode] == 0 {
+					nodes = append(nodes, pt.RanOnNode)
+				}
+				tally[pt.RanOnNode] += float64(pt.OutputBytes)
 			}
 		}
 	}
+	d.fetchNodes = nodes
 	width := len(t.Stage.Tasks)
 	if width == 0 {
 		width = 1
 	}
-	nodes := make([]int, 0, len(perNode))
-	total := 0.0
-	for n, b := range perNode {
-		nodes = append(nodes, n)
-		total += b
-	}
-	sort.Ints(nodes)
-	if total == 0 && regen == 0 {
+	if len(nodes) == 0 && regen == 0 {
 		// Nothing to fetch: fall through to compute directly.
 		at.remaining = 1
 		d.readFinished(at)
@@ -167,38 +166,38 @@ func (d *Driver) startShuffleFetch(at *attempt) {
 	}
 
 	// Bundle sources into at most maxFanIn groups to bound flow count; each
-	// group's flow originates at its largest contributor.
-	groups := maxFanIn
-	if len(nodes) < groups {
-		groups = len(nodes)
-	}
-	groupBytes := make([]float64, groups)
-	groupSrc := make([]int, groups)
-	for i := range groupSrc {
-		groupSrc[i] = -1
+	// group's flow originates at its largest contributor. The tally is
+	// cleared before any flow starts: a flow's callback may start another
+	// fetch.
+	slices.Sort(nodes)
+	groups := min(len(nodes), maxFanIn)
+	var groupBytes [maxFanIn]float64
+	var groupSrc [maxFanIn]int
+	for g := range groups {
+		groupSrc[g] = -1
 	}
 	for i, n := range nodes {
 		g := i % groups
-		if groupSrc[g] == -1 || perNode[n] > perNode[groupSrc[g]] {
+		if groupSrc[g] == -1 || tally[n] > tally[groupSrc[g]] {
 			groupSrc[g] = n
 		}
-		groupBytes[g] += perNode[n]
+		groupBytes[g] += tally[n]
+	}
+	for _, n := range nodes {
+		tally[n] = 0
 	}
 
 	at.remaining = groups
+	done := func() { d.readFinished(at) }
 	// All fetches start at this instant: one rate recompute for the set.
 	d.fabric.Batch(func() {
 		if regen > 0 {
 			at.remaining++
-			at.flows = append(at.flows, d.fabric.LocalRead(dst, regen/float64(width), func() {
-				d.readFinished(at)
-			}))
+			at.flows = append(at.flows, d.fabric.LocalRead(dst, regen/float64(width), done))
 		}
-		for g := 0; g < groups; g++ {
+		for g := range groups {
 			share := groupBytes[g] / float64(width)
-			at.flows = append(at.flows, d.fabric.Transfer(groupSrc[g], dst, share, func() {
-				d.readFinished(at)
-			}))
+			at.flows = append(at.flows, d.fabric.Transfer(groupSrc[g], dst, share, done))
 		}
 	})
 }

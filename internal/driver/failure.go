@@ -144,9 +144,10 @@ func (d *Driver) redirectFlows(at *attempt, node int) {
 		if f.Done() || f.Src() != node {
 			continue
 		}
-		rem := f.Remaining()
+		// Cancel first: it advances the fabric to now, so Remaining then
+		// counts only the bytes not yet delivered.
 		d.fabric.Cancel(f)
-		at.flows[i] = d.fabric.LocalRead(at.exec.Node.ID, rem, func() { d.readFinished(at) })
+		at.flows[i] = d.fabric.LocalRead(at.exec.Node.ID, f.Remaining(), func() { d.readFinished(at) })
 	}
 }
 

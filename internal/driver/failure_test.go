@@ -1,10 +1,12 @@
 package driver
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/manager"
+	"repro/internal/netsim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -292,5 +294,40 @@ func TestBudgetInvariantThroughoutRun(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRedirectRegeneratesRemainingBytes: a reduce task fetches from node X;
+// the fabric last changed at t0 and X fails at t1 with no fabric event in
+// between. The replacement local read must regenerate exactly the bytes
+// the fetch had not delivered by t1, not its size as of t0.
+func TestRedirectRegeneratesRemainingBytes(t *testing.T) {
+	d, j := runReduceJob(t, 8, 4, 2)
+	for i, pt := range j.Stages[0].Tasks {
+		pt.RanOnNode = 1 + i
+	}
+	at := &attempt{task: j.Stages[1].Tasks[0], exec: d.Cluster().Node(0).Executors()[0]}
+	d.running[at.task] = []*attempt{at}
+	t0 := d.Engine().Now()
+	d.startShuffleFetch(at)
+	const victim = 2
+	i := slices.IndexFunc(at.flows, func(f *netsim.Flow) bool { return f.Src() == victim })
+	if i < 0 {
+		t.Fatalf("no fetch from node %d", victim)
+	}
+	fetch := at.flows[i]
+
+	t1 := t0 + 0.01 // well before the 16 MB fetch drains at 250 MB/s
+	d.FailNodeAt(t1, victim)
+	d.Engine().RunUntil(t1)
+	repl := at.flows[i]
+	if repl == fetch || repl.Src() != 0 || repl.Dst() != 0 {
+		t.Fatalf("fetch from node %d not redirected to a local read on node 0", victim)
+	}
+	// Four sources, each alone on its 250 MB/s uplink: the fetch ran at
+	// exactly that rate from t0 to t1.
+	want := fetch.Bytes - 250e6*(t1-t0)
+	if repl.Bytes != want || fetch.Remaining() != want {
+		t.Fatalf("regenerated %v bytes (fetch remaining %v), want %v of %v", repl.Bytes, fetch.Remaining(), want, fetch.Bytes)
 	}
 }

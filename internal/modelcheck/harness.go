@@ -399,12 +399,15 @@ func (h *harness) check() {
 
 // step applies one command and checks invariants, converting panics
 // anywhere in the stack into violations (a crash is a counterexample, not
-// a harness failure).
+// a harness failure). After a panic the driver's audit runs over the state
+// the crash left, so the counterexample names the broken invariant behind
+// it when there is one.
 func (h *harness) step(i int, c Command) {
 	h.curCmd = i
 	defer func() {
 		if r := recover(); r != nil {
 			h.report("panic", fmt.Sprint(r), -1, -1)
+			h.postMortem()
 		}
 	}()
 	if h.server {
@@ -413,6 +416,19 @@ func (h *harness) step(i int, c Command) {
 		h.applyDriver(c)
 	}
 	h.check()
+}
+
+// postMortem reports the driver's audit over a crashed command's state,
+// where the audit may itself crash.
+func (h *harness) postMortem() {
+	defer func() {
+		if r := recover(); r != nil {
+			h.report("audit", fmt.Sprintf("audit panicked: %v", r), -1, -1)
+		}
+	}()
+	if err := h.drv.Audit(); err != nil {
+		h.report("audit", err.Error(), -1, -1)
+	}
 }
 
 // run executes the command sequence on a fresh stack of the given mode

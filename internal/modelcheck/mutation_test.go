@@ -42,6 +42,16 @@ func TestMutationSmoke(t *testing.T) {
 		// The same two bugs behind the service's committed ops.
 		{mutant: mutant.InvertFairness, server: true},
 		{mutant: mutant.TieStamp, server: true},
+		// A crashed executor stays in its old owner's owned index; the
+		// driver's audit, through cluster.Validate, must report it.
+		{mutant: mutant.ClusterStaleOwner, check: func(t *testing.T, min *Result) {
+			for _, v := range min.Violations {
+				if v.Rule == "audit" {
+					return
+				}
+			}
+			t.Fatalf("the audit rule did not fire; violations: %v", min.Violations)
+		}},
 		// Quincy starves every application. The set-policy prefix arms the
 		// mutated policy before any generated command runs. The
 		// Custody-specific invariants are detached while quincy is active, so

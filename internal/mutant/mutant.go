@@ -9,6 +9,7 @@
 // Run the mutation smoke tests with:
 //
 //	go test -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
+//	go test -tags custodymutate -run '^TestMutationSmoke$/^cluster-stale-owner$' ./internal/modelcheck
 //	go test -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
 //	go test -tags custodymutate -run '^TestTrustOrderMutant$' ./internal/core
 package mutant
@@ -41,4 +42,9 @@ const (
 	// unsorted list breaks the lowest-ID tie-breaks: a divergence the
 	// warm-session churn differential must catch.
 	TrustOrder Name = "core-trust-order"
+	// ClusterStaleOwner makes internal/cluster's FailExecutor clear the
+	// executor's owner without updating the per-application owned index,
+	// so the crashed executor stays listed as its old owner's: a drift the
+	// driver's audit (cluster.Validate) must catch.
+	ClusterStaleOwner Name = "cluster-stale-owner"
 )
