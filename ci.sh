@@ -5,8 +5,8 @@
 # contract violation fails fast with a precise diagnostic instead of a test
 # log. custodylint (cmd/custodylint) enforces the project invariants
 # documented in DESIGN.md: determinism (detrand, maporder), layering,
-# error-handling (errdrop), concurrency safety (guardedby, lockorder,
-# goroutine, atomicmix), and hot-path allocation (noalloc).
+# error-handling (errdrop), concurrency safety (guardedby, goroutine), and
+# hot-path allocation (noalloc).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -23,9 +23,8 @@ go vet ./...
 
 echo "== custodylint"
 # Build the lint binary once and reuse it below; the full suite (including
-# the module-wide lock graph and annotation indices) must stay fast enough
-# to run on every push, so the self-lint is held under a 60s wall-clock
-# budget.
+# the module-wide annotation index) must stay fast enough to run on every
+# push, so the self-lint is held under a 60s wall-clock budget.
 mkdir -p artifacts
 go build -o artifacts/custodylint ./cmd/custodylint
 lint_start=$(date +%s)
@@ -40,18 +39,6 @@ if [ "$lint_elapsed" -ge 60 ]; then
     echo "custodylint took ${lint_elapsed}s, over the 60s budget; profile the analyzers"
     exit 1
 fi
-
-echo "== custodylint lockreport determinism"
-# The blessed-order report must be byte-identical across runs: CI diffs
-# three consecutive renders.
-artifacts/custodylint -lockreport > artifacts/lockreport.txt
-for i in 1 2; do
-    artifacts/custodylint -lockreport > artifacts/lockreport-again.txt
-    cmp -s artifacts/lockreport.txt artifacts/lockreport-again.txt || {
-        echo "custodylint -lockreport output differs between runs (run $i)"
-        exit 1
-    }
-done
 
 echo "== custodylint negative fixtures"
 for d in internal/analysis/testdata/src/*_bad; do

@@ -1,9 +1,8 @@
 // Command custodylint runs the project's static-analysis suite over the
 // module: determinism (detrand, maporder), layering, error-handling
-// (errdrop), concurrency-safety (guardedby, lockorder, goroutine,
-// atomicmix), and hot-path allocation (noalloc) contracts. See
-// internal/analysis for the rules and DESIGN.md ("Invariants & static
-// analysis") for the rationale.
+// (errdrop), concurrency-safety (guardedby, goroutine), and hot-path
+// allocation (noalloc) contracts. See internal/analysis for the rules and
+// DESIGN.md ("Invariants & static analysis") for the rationale.
 //
 // Usage:
 //
@@ -19,9 +18,8 @@
 //	-root dir      module root to analyze (default: walk up from cwd to go.mod)
 //	-modpath path  module path override (for trees without a go.mod, e.g. fixtures)
 //	-rules         print the rule set and exit
-//	-rule names    run only the named rules (comma-separated, e.g. -rule noalloc,lockorder)
+//	-rule names    run only the named rules (comma-separated, e.g. -rule noalloc,guardedby)
 //	-json          emit findings as a JSON array on stdout (CI artifact format)
-//	-lockreport    print the mutex acquisition graph and blessed order, then exit
 package main
 
 import (
@@ -48,7 +46,6 @@ func main() {
 	rules := flag.Bool("rules", false, "print the rule set and exit")
 	ruleFilter := flag.String("rule", "", "run only the named rules (comma-separated)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	lockReport := flag.Bool("lockreport", false, "print the mutex acquisition graph and blessed order, then exit")
 	flag.Parse()
 
 	if *rules {
@@ -96,11 +93,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-
-	if *lockReport {
-		fmt.Print(analysis.LockOrderReport(m))
-		return
 	}
 
 	diags := analysis.Run(m, analyzers)

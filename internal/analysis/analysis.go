@@ -6,7 +6,7 @@
 // (go/ast, go/parser, go/types) so the module keeps zero external
 // dependencies.
 //
-// Nine analyzers are provided (see All):
+// Seven analyzers are provided (see All):
 //
 //   - detrand: no ambient nondeterminism (math/rand, time.Now/Since and
 //     the timer constructors, os.Getenv, os.Getpid) inside internal/
@@ -24,19 +24,14 @@
 //     be accessed inside a lexical Lock/Unlock (or RLock/RUnlock) span of
 //     the named sibling mutex, or in a method annotated
 //     //custody:holds <mutexField>.
-//   - lockorder: the module-wide mutex acquisition graph must stay acyclic;
-//     the blessed (deterministic topological) order is rendered by
-//     LockOrderReport and `custodylint -lockreport`.
-//   - goroutine: `go` statements must not capture loop variables, mutable
-//     package state, or unguarded struct fields, and single-threaded leaf
-//     packages (internal/core, internal/event, internal/obsv) stay free of
+//   - goroutine: `go` statements must not capture mutable package state or
+//     unguarded struct fields, and single-threaded leaf packages
+//     (internal/core, internal/event, internal/obsv) stay free of
 //     goroutines and channel operations entirely.
 //   - noalloc: functions annotated //custody:noalloc must not contain
 //     allocating constructs (append, make/new, composite and function
 //     literals, string concatenation, interface boxing, fmt, go/defer) and
 //     may only call other noalloc functions — the contract is transitive.
-//   - atomicmix: state accessed through sync/atomic anywhere must be
-//     accessed atomically everywhere.
 //
 // A finding can be suppressed with a trailing comment, or one on the line
 // above, of the form
@@ -84,14 +79,14 @@ type Analyzer interface {
 	Run(m *Module, pkg *Package) []Diagnostic
 }
 
-// All returns the full custodylint rule set: the PR-1 determinism/layering/
+// All returns the full custodylint rule set: the determinism, layering and
 // error-handling suite plus the concurrency-safety and performance-contract
-// suite (guardedby, lockorder, goroutine, noalloc, atomicmix) that gates
-// custodyd's shared state and the allocator's hot paths.
+// suite (guardedby, goroutine, noalloc) that gates custodyd's shared state
+// and the allocator's hot paths.
 func All() []Analyzer {
 	return []Analyzer{
 		DetRand{}, MapOrder{}, Layering{}, ErrDrop{},
-		GuardedBy{}, LockOrder{}, Goroutine{}, NoAlloc{}, AtomicMix{},
+		GuardedBy{}, Goroutine{}, NoAlloc{},
 	}
 }
 

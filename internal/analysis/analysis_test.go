@@ -2,13 +2,43 @@ package analysis_test
 
 import (
 	"fmt"
+	"go/types"
+	"go/version"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 )
+
+// repo is this repository's module, loaded once per test binary: a load
+// parses and type-checks every package, and the tests that use it only
+// read it.
+var repo struct {
+	once sync.Once
+	m    *analysis.Module
+	err  error
+}
+
+// repoModule returns the shared load of this repository's module.
+func repoModule(t *testing.T) *analysis.Module {
+	t.Helper()
+	repo.once.Do(func() {
+		root, err := analysis.FindModuleRoot(".")
+		if err != nil {
+			repo.err = err
+			return
+		}
+		repo.m, repo.err = analysis.LoadModule(root)
+	})
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.m
+}
 
 // loadFixture loads one testdata/src fixture tree as a module named
 // "fixture" and runs the full rule set over it.
@@ -83,13 +113,13 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestRuleCoverage pins the acceptance criterion directly: each of the nine
+// TestRuleCoverage pins the acceptance criterion directly: each of the seven
 // rules has a fixture where it fires and a sibling fixture that stays
 // clean.
 func TestRuleCoverage(t *testing.T) {
 	for _, rule := range []string{
 		"detrand", "maporder", "layering", "errdrop",
-		"guardedby", "lockorder", "goroutine", "noalloc", "atomicmix",
+		"guardedby", "goroutine", "noalloc",
 	} {
 		t.Run(rule, func(t *testing.T) {
 			bad := filepath.Join("testdata/src", rule+"_bad")
@@ -168,76 +198,12 @@ func TestSuppressionEdgeCases(t *testing.T) {
 	}
 }
 
-// TestLockOrderReportDeterministic pins the -lockreport contract: three
-// independent loads of the same module render byte-identical reports, and
-// the report names the blessed acquisition order.
-func TestLockOrderReportDeterministic(t *testing.T) {
-	dir := filepath.Join("testdata/src", "lockorder_clean")
-	var first string
-	for i := 0; i < 3; i++ {
-		m, err := analysis.Load(dir, "fixture")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := analysis.LockOrderReport(m)
-		if i == 0 {
-			first = got
-			continue
-		}
-		if got != first {
-			t.Fatalf("report differs between runs:\n--- run 0 ---\n%s--- run %d ---\n%s", first, i, got)
-		}
-	}
-	for _, want := range []string{
-		"lockorder: 3 mutex(es)",
-		"Broker.state -> Broker.queue",
-		"blessed acquisition order:",
-		"1. Broker.state",
-	} {
-		if !strings.Contains(first, want) {
-			t.Errorf("report missing %q:\n%s", want, first)
-		}
-	}
-	if strings.Contains(first, "cycle") {
-		t.Errorf("clean fixture reported a cycle:\n%s", first)
-	}
-}
-
-// TestLockOrderReportCoversCustodyd pins that the module's own blessed-
-// order report names the custodyd server mutex: the service edge is the
-// repo's first long-lived concurrent component, and its lock must be part
-// of the machine-checked acquisition order.
-func TestLockOrderReportCoversCustodyd(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := analysis.LockOrderReport(m)
-	if !strings.Contains(report, "Server.mu") {
-		t.Errorf("lock report does not cover custodyd's Server.mu:\n%s", report)
-	}
-	if strings.Contains(report, "cycle") {
-		t.Errorf("module lock graph reports a cycle:\n%s", report)
-	}
-}
-
 // TestNoAllocHotPathsAnnotated pins that the static //custody:noalloc
 // contract covers the paths the dynamic allocation gates cover: the flight
 // recorder's record path (TestRecordingDoesNotAllocate) and the allocator's
 // pick/update chain (core's TestMicroInstanceWarmRound).
 func TestNoAllocHotPathsAnnotated(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := repoModule(t)
 	got := map[string]bool{}
 	for _, name := range m.NoAllocFuncs() {
 		got[name] = true
@@ -288,15 +254,107 @@ func TestDiagnosticFormat(t *testing.T) {
 // and error-handling contracts documented in DESIGN.md — a regression here
 // means a contract was broken (or needs an annotated, reasoned exception).
 func TestSelfLint(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := analysis.LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range analysis.Run(m, analysis.All()) {
+	for _, d := range analysis.Run(repoModule(t), analysis.All()) {
 		t.Errorf("%s", d)
 	}
+}
+
+// TestConcurrencyChecksStillUnneeded pins the facts that made three
+// concurrency checks unnecessary, so the suite trips the moment one stops
+// holding. Outside internal/analysis, non-test code has exactly one mutex
+// (custodyd.Server.mu), so no two locks can be taken in conflicting
+// orders; nothing imports sync/atomic, so no state can be accessed both
+// atomically and plainly; and go.mod's go version is at least 1.22, so
+// every loop variable is per-iteration and a goroutine cannot share one
+// with later iterations.
+func TestConcurrencyChecksStillUnneeded(t *testing.T) {
+	m := repoModule(t)
+	var mutexes []string
+	for _, pkg := range m.Packages {
+		if pkg.Path == m.Path+"/internal/analysis" || pkg.Types == nil {
+			continue
+		}
+		mutexes = append(mutexes, mutexVars(m, pkg)...)
+		for _, f := range pkg.Files {
+			for _, spec := range f.Imports {
+				if spec.Path.Value == `"sync/atomic"` {
+					t.Errorf("%s imports sync/atomic: bring back the atomicmix rule "+
+						"(internal/analysis/atomicmix.go) from git history, so state accessed "+
+						"atomically somewhere is accessed atomically everywhere",
+						m.Fset.Position(spec.Pos()))
+				}
+			}
+		}
+	}
+	sort.Strings(mutexes)
+	if want := []string{"internal/custodyd.Server.mu"}; strings.Join(mutexes, " ") != strings.Join(want, " ") {
+		t.Errorf("mutex fields and package variables = %v, want %v: with a second mutex, bring back the "+
+			"lockorder rule (internal/analysis/lockorder.go) from git history, so no two code paths "+
+			"take them in conflicting orders", mutexes, want)
+	}
+
+	goVersion := ""
+	data, err := os.ReadFile(filepath.Join(m.Root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(line), "go "); ok {
+			goVersion = "go" + strings.TrimSpace(v)
+		}
+	}
+	if version.Compare(goVersion, "go1.22") < 0 {
+		t.Errorf("go.mod's go version is %q, below go1.22: loop variables are shared across iterations "+
+			"again, so bring back the goroutine rule's loop-variable capture check from git history", goVersion)
+	}
+}
+
+// mutexVars names the struct fields and package variables of pkg whose
+// type is a sync.Mutex or sync.RWMutex (or a pointer to one), as
+// "<pkg>.<Type>.<field>" or "<pkg>.<var>"; a field of an unnamed struct
+// is named by its position.
+func mutexVars(m *analysis.Module, pkg *analysis.Package) []string {
+	rel := strings.TrimPrefix(pkg.Path, m.Path+"/")
+	owner := map[*types.Var]string{}
+	scope := pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				owner[st.Field(i)] = name
+			}
+		}
+	}
+	var out []string
+	for _, obj := range pkg.Info.Defs {
+		v, ok := obj.(*types.Var)
+		if !ok || !isMutex(v.Type()) {
+			continue
+		}
+		switch {
+		case v.IsField() && owner[v] != "":
+			out = append(out, rel+"."+owner[v]+"."+v.Name())
+		case v.IsField():
+			out = append(out, fmt.Sprintf("%s.%s (unnamed struct at %s)", rel, v.Name(), m.Fset.Position(v.Pos())))
+		case v.Parent() == scope:
+			out = append(out, rel+"."+v.Name())
+		}
+	}
+	return out
+}
+
+// isMutex reports whether t is sync.Mutex, sync.RWMutex or a pointer to
+// either.
+func isMutex(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
+		return false
+	}
+	return n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex"
 }

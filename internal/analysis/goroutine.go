@@ -9,14 +9,13 @@ import (
 
 // Goroutine guards the transition from a deliberately single-threaded
 // codebase to a concurrent one. Module-wide, it flags `go` statements whose
-// function literals capture loop variables (per-iteration copies still
-// interleave nondeterministically, and shared captures race) or mutable
-// package-level state, and closure accesses to struct fields that are not
-// //custody:guardedby-annotated. Inside the determinism-load-bearing leaves
-// — internal/core, internal/event, internal/obsv — it bans goroutine
-// spawns and channel operations outright: single-threaded execution is what
-// makes golden traces byte-identical, so concurrency there must arrive with
-// an explicit, reasoned suppression, not by accident.
+// function literals capture mutable package-level state, and closure
+// accesses to struct fields that are not //custody:guardedby-annotated.
+// Inside the determinism-load-bearing leaves — internal/core,
+// internal/event, internal/obsv — it bans goroutine spawns and channel
+// operations outright: single-threaded execution is what makes golden
+// traces byte-identical, so concurrency there must arrive with an
+// explicit, reasoned suppression, not by accident.
 type Goroutine struct{}
 
 // singleThreadedLeaves are internal packages where single-threaded
@@ -29,7 +28,7 @@ func (Goroutine) Name() string { return "goroutine" }
 
 // Doc implements Analyzer.
 func (Goroutine) Doc() string {
-	return "forbid goroutines capturing loop variables, package-level state, or unguarded struct fields; " +
+	return "forbid goroutines capturing package-level state or unguarded struct fields; " +
 		"forbid goroutine spawns and channel ops in the single-threaded leaves (internal/core, event, obsv)"
 }
 
@@ -38,13 +37,7 @@ func (Goroutine) Run(m *Module, pkg *Package) []Diagnostic {
 	leaf := isSingleThreadedLeaf(m, pkg)
 	diags := append([]Diagnostic(nil), filterRule(m.annotations().bad[pkg], "goroutine")...)
 	for _, f := range pkg.Files {
-		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
 			switch s := n.(type) {
 			case *ast.GoStmt:
 				if leaf {
@@ -55,7 +48,7 @@ func (Goroutine) Run(m *Module, pkg *Package) []Diagnostic {
 							"golden-trace determinism — move orchestration up a layer, or suppress with a reason",
 					})
 				}
-				diags = append(diags, checkGoCaptures(m, pkg, s, stack)...)
+				diags = append(diags, checkGoCaptures(m, pkg, s)...)
 			case *ast.SendStmt:
 				if leaf {
 					diags = append(diags, Diagnostic{
@@ -101,13 +94,12 @@ func isSingleThreadedLeaf(m *Module, pkg *Package) bool {
 }
 
 // checkGoCaptures inspects a `go func(){...}()` literal for captures of
-// loop variables, package-level mutable state, and unguarded struct fields.
-func checkGoCaptures(m *Module, pkg *Package, g *ast.GoStmt, stack []ast.Node) []Diagnostic {
+// package-level mutable state and unguarded struct fields.
+func checkGoCaptures(m *Module, pkg *Package, g *ast.GoStmt) []Diagnostic {
 	fl, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok || pkg.Info == nil {
 		return nil
 	}
-	loopVars := enclosingLoopVars(pkg, stack)
 	guarded := m.annotations().guarded
 
 	var diags []Diagnostic
@@ -125,16 +117,7 @@ func checkGoCaptures(m *Module, pkg *Package, g *ast.GoStmt, stack []ast.Node) [
 			if obj.Pos() >= fl.Pos() && obj.Pos() <= fl.End() {
 				return true // declared inside the literal
 			}
-			switch {
-			case loopVars[obj]:
-				seen[obj] = true
-				diags = append(diags, Diagnostic{
-					Pos:  m.Fset.Position(x.Pos()),
-					Rule: "goroutine",
-					Message: fmt.Sprintf("goroutine captures loop variable %q; iterations interleave "+
-						"nondeterministically — pass it as an argument to the goroutine's function", x.Name),
-				})
-			case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
+			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
 				seen[obj] = true
 				diags = append(diags, Diagnostic{
 					Pos:  m.Fset.Position(x.Pos()),
@@ -195,39 +178,4 @@ func isSyncPrimitive(t types.Type) bool {
 		return true
 	}
 	return false
-}
-
-// enclosingLoopVars collects the loop variables of every for/range
-// statement on the ancestor stack.
-func enclosingLoopVars(pkg *Package, stack []ast.Node) map[types.Object]bool {
-	vars := map[types.Object]bool{}
-	addIdent := func(e ast.Expr) {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return
-		}
-		if obj := pkg.Info.Defs[id]; obj != nil {
-			vars[obj] = true
-		} else if obj := pkg.Info.Uses[id]; obj != nil {
-			vars[obj] = true
-		}
-	}
-	for _, n := range stack {
-		switch s := n.(type) {
-		case *ast.RangeStmt:
-			if s.Key != nil {
-				addIdent(s.Key)
-			}
-			if s.Value != nil {
-				addIdent(s.Value)
-			}
-		case *ast.ForStmt:
-			if init, ok := s.Init.(*ast.AssignStmt); ok {
-				for _, lhs := range init.Lhs {
-					addIdent(lhs)
-				}
-			}
-		}
-	}
-	return vars
 }

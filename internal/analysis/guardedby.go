@@ -68,11 +68,11 @@ func checkGuardedFunc(m *Module, pkg *Package, fd *ast.FuncDecl, idx *annIndex) 
 	if holds := m.holdsFields(pkg, fd); holds != nil {
 		if recv := receiverName(fd); recv != "" {
 			for field := range holds {
-				initial[recv+"."+field] = heldEntry{}
+				initial[recv+"."+field] = true
 			}
 		}
 	}
-	w := &lockWalker{m: m, pkg: pkg}
+	w := &lockWalker{pkg: pkg}
 	w.onExpr = func(n ast.Node, held heldSet) {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -87,7 +87,7 @@ func checkGuardedFunc(m *Module, pkg *Package, fd *ast.FuncDecl, idx *annIndex) 
 			return
 		}
 		key := types.ExprString(sel.X) + "." + guard.Mutex
-		if _, ok := held[key]; ok {
+		if held[key] {
 			return
 		}
 		diags = append(diags, Diagnostic{

@@ -40,11 +40,9 @@ type Module struct {
 
 	byPath map[string]*Package
 
-	// Lazily built module-wide indices shared by the analyzers. Run is
-	// sequential over packages, so plain memoization suffices.
-	ann    *annIndex
-	locks  *lockGraph
-	atomix *atomicIndex
+	// Lazily built module-wide annotation index shared by the analyzers.
+	// Run is sequential over packages, so plain memoization suffices.
+	ann *annIndex
 }
 
 // FindModuleRoot walks up from dir looking for a go.mod and returns the

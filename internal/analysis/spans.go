@@ -2,51 +2,37 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// This file implements the lexical lock-span tracking shared by the
-// guardedby and lockorder analyzers. The model is deliberately lexical, not
-// flow-sensitive: a mutex is "held" from a `x.Lock()` statement to the
-// matching `x.Unlock()` in the same statement list, or to the end of the
-// function when the unlock is deferred. Locks taken inside a nested block
-// are considered released when the block ends (the common Go idioms —
-// lock/defer-unlock at the top, or a paired lock/unlock in one block — are
-// all recognized; exotic shapes need a //custody:ignore with a reason).
+// This file implements the lexical lock-span tracking behind the guardedby
+// analyzer. The model is deliberately lexical, not flow-sensitive: a mutex
+// is "held" from a `x.Lock()` statement to the matching `x.Unlock()` in the
+// same statement list, or to the end of the function when the unlock is
+// deferred. Locks taken inside a nested block are considered released when
+// the block ends (the common Go idioms — lock/defer-unlock at the top, or a
+// paired lock/unlock in one block — are all recognized; exotic shapes need
+// a //custody:ignore with a reason).
 
-// heldEntry is one lexically-held mutex.
-type heldEntry struct {
-	canon string    // module-wide canonical name ("" when not canonicalizable)
-	pos   token.Pos // the Lock call position
-	read  bool      // RLock (read side) rather than Lock
-}
-
-// heldSet maps the lexical key of a mutex expression (types.ExprString of
-// the receiver, e.g. "s.mu") to its held entry.
-type heldSet map[string]heldEntry
+// heldSet is the set of lexically-held mutexes, keyed by the lexical form
+// of the mutex expression (types.ExprString of the receiver, e.g. "s.mu").
+type heldSet map[string]bool
 
 func (h heldSet) clone() heldSet {
 	c := make(heldSet, len(h))
-	for k, v := range h {
-		c[k] = v
+	for k := range h {
+		c[k] = true
 	}
 	return c
 }
 
 // lockWalker walks one function body maintaining the held set.
 type lockWalker struct {
-	m   *Module
 	pkg *Package
 
 	// onExpr is invoked for every expression node outside nested function
-	// literals, with the current held set. Used by guardedby.
+	// literals, with the current held set.
 	onExpr func(n ast.Node, held heldSet)
-
-	// onLock is invoked when a Lock/RLock call is encountered, with the set
-	// held at that moment (excluding the new lock). Used by lockorder.
-	onLock func(canon string, pos token.Pos, held heldSet)
 }
 
 // walkFunc walks fd's body. initial seeds the held set (from
@@ -55,11 +41,7 @@ func (w *lockWalker) walkFunc(fd *ast.FuncDecl, initial heldSet) {
 	if fd.Body == nil {
 		return
 	}
-	held := heldSet{}
-	for k, v := range initial {
-		held[k] = v
-	}
-	w.stmts(fd.Body.List, held)
+	w.stmts(fd.Body.List, initial.clone())
 }
 
 func (w *lockWalker) stmts(list []ast.Stmt, held heldSet) {
@@ -73,13 +55,10 @@ func (w *lockWalker) stmts(list []ast.Stmt, held heldSet) {
 func (w *lockWalker) stmt(s ast.Stmt, held heldSet) {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
-		if key, canon, op, pos := w.lockOp(st.X); op != "" {
+		if key, op := w.lockOp(st.X); op != "" {
 			switch op {
 			case "Lock", "RLock":
-				if w.onLock != nil {
-					w.onLock(canon, pos, held)
-				}
-				held[key] = heldEntry{canon: canon, pos: pos, read: op == "RLock"}
+				held[key] = true
 			case "Unlock", "RUnlock":
 				delete(held, key)
 			}
@@ -87,7 +66,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held heldSet) {
 		}
 		w.exprs(held, st.X)
 	case *ast.DeferStmt:
-		if _, _, op, _ := w.lockOp(st.Call); op == "Unlock" || op == "RUnlock" {
+		if _, op := w.lockOp(st.Call); op == "Unlock" || op == "RUnlock" {
 			return // deferred unlock: held to end of function
 		}
 		w.exprs(held, st.Call)
@@ -207,27 +186,26 @@ func (w *lockWalker) exprs(held heldSet, es ...ast.Expr) {
 }
 
 // lockOp recognizes a mutex Lock/Unlock/RLock/RUnlock call and returns the
-// lexical key of the receiver, its canonical module-wide name, the
-// operation, and the call position. op is "" for anything else.
-func (w *lockWalker) lockOp(e ast.Expr) (key, canon, op string, pos token.Pos) {
+// lexical key of the receiver and the operation. op is "" for anything
+// else.
+func (w *lockWalker) lockOp(e ast.Expr) (key, op string) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
-		return "", "", "", token.NoPos
+		return "", ""
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", "", "", token.NoPos
+		return "", ""
 	}
-	name := sel.Sel.Name
-	switch name {
+	switch sel.Sel.Name {
 	case "Lock", "Unlock", "RLock", "RUnlock":
 	default:
-		return "", "", "", token.NoPos
+		return "", ""
 	}
 	if !w.isSyncMethod(sel) {
-		return "", "", "", token.NoPos
+		return "", ""
 	}
-	return types.ExprString(sel.X), w.canonMutex(sel.X), name, call.Pos()
+	return types.ExprString(sel.X), sel.Sel.Name
 }
 
 // isSyncMethod reports whether the selected method is declared by the sync
@@ -243,36 +221,4 @@ func (w *lockWalker) isSyncMethod(sel *ast.SelectorExpr) bool {
 		}
 	}
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-// canonMutex derives a module-wide canonical name for a mutex expression:
-// "<Type>.<field>" for struct-field mutexes, "<pkg>.<var>" for package-level
-// mutexes, or "" for locals and anything else (excluded from the
-// acquisition graph but still tracked lexically).
-func (w *lockWalker) canonMutex(mu ast.Expr) string {
-	mu = ast.Unparen(mu)
-	info := w.pkg.Info
-	if info == nil {
-		return ""
-	}
-	switch x := mu.(type) {
-	case *ast.SelectorExpr:
-		base := info.TypeOf(x.X)
-		if base == nil {
-			return ""
-		}
-		if name := recvTypeName(base); name != "" && !strings.Contains(name, " ") {
-			return name + "." + x.Sel.Name
-		}
-	case *ast.Ident:
-		obj := info.ObjectOf(x)
-		if obj == nil || obj.Pkg() == nil {
-			return ""
-		}
-		if obj.Parent() == obj.Pkg().Scope() {
-			pkgRel := strings.TrimPrefix(obj.Pkg().Path(), w.m.Path+"/")
-			return pkgRel + "." + x.Name
-		}
-	}
-	return ""
 }

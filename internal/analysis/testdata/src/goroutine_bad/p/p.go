@@ -1,5 +1,5 @@
-// Package p is a negative fixture: goroutines capturing loop variables,
-// package-level state, and unguarded struct fields.
+// Package p is a negative fixture: goroutines capturing package-level
+// state and unguarded struct fields.
 package p
 
 var total int
@@ -11,19 +11,10 @@ type stats struct {
 
 // Fan spawns the classic capture bugs.
 func Fan(xs []int, st *stats) {
-	for _, x := range xs {
+	for range xs {
 		go func() {
-			total += x
+			total++
 			st.hits++
-		}()
-	}
-}
-
-// Indexed captures a three-clause loop variable.
-func Indexed(xs []int) {
-	for i := 0; i < len(xs); i++ {
-		go func() {
-			_ = xs[i]
 		}()
 	}
 }

@@ -26,8 +26,9 @@ func CheckpointFrom(s *Service) Checkpoint {
 	return Checkpoint{Version: checkpointVersion, Snapshot: s.Snapshot()}
 }
 
-// WriteCheckpoint atomically persists a checkpoint (tmp + fsync + rename),
-// so a crash mid-write leaves the previous checkpoint intact.
+// WriteCheckpoint atomically persists a checkpoint (tmp + fsync + rename +
+// directory sync), so a crash mid-write leaves the previous checkpoint
+// intact and a returned nil means the new one survives a power cut.
 func WriteCheckpoint(path string, cp Checkpoint) error {
 	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
@@ -52,6 +53,9 @@ func WriteCheckpoint(path string, cp Checkpoint) error {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("custodyd: checkpoint rename: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("custodyd: checkpoint dir sync: %w", err)
 	}
 	return nil
 }

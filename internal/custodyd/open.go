@@ -30,7 +30,7 @@ type BootInfo struct {
 // snapshot describe different histories, and serving either would fork.
 func Open(dir string, cfg Config) (*Service, *WAL, BootInfo, error) {
 	var info BootInfo
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirDurable(dir); err != nil {
 		return nil, nil, info, fmt.Errorf("custodyd: state dir: %w", err)
 	}
 	verify := func(*Service) error { return nil }
@@ -66,4 +66,38 @@ func Open(dir string, cfg Config) (*Service, *WAL, BootInfo, error) {
 	info.ReplayedOps = int(svc.Seq())
 	info.Recovered = info.ReplayedOps > 0
 	return svc, wal, info, nil
+}
+
+// syncDir fsyncs a directory. A new directory entry (a created file or
+// directory, or a rename's target) is durable only once its parent
+// directory is synced; without it a power cut can drop a freshly created
+// log with every fsynced append in it. Tests substitute a recorder.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
+}
+
+// mkdirDurable creates dir and any missing parents, syncing the parent of
+// each directory it creates, outermost first. An existing dir costs no
+// sync.
+func mkdirDurable(dir string) error {
+	var parents []string // of each directory MkdirAll creates, innermost first
+	for d := filepath.Clean(dir); d != filepath.Dir(d); d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		parents = append(parents, filepath.Dir(d))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := len(parents) - 1; i >= 0; i-- {
+		if err := syncDir(parents[i]); err != nil {
+			return fmt.Errorf("sync %s: %w", parents[i], err)
+		}
+	}
+	return nil
 }

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // walEntry is one line of the intent log: the op plus an FNV-1a checksum
@@ -51,9 +53,19 @@ type WAL struct {
 // OpenWAL opens (or creates) the intent log at path, decoding nothing.
 // Append writes an entry and its newline in one call, so whatever follows
 // the last newline is a torn append, even when it parses, and is truncated
-// away. Replay refuses damage to any terminated line.
+// away. Replay refuses damage to any terminated line. Creating the log
+// syncs its directory, so the new entry outlives a power cut; reopening
+// an existing log does not.
 func OpenWAL(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR|os.O_APPEND, 0o644)
+		if err == nil {
+			if serr := syncDir(filepath.Dir(path)); serr != nil {
+				return nil, errors.Join(fmt.Errorf("custodyd: sync wal dir: %w", serr), f.Close())
+			}
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("custodyd: open wal: %w", err)
 	}

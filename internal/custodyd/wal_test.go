@@ -376,3 +376,67 @@ func TestOpenRejectsDivergingCheckpoint(t *testing.T) {
 		})
 	}
 }
+
+// TestNewEntriesSyncDirectory pins that every new directory entry in the
+// state directory is made durable before it is relied on: Open on a fresh
+// path syncs the parent of each directory it creates and then the
+// directory the log was created in, and a checkpoint syncs its directory
+// after the rename. Reopening an existing log syncs nothing, so a restart
+// pays no extra fsync. A failed directory sync fails the call.
+func TestNewEntriesSyncDirectory(t *testing.T) {
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	var synced []string
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return orig(dir)
+	}
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if !reflect.DeepEqual(synced, want) {
+			t.Fatalf("%s synced %q, want %q", step, synced, want)
+		}
+		synced = nil
+	}
+
+	root := t.TempDir()
+	state := filepath.Join(root, "state")
+	dir := filepath.Join(state, "custodyd")
+	svc, wal, _, err := Open(dir, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("first boot", root, state, dir)
+	if err := WriteCheckpoint(filepath.Join(dir, checkpointFile), CheckpointFrom(svc)); err != nil {
+		t.Fatal(err)
+	}
+	expect("checkpoint", dir)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, wal, _, err = Open(dir, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("restart")
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	syncDir = func(string) error { return errors.New("injected dir sync failure") }
+	if _, _, _, err := Open(filepath.Join(root, "other"), testConfig()); err == nil ||
+		!strings.Contains(err.Error(), "injected dir sync failure") {
+		t.Fatalf("Open with a failing dir sync: err = %v", err)
+	}
+	if err := WriteCheckpoint(filepath.Join(dir, checkpointFile), CheckpointFrom(svc)); err == nil ||
+		!strings.Contains(err.Error(), "injected dir sync failure") {
+		t.Fatalf("WriteCheckpoint with a failing dir sync: err = %v", err)
+	}
+	if err := os.Remove(filepath.Join(dir, walFile)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenWAL(filepath.Join(dir, walFile)); err == nil ||
+		!strings.Contains(err.Error(), "injected dir sync failure") {
+		t.Fatalf("OpenWAL creating a log with a failing dir sync: err = %v", err)
+	}
+}
