@@ -142,6 +142,10 @@ if ! tail -1 artifacts/obsv.om | grep -q '^# EOF$'; then
     echo "artifacts/obsv.om is not a terminated OpenMetrics exposition"
     exit 1
 fi
+if ! grep -q '^custody_decisions_total ' artifacts/obsv.om; then
+    echo "artifacts/obsv.om has no custody_decisions_total counter"
+    exit 1
+fi
 
 echo "== block-cache sweep"
 # Build the study runner once; this stage and the tournament below reuse
@@ -273,6 +277,17 @@ if [ "$digest_before" != "$digest_after" ]; then
     exit 1
 fi
 echo "custodyd recovered to identical digest $digest_after after kill -9"
+# The provenance counters count from genesis, so replay restores them. The
+# service is idle, so no new decision can move them after the scrape.
+curl -sf "http://$CUSTODYD_ADDR/metrics" > "$DDIR/metrics-recovered.om"
+for c in custody_decisions_total custody_grants_total; do
+    before=$(grep "^$c " artifacts/custodyd-metrics.om || true)
+    after=$(grep "^$c " "$DDIR/metrics-recovered.om" || true)
+    if [ -z "$before" ] || [ "$before" != "$after" ]; then
+        echo "custodyd $c did not survive kill -9: before '$before', after '$after'"
+        exit 1
+    fi
+done
 
 # A 202 is durable: submit one more job, kill -9 the daemon the moment the
 # 202 arrives, and require the next incarnation to hold the job and the

@@ -97,31 +97,13 @@ func main() {
 	// -obsv-out additionally streams them into JSONL/CSV sinks and writes an
 	// OpenMetrics exposition when the run finishes.
 	var hub *custody.Observability
-	var omCol *metrics.Collector // bound after the run, read at sink close
 	if *explain != "" || *obsvOut != "" {
 		hub = custody.NewObservability(0)
 		cfg.Obsv = hub
 	}
 	if *obsvOut != "" {
-		for _, ext := range []string{".jsonl", ".csv", ".om"} {
-			f, err := os.Create(*obsvOut + ext)
-			if err != nil {
-				log.Printf("custodysim: %v", err)
-				os.Exit(1)
-			}
-			switch ext {
-			case ".jsonl":
-				hub.AddSink(obsv.NewJSONLSink(f))
-			case ".csv":
-				hub.AddSink(obsv.NewCSVSink(f))
-			case ".om":
-				hub.AddSink(&obsv.OpenMetricsSink{
-					W:         f,
-					Flight:    hub.Flight,
-					Collector: func() *metrics.Collector { return omCol },
-				})
-			}
-		}
+		hub.AddSink(obsv.NewJSONLSink(create(*obsvOut + ".jsonl")))
+		hub.AddSink(obsv.NewCSVSink(create(*obsvOut + ".csv")))
 	}
 
 	res, err := custody.Run(cfg, w)
@@ -130,9 +112,19 @@ func main() {
 		os.Exit(1)
 	}
 	if hub != nil {
-		omCol = res.Collector
 		if err := hub.Close(); err != nil {
 			log.Printf("custodysim: provenance sink: %v", err)
+			os.Exit(1)
+		}
+	}
+	if *obsvOut != "" {
+		f := create(*obsvOut + ".om")
+		err := obsv.RenderOpenMetrics(f, res.Collector, hub.Flight, hub.Counts())
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			log.Printf("custodysim: %v", err)
 			os.Exit(1)
 		}
 	}
@@ -161,12 +153,8 @@ func main() {
 		}
 	}
 	if *traceOut != "" && res.Trace != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Printf("custodysim: %v", err)
-			os.Exit(1)
-		}
-		err = res.Trace.WriteCSV(f)
+		f := create(*traceOut)
+		err := res.Trace.WriteCSV(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -193,4 +181,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// create opens an output file, exiting on failure.
+func create(path string) *os.File {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Printf("custodysim: %v", err)
+		os.Exit(1)
+	}
+	return f
 }

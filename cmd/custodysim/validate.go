@@ -6,16 +6,16 @@ import (
 	"strings"
 
 	"repro/internal/driver"
+	"repro/internal/experiments"
 	"repro/internal/hdfs"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
-// The closed name sets the CLI accepts. Unknown names used to fall through
-// to silent defaults (custody.Config defaults an unrecognized manager to
-// custody); now they are rejected up front with a one-line error.
+// The closed name sets the CLI accepts; an unknown name is rejected up
+// front with a one-line error naming the flag.
 var (
-	validManagers   = []string{"custody", "spark", "yarn", "offer"}
+	validManagers   = names(experiments.ManagerKinds())
 	validSchedulers = names(driver.SchedulerKinds())
 	validWorkloads  = names(workload.Kinds())
 	validPolicies   = policy.Names()

@@ -20,6 +20,11 @@
 package custody
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -28,6 +33,7 @@ import (
 	"repro/internal/manager"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
+	"repro/internal/policy"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -149,7 +155,7 @@ type Config struct {
 // executors per node × slots per executor after defaults are applied — the
 // denominator of TraceRecorder.Utilization.
 func (c Config) TotalSlots() int {
-	dcfg := c.driverConfig()
+	dcfg := c.shape()
 	return dcfg.Nodes * dcfg.ExecutorsPerNode * dcfg.SlotsPerExecutor
 }
 
@@ -200,7 +206,9 @@ func (r *Result) PctLocalJobs() float64 { return r.Collector.PctLocalJobs() }
 // Jobs returns the number of completed jobs.
 func (r *Result) Jobs() int { return len(r.Collector.Jobs) }
 
-func (c Config) driverConfig() driver.Config {
+// shape applies the Config's cluster shape and scheduling knobs to the
+// driver defaults.
+func (c Config) shape() driver.Config {
 	cfg := driver.DefaultConfig()
 	if c.Nodes > 0 {
 		cfg.Nodes = c.Nodes
@@ -225,33 +233,68 @@ func (c Config) driverConfig() driver.Config {
 		cfg.Scheduler = driver.SchedulerKind(c.Scheduler)
 	}
 	cfg.Speculation = c.Speculation
-	seed := cfg.Seed
-	switch c.Manager {
-	case ManagerStandalone:
-		cfg.Manager = manager.NewStandalone(xrand.New(seed), false)
-	case ManagerOffer:
-		cfg.Manager = manager.NewOffer()
-	case ManagerYARN:
-		cfg.Manager = manager.NewYARN()
-	default:
-		cfg.Manager = manager.NewCustody()
+	return cfg
+}
+
+// validate rejects every name the Config does not know, naming the field
+// and its valid values. An empty name selects the default.
+func (c Config) validate() error {
+	return errors.Join(
+		checkName("Config.Manager", experiments.ManagerKind(c.Manager), experiments.ManagerKinds()),
+		checkName("Config.Policy", c.Policy, policy.Names()),
+		checkName("Config.Scheduler", driver.SchedulerKind(c.Scheduler), driver.SchedulerKinds()),
+		checkName("Config.CachePolicy", hdfs.CachePolicy(c.CachePolicy), []hdfs.CachePolicy{hdfs.CacheLRU, hdfs.Cache2Q}),
+	)
+}
+
+// checkName returns an error unless name is empty or one of valid.
+func checkName[K ~string](field string, name K, valid []K) error {
+	if name == "" || slices.Contains(valid, name) {
+		return nil
 	}
-	if c.Obsv != nil {
-		cfg.Obsv = c.Obsv
-		// Allocation decisions exist only under the Custody manager (the
-		// others don't run Algorithms 1–2); audits and fault no-ops flow
-		// for every manager.
-		if m, ok := cfg.Manager.(*manager.Custody); ok {
+	names := make([]string, len(valid))
+	for i, v := range valid {
+		names[i] = string(v)
+	}
+	return fmt.Errorf("custody: unknown %s %q (valid: %s)", field, name, strings.Join(names, " | "))
+}
+
+// driverConfig builds the run's driver configuration, or the error that
+// validate reports.
+func (c Config) driverConfig() (driver.Config, error) {
+	if err := c.validate(); err != nil {
+		return driver.Config{}, err
+	}
+	cfg := c.shape()
+	kind := experiments.ManagerKind(c.Manager)
+	if kind == "" {
+		kind = experiments.Custody
+	}
+	cfg.Manager = experiments.NewManager(kind, cfg.Seed)
+	// Allocation decisions exist only under the Custody manager (the others
+	// don't run Algorithms 1–2); audits and fault no-ops flow for every
+	// manager.
+	cfg.Obsv = c.Obsv
+	if m, ok := cfg.Manager.(*manager.Custody); ok {
+		if c.Obsv != nil {
 			m.Opts.Observer = c.Obsv
 		}
-	}
-	if c.Policy != "" {
-		if m, ok := cfg.Manager.(*manager.Custody); ok {
-			_ = m.SetPolicy(c.Policy) //custody:ignore errdrop unknown names were rejected by CLI validation; the facade runs the default rather than half-configure, matching its unknown-manager behavior
+		if err := m.SetPolicy(c.Policy); err != nil {
+			return driver.Config{}, err
 		}
 	}
 	if c.CacheMB > 0 {
 		cfg.EnableCache(c.CacheMB<<20, hdfs.CachePolicy(c.CachePolicy))
+	}
+	return cfg, nil
+}
+
+// mustDriverConfig is driverConfig for the constructors that, like
+// driver.New, panic on an invalid configuration.
+func (c Config) mustDriverConfig() driver.Config {
+	cfg, err := c.driverConfig()
+	if err != nil {
+		panic(err)
 	}
 	return cfg
 }
@@ -275,14 +318,21 @@ func (w Workload) spec() workload.Spec {
 }
 
 // Run generates the workload schedule and executes it on a simulated
-// cluster under the configured manager.
+// cluster under the configured manager. An unknown name in cfg or w is an
+// error naming the field and its valid values.
 func Run(cfg Config, w Workload) (*Result, error) {
+	dcfg, err := cfg.driverConfig()
+	if err == nil {
+		err = checkName("Workload.Kind", workload.Kind(w.Kind), workload.Kinds())
+	}
+	if err != nil {
+		return nil, err
+	}
 	seed := w.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	sched := workload.Generate(w.spec(), xrand.New(seed))
-	dcfg := cfg.driverConfig()
 	var rec *trace.Recorder
 	if cfg.Trace {
 		rec = trace.NewRecorder()
@@ -350,15 +400,16 @@ type SimDriver = driver.Driver
 // NewSimulation builds a bare simulation driver from a Config. The caller
 // creates inputs (CreateInput), registers applications (RegisterApp),
 // submits jobs (SubmitJobAt) and calls Run. The driver also exposes
-// FailNodeAt / RecoverNodeAt for failure injection.
+// FailNodeAt / RecoverNodeAt for failure injection. It panics on an
+// unknown name in cfg, with the error Run would return.
 func NewSimulation(cfg Config) *SimDriver {
-	return driver.New(cfg.driverConfig())
+	return driver.New(cfg.mustDriverConfig())
 }
 
 // NewSimulationTraced is NewSimulation with an execution-timeline recorder
 // attached.
 func NewSimulationTraced(cfg Config, rec *TraceRecorder) *SimDriver {
-	dcfg := cfg.driverConfig()
+	dcfg := cfg.mustDriverConfig()
 	dcfg.Tracer = rec
 	return driver.New(dcfg)
 }

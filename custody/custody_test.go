@@ -1,6 +1,7 @@
 package custody
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -80,6 +81,55 @@ func TestCompareFacade(t *testing.T) {
 	}
 	if spark.Jobs() != cust.Jobs() {
 		t.Fatalf("job counts differ: %d vs %d", spark.Jobs(), cust.Jobs())
+	}
+}
+
+// TestUnknownNamesRejected pins that the facade refuses every name it does
+// not know instead of running a default or panicking deep in the driver:
+// Run and Compare return an error naming the field and its valid values,
+// and NewSimulation panics with that error, as driver.New does.
+func TestUnknownNamesRejected(t *testing.T) {
+	for _, c := range []struct {
+		field, valid string
+		cfg          func(*Config)
+		wl           func(*Workload)
+	}{
+		{"Config.Manager", "custody | spark | yarn | offer", func(c *Config) { c.Manager = "mesos" }, nil},
+		{"Config.Policy", "custody | quincy | wfair | locmatch", func(c *Config) { c.Policy = "drf" }, nil},
+		{"Config.Scheduler", "delay | delay-taskset | fifo | locality-hard | quincy", func(c *Config) { c.Scheduler = "lifo" }, nil},
+		{"Config.CachePolicy", "lru | 2q", func(c *Config) { c.CacheMB, c.CachePolicy = 64, "arc" }, nil},
+		{"Workload.Kind", "WordCount | Sort | PageRank", nil, func(w *Workload) { w.Kind = "Grep" }},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			cfg, wl := quickCfg(ManagerCustody), quickWl()
+			if c.cfg != nil {
+				c.cfg(&cfg)
+			}
+			if c.wl != nil {
+				c.wl(&wl)
+			}
+			want := c.field + " "
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "(valid: "+c.valid+")") {
+					t.Fatalf("%s: err = %v, want one naming %s and its valid values %s", what, err, c.field, c.valid)
+				}
+			}
+			_, err := Run(cfg, wl)
+			check("Run", err)
+			_, _, err = Compare(cfg, wl, cfg.Manager, ManagerStandalone)
+			check("Compare", err)
+			if c.cfg == nil {
+				return // NewSimulation takes no workload
+			}
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					check("NewSimulation", err)
+				}()
+				NewSimulation(cfg)
+			}()
+		})
 	}
 }
 

@@ -113,6 +113,20 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// ruleCounts tallies a fixture's golden diagnostics by rule. TestFixtures
+// pins every fixture's diagnostics to its expect.txt, so the tests below
+// read the goldens instead of loading each fixture again.
+func ruleCounts(t *testing.T, fixture string) map[string]int {
+	t.Helper()
+	n := map[string]int{}
+	for _, line := range readExpect(t, filepath.Join("testdata/src", fixture)) {
+		_, rule, _ := strings.Cut(line, ": [")
+		rule, _, _ = strings.Cut(rule, "]")
+		n[rule]++
+	}
+	return n
+}
+
 // TestRuleCoverage pins the acceptance criterion directly: each of the seven
 // rules has a fixture where it fires and a sibling fixture that stays
 // clean.
@@ -122,21 +136,11 @@ func TestRuleCoverage(t *testing.T) {
 		"guardedby", "goroutine", "noalloc",
 	} {
 		t.Run(rule, func(t *testing.T) {
-			bad := filepath.Join("testdata/src", rule+"_bad")
-			fired := false
-			for _, d := range loadFixture(t, bad) {
-				if d.Rule == rule {
-					fired = true
-					break
-				}
+			if ruleCounts(t, rule+"_bad")[rule] == 0 {
+				t.Errorf("rule %s does not fire on %s_bad", rule, rule)
 			}
-			if !fired {
-				t.Errorf("rule %s did not fire on %s", rule, bad)
-			}
-
-			clean := filepath.Join("testdata/src", rule+"_clean")
-			if diags := loadFixture(t, clean); len(diags) != 0 {
-				t.Errorf("rule %s: %s is not clean: %v", rule, clean, render(diags))
+			if clean := readExpect(t, filepath.Join("testdata/src", rule+"_clean")); len(clean) != 0 {
+				t.Errorf("rule %s: %s_clean is not clean: %v", rule, rule, clean)
 			}
 		})
 	}
@@ -146,20 +150,11 @@ func TestRuleCoverage(t *testing.T) {
 // //custody:ignore silences the finding, a reasonless one does not and is
 // itself reported.
 func TestSuppressionRequiresReason(t *testing.T) {
-	diags := loadFixture(t, filepath.Join("testdata/src", "errdrop_bad"))
-	var ignores int
-	for _, d := range diags {
-		if d.Rule == "ignore" {
-			ignores++
-		}
-	}
-	if ignores != 2 {
+	if ignores := ruleCounts(t, "errdrop_bad")["ignore"]; ignores != 2 {
 		t.Errorf("expected 2 [ignore] diagnostics (missing reason + unknown rule), got %d", ignores)
 	}
-
-	clean := loadFixture(t, filepath.Join("testdata/src", "errdrop_clean"))
-	if len(clean) != 0 {
-		t.Errorf("reasoned suppression failed to silence findings: %v", render(clean))
+	if clean := readExpect(t, filepath.Join("testdata/src", "errdrop_clean")); len(clean) != 0 {
+		t.Errorf("reasoned suppression failed to silence findings: %v", clean)
 	}
 }
 
@@ -169,32 +164,20 @@ func TestSuppressionRequiresReason(t *testing.T) {
 // missing reasons, and bare ignores are each reported without silencing
 // the underlying finding.
 func TestSuppressionEdgeCases(t *testing.T) {
-	diags := loadFixture(t, filepath.Join("testdata/src", "suppress_bad"))
-
-	var ignores, errdrops, detrands int
-	for _, d := range diags {
-		switch d.Rule {
-		case "ignore":
-			ignores++
-		case "errdrop":
-			errdrops++
-		case "detrand":
-			detrands++
-		}
-	}
+	n := ruleCounts(t, "suppress_bad")
 	// Three malformed segments: unknown rule, missing reason, bare ignore.
-	if ignores != 3 {
-		t.Errorf("expected 3 [ignore] diagnostics, got %d:\n  %s", ignores, strings.Join(render(diags), "\n  "))
+	if n["ignore"] != 3 {
+		t.Errorf("expected 3 [ignore] diagnostics, got %v", n)
 	}
 	// Each malformed segment fails to suppress its errdrop finding.
-	if errdrops != 3 {
-		t.Errorf("expected 3 surviving [errdrop] findings, got %d:\n  %s", errdrops, strings.Join(render(diags), "\n  "))
+	if n["errdrop"] != 3 {
+		t.Errorf("expected 3 surviving [errdrop] findings, got %v", n)
 	}
 	// Every detrand finding is covered by a well-formed segment — including
 	// the one sharing a comment with a malformed segment, and the
 	// line-above comment carrying two suppressions at once.
-	if detrands != 0 {
-		t.Errorf("expected all detrand findings suppressed, got %d:\n  %s", detrands, strings.Join(render(diags), "\n  "))
+	if n["detrand"] != 0 {
+		t.Errorf("expected all detrand findings suppressed, got %v", n)
 	}
 }
 

@@ -94,8 +94,6 @@ type Server struct {
 	stopOnce  sync.Once
 	abortOnce sync.Once
 
-	counts *obsv.CountingSink
-
 	mu sync.Mutex
 	//custody:guardedby mu
 	svc *Service
@@ -113,8 +111,6 @@ type Server struct {
 	slowRounds int
 	//custody:guardedby mu
 	fastRounds int
-	//custody:guardedby mu
-	modeChanges int
 	//custody:guardedby mu
 	sinceCkpt int
 	//custody:guardedby mu
@@ -145,16 +141,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:    cfg,
-		stop:   make(chan struct{}),
-		abort:  make(chan struct{}),
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		counts: &obsv.CountingSink{},
+		cfg:   cfg,
+		stop:  make(chan struct{}),
+		abort: make(chan struct{}),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	// Sinks attach only now, after Open's replay: recovery must not
-	// re-emit historical records into this incarnation's artifacts.
-	svc.Hub().AddSink(s.counts)
+	// re-emit historical records into this incarnation's artifacts. The
+	// Hub's tallies did see the replay, so /metrics counts from genesis.
 	if cfg.LogJSONL {
 		f, err := os.Create(filepath.Join(cfg.Dir, "obsv.jsonl"))
 		if err != nil {
@@ -271,7 +266,6 @@ func (s *Server) ladderLocked(d time.Duration) {
 		s.fastRounds = 0
 		if !s.degraded && s.slowRounds >= 2 {
 			s.degraded = true
-			s.modeChanges++
 			s.svc.Hub().Mode(true, fmt.Sprintf("%d consecutive rounds over the %v budget", s.slowRounds, s.cfg.RoundBudget))
 		}
 		return
@@ -280,7 +274,6 @@ func (s *Server) ladderLocked(d time.Duration) {
 	s.slowRounds = 0
 	if s.degraded && s.fastRounds >= 3 {
 		s.degraded = false
-		s.modeChanges++
 		s.svc.Hub().Mode(false, fmt.Sprintf("%d consecutive rounds within the %v budget", s.fastRounds, s.cfg.RoundBudget))
 	}
 }
@@ -348,7 +341,7 @@ func (s *Server) publishLocked() {
 		{Name: "custody_execs_reaped", Help: "executors revoked for missing the heartbeat deadline", Kind: "counter", Val: float64(s.reaped)},
 		{Name: "custody_broken", Help: "1 once a failed commit has stopped the service", Kind: "gauge", Val: broken},
 	}
-	if err := obsv.RenderOpenMetrics(&buf, s.svc.Driver().Collector(), s.svc.Hub().Flight, s.counts.Counts(), extras...); err != nil {
+	if err := obsv.RenderOpenMetrics(&buf, s.svc.Driver().Collector(), s.svc.Hub().Flight, s.svc.Hub().Counts(), extras...); err != nil {
 		s.lastErr = err
 		return
 	}
@@ -629,7 +622,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		ReplayedOps:        s.boot.ReplayedOps,
 		CheckpointVerified: s.boot.CheckpointVerified,
 		Degraded:           s.degraded,
-		ModeChanges:        s.modeChanges,
+		ModeChanges:        s.svc.Hub().Counts().ModeChanges,
 		Queued:             s.svc.JobsSubmitted() - s.svc.JobsFinished(),
 		Accepted:           s.accepted,
 		Shed:               s.shed,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -384,6 +385,69 @@ func TestKill9ReplayRecoversDigest(t *testing.T) {
 	}
 }
 
+// TestMetricsCountersSurviveKill9 pins that the provenance counters on
+// /metrics count from genesis, like every collector counter: after an
+// Abort mid-workload and a replay, the decision and grant totals equal the
+// values published just before the kill.
+func TestMetricsCountersSurviveKill9(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir, nil)
+	ts := httptest.NewServer(s.Handler())
+	client := ts.Client()
+
+	postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "a"}, nil)
+	for i := 0; i < 4; i++ {
+		postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "PageRank", "file": 0}, nil)
+	}
+	for i := 0; i < 6; i++ {
+		s.RoundOnce()
+	}
+	pre := scrapeCounters(t, client, ts.URL)
+	ts.Close()
+	s.Abort()
+	if pre["custody_decisions_total"] == 0 || pre["custody_grants_total"] == 0 {
+		t.Fatalf("no provenance before the kill: %v", pre)
+	}
+
+	s2 := newTestServer(t, dir, nil)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	post := scrapeCounters(t, ts2.Client(), ts2.URL)
+	for _, name := range []string{"custody_decisions_total", "custody_grants_total", "custody_rounds"} {
+		if post[name] != pre[name] {
+			t.Errorf("%s = %v after recovery, %v before the kill", name, post[name], pre[name])
+		}
+	}
+}
+
+// scrapeCounters fetches /metrics and returns its unlabeled samples by
+// name.
+func scrapeCounters(t *testing.T, client *http.Client, base string) map[string]float64 {
+	t.Helper()
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var page bytes.Buffer
+	if _, err := page.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(page.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out
+}
+
 // TestAcceptedSubmissionSurvivesKill9 pins that a 202 is durable: a job
 // acknowledged but never touched by a round must survive kill -9, show up
 // in the recovered state, and finish once the new incarnation runs rounds.
@@ -464,11 +528,11 @@ func TestDegradedModeLadder(t *testing.T) {
 		t.Fatal("no degraded rounds recorded")
 	}
 
-	// The mode transitions are provenance: the counting sink saw both, and
-	// the op log records which rounds ran degraded (replay follows the
-	// log, not the clock).
-	if s.counts.Counts().ModeChanges != 2 {
-		t.Fatalf("counting sink saw %d mode changes, want 2", s.counts.Counts().ModeChanges)
+	// The mode transitions are provenance: the Hub counted both, and the
+	// op log records which rounds ran degraded (replay follows the log,
+	// not the clock).
+	if n := s.svc.Hub().Counts().ModeChanges; n != 2 {
+		t.Fatalf("hub counted %d mode changes, want 2", n)
 	}
 	s.mu.Lock()
 	ops := replayed(t, s.wal)

@@ -26,6 +26,10 @@ const (
 	Offer      ManagerKind = "offer"   // Mesos-like (§II-A ablation)
 )
 
+// ManagerKinds lists every kind NewManager builds, in the order the CLIs
+// name them.
+func ManagerKinds() []ManagerKind { return []ManagerKind{Custody, Standalone, YARN, Offer} }
+
 // NewManager instantiates a manager by kind. Each run gets a fresh instance.
 func NewManager(kind ManagerKind, seed uint64) manager.Manager {
 	switch kind {

@@ -6,6 +6,12 @@
 // executor slot emits a Grant tagged with the reason it was usable
 // (local-block, rack-fallback, or arbitrary-fill).
 //
+// A Hub records both into its FlightRecorder, keeps the provenance
+// tallies (Hub.Counts), and streams every record into its sinks (JSONL,
+// CSV). RenderOpenMetrics turns those tallies, the flight recorder, and a
+// run's metrics.Collector into one OpenMetrics exposition, whenever the
+// caller wants a page: after a run, or once per custodyd round.
+//
 // The package is a leaf: core, manager, and driver may import it, and it
 // imports only internal/metrics (for the OpenMetrics exporter) and the
 // standard library. Recording is allocation-free on the allocator's hot

@@ -214,18 +214,54 @@ func TestCSVSinkShape(t *testing.T) {
 	}
 }
 
-func TestOpenMetricsSinkExposition(t *testing.T) {
+// TestHubCountsWithoutSinks pins that the Hub's tallies do not depend on
+// what is attached: one sequence recorded with and without a sink yields
+// the same Counts, and decisions and grants are the flight recorder's
+// push counts, ring wrap included.
+func TestHubCountsWithoutSinks(t *testing.T) {
+	record := func(h *Hub) {
+		hubFeed(h)
+		for i := 0; i < 6; i++ {
+			h.Decide(Decision{App: i, RunnerUp: -1, Job: -1})
+			h.Grant(Grant{App: i, Job: -1, Task: -1})
+		}
+		h.Audit(0, "")
+		h.Mode(true, "slow")
+		h.FaultNoop(1, 2)
+	}
+	bare := NewHub(4)
+	record(bare)
+	sunk := NewHub(4)
 	var b strings.Builder
+	sunk.AddSink(NewJSONLSink(&b))
+	record(sunk)
+	if err := sunk.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := bare.Counts()
+	want := Counts{Decisions: 7, Grants: 7, Audits: 2, Violations: 2, FaultNoops: 2, ModeChanges: 1}
+	if got != want {
+		t.Fatalf("sinkless counts = %+v, want %+v", got, want)
+	}
+	if sunk.Counts() != got {
+		t.Fatalf("counts with a sink %+v differ from without %+v", sunk.Counts(), got)
+	}
+	if got.Decisions != bare.Flight.dn || got.Grants != bare.Flight.gn {
+		t.Fatalf("counts %d/%d, flight recorder pushed %d/%d", got.Decisions, got.Grants, bare.Flight.dn, bare.Flight.gn)
+	}
+	if d, g := bare.Flight.Dropped(); d == 0 || g != 0 {
+		t.Fatalf("dropped %d/%d: the decision ring should have wrapped", d, g)
+	}
+}
+
+func TestRenderOpenMetricsExposition(t *testing.T) {
 	col := metrics.NewCollector()
 	col.AddJob(metrics.JobRecord{App: 0, Submit: 0, Finish: 12, LocalInput: 1, TotalInput: 1})
 	h := NewHub(8)
-	h.AddSink(&OpenMetricsSink{
-		W:         &b,
-		Flight:    h.Flight,
-		Collector: func() *metrics.Collector { return col },
-	})
 	hubFeed(h)
-	if err := h.Close(); err != nil {
+	var b strings.Builder
+	if err := RenderOpenMetrics(&b, col, h.Flight, h.Counts()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,15 +287,13 @@ func TestOpenMetricsSinkExposition(t *testing.T) {
 	}
 }
 
-// TestOpenMetricsSinkNilCollector covers the -explain-only path, where no
-// collector is ever bound: the exposition must still be well-formed.
-func TestOpenMetricsSinkNilCollector(t *testing.T) {
+// TestRenderOpenMetricsNilCollector renders a page with no run collector:
+// the exposition must still be well-formed and omit the collector series.
+func TestRenderOpenMetricsNilCollector(t *testing.T) {
+	h := NewHub(8)
+	h.Decide(Decision{RunnerUp: -1, Job: -1})
 	var b strings.Builder
-	s := &OpenMetricsSink{W: &b}
-	if err := s.Emit(Record{Kind: "decision"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
+	if err := RenderOpenMetrics(&b, nil, h.Flight, h.Counts()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -143,9 +143,8 @@ func (s *CSVSink) Close() error {
 	return nil
 }
 
-// Counts aggregates the record stream by kind — the tallies behind the
-// OpenMetrics counters. CountingSink and OpenMetricsSink both accumulate
-// one; services can snapshot it to render a live exposition.
+// Counts are the provenance tallies behind the OpenMetrics counters. The
+// Hub keeps them whether or not a sink is attached (Hub.Counts).
 type Counts struct {
 	Decisions   int
 	Grants      int
@@ -153,78 +152,6 @@ type Counts struct {
 	Violations  int
 	FaultNoops  int
 	ModeChanges int
-}
-
-// observe tallies one record into the counts.
-func (n *Counts) observe(r Record) {
-	switch r.Kind {
-	case "decision":
-		n.Decisions++
-	case "grant":
-		n.Grants++
-	case "audit":
-		n.Audits++
-		if r.Violations > 0 {
-			n.Violations += r.Violations
-		}
-	case "fault-noop":
-		n.FaultNoops++
-	case "mode":
-		n.ModeChanges++
-	}
-}
-
-// CountingSink tallies the record stream without writing anywhere. A
-// long-running service attaches one to feed a live /metrics exposition via
-// RenderOpenMetrics while the stream itself goes to file sinks.
-type CountingSink struct {
-	n Counts
-}
-
-// Emit implements Sink.
-func (s *CountingSink) Emit(r Record) error {
-	s.n.observe(r)
-	return nil
-}
-
-// Close implements Sink.
-func (s *CountingSink) Close() error { return nil }
-
-// Counts returns a snapshot of the tallies so far.
-func (s *CountingSink) Counts() Counts { return s.n }
-
-// OpenMetricsSink counts the record stream and, on Close, writes an
-// OpenMetrics text exposition derived from those counts, the flight
-// recorder, and (when bound) the run's metrics.Collector. Collector is a
-// late-binding accessor because the collector typically exists only after
-// the simulation has been configured; it may be nil or return nil.
-type OpenMetricsSink struct {
-	W         io.Writer
-	Collector func() *metrics.Collector
-	Flight    *FlightRecorder
-
-	n Counts
-}
-
-// Emit implements Sink.
-func (s *OpenMetricsSink) Emit(r Record) error {
-	s.n.observe(r)
-	return nil
-}
-
-// Close implements Sink: render the exposition.
-func (s *OpenMetricsSink) Close() error {
-	var col *metrics.Collector
-	if s.Collector != nil {
-		col = s.Collector()
-	}
-	if err := RenderOpenMetrics(s.W, col, s.Flight, s.n); err != nil {
-		return err
-	}
-	if c, ok := s.W.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
 }
 
 // Metric is one extra exposition line appended by RenderOpenMetrics — the
@@ -343,10 +270,11 @@ func RenderOpenMetrics(w io.Writer, col *metrics.Collector, fr *FlightRecorder, 
 	return err
 }
 
-// Hub fans provenance out: it stamps every event into its FlightRecorder
-// and streams the corresponding Record into every attached sink. It
-// implements AllocObserver (for core.Options.Observer) and adds the taps
-// the driver feeds directly: Audit results and chaos fault no-ops.
+// Hub fans provenance out: it stamps every event into its FlightRecorder,
+// tallies it, and streams the corresponding Record into every attached
+// sink. It implements AllocObserver (for core.Options.Observer) and adds
+// the taps the driver feeds directly: Audit results and chaos fault
+// no-ops.
 //
 // With no sinks attached, every path through the Hub is allocation-free —
 // the nil/empty checks keep the allocator hot path clean, which is what
@@ -360,6 +288,7 @@ type Hub struct {
 
 	sinks []Sink
 	err   error
+	n     Counts // Decisions and Grants are read from Flight instead
 }
 
 // NewHub returns a Hub with a flight recorder of the given decision-ring
@@ -374,6 +303,15 @@ func NewHub(decisionCap int) *Hub {
 
 // AddSink attaches a sink; records emitted from now on stream into it.
 func (h *Hub) AddSink(s Sink) { h.sinks = append(h.sinks, s) }
+
+// Counts returns the tallies of everything the Hub has seen since it was
+// made, sinks or not. Decisions and grants are the flight recorder's push
+// counts, so ring wrap does not lower them.
+func (h *Hub) Counts() Counts {
+	n := h.n
+	n.Decisions, n.Grants = h.Flight.dn, h.Flight.gn
+	return n
+}
 
 // Err returns the first sink error encountered, if any.
 func (h *Hub) Err() error { return h.err }
@@ -452,9 +390,11 @@ func (h *Hub) Grant(g Grant) {
 	h.emit(r)
 }
 
-// Audit taps a Driver.Audit result into the sinks: the number of invariant
+// Audit counts a Driver.Audit result and taps it into the sinks: the number of invariant
 // violations found (0 for a clean audit) and their rendered detail.
 func (h *Hub) Audit(violations int, detail string) {
+	h.n.Audits++
+	h.n.Violations += violations
 	if len(h.sinks) == 0 {
 		return
 	}
@@ -464,11 +404,12 @@ func (h *Hub) Audit(violations int, detail string) {
 	h.emit(r)
 }
 
-// Mode taps a service-mode transition (the custodyd degraded-mode ladder)
-// into the sinks: Reason carries the new mode ("degraded" or "normal") and
+// Mode counts a service-mode transition (the custodyd degraded-mode
+// ladder) and taps it into the sinks: Reason carries the new mode ("degraded" or "normal") and
 // Detail the trigger, so overload degradation is visible in the same
 // provenance artifacts as the decisions it coarsens.
 func (h *Hub) Mode(degraded bool, detail string) {
+	h.n.ModeChanges++
 	if len(h.sinks) == 0 {
 		return
 	}
@@ -482,9 +423,10 @@ func (h *Hub) Mode(degraded bool, detail string) {
 	h.emit(r)
 }
 
-// FaultNoop taps a chaos fault that found nothing to break (the fault-noop
-// trace event) into the sinks.
+// FaultNoop counts a chaos fault that found nothing to break (the
+// fault-noop trace event) and taps it into the sinks.
 func (h *Hub) FaultNoop(node, exec int) {
+	h.n.FaultNoops++
 	if len(h.sinks) == 0 {
 		return
 	}
