@@ -90,13 +90,14 @@ echo "== modelcheck mutation smoke"
 # battery, and each shrunk counterexample must replay from its .repro on the
 # stack it came from. With no mutant selected a tagged build behaves
 # like an untagged one, but only the mutation tests need to run here. The
-# fabric's warm start has its own seeded bug: a replay that ignores the
-# resources new flows joined, which the fabric differential must catch
-# (DESIGN.md §10). So does the executor pool's sort skip: a pool that
+# fabric has two seeded bugs of its own: a warm-start replay that ignores
+# the resources new flows joined, and a tie run that ignores its calm check;
+# the fabric differential must catch both (DESIGN.md §10). So does the executor pool's sort skip: a pool that
 # trusts an unsorted idle list, which the warm-session churn differential
 # must catch.
 go test -count=1 -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 go test -count=1 -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
+go test -count=1 -tags custodymutate -run '^TestTieCalmMutant$' ./internal/netsim
 go test -count=1 -tags custodymutate -run '^TestTrustOrderMutant$' ./internal/core
 
 echo "== modelcheck sweep (custodysim)"
@@ -277,10 +278,11 @@ if [ "$digest_before" != "$digest_after" ]; then
     exit 1
 fi
 echo "custodyd recovered to identical digest $digest_after after kill -9"
-# The provenance counters count from genesis, so replay restores them. The
-# service is idle, so no new decision can move them after the scrape.
+# The provenance counters and the accepted-submission count count logged
+# ops from genesis, so replay restores them. The service is idle, so no new
+# decision can move them after the scrape.
 curl -sf "http://$CUSTODYD_ADDR/metrics" > "$DDIR/metrics-recovered.om"
-for c in custody_decisions_total custody_grants_total; do
+for c in custody_decisions_total custody_grants_total custody_submissions_accepted_total; do
     before=$(grep "^$c " artifacts/custodyd-metrics.om || true)
     after=$(grep "^$c " "$DDIR/metrics-recovered.om" || true)
     if [ -z "$before" ] || [ "$before" != "$after" ]; then

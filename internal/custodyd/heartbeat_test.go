@@ -1,6 +1,7 @@
 package custodyd
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -115,6 +116,32 @@ func TestHeartbeatLivenessRevokesSilentExecutor(t *testing.T) {
 	}
 }
 
+// reapOne submits six PageRank jobs for a fresh tenant and runs rounds,
+// beating for the tenant's executors and then letting the clock pass the
+// deadline, until the reaper has revoked at least one executor.
+func reapOne(t *testing.T, s *Server, client *http.Client, base string, now *time.Time) {
+	t.Helper()
+	postJSON(t, client, base+"/v1/register-app", map[string]string{"name": "a"}, nil)
+	for i := 0; i < 6; i++ {
+		postJSON(t, client, base+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "PageRank", "file": 0}, nil)
+	}
+	for i := 0; i < 40; i++ {
+		s.RoundOnce()
+		if tracked := ownedExecs(t, s); len(tracked) > 0 {
+			postJSON(t, client, base+"/v1/heartbeat", map[string]any{"tenant": 0, "execs": tracked}, nil)
+			*now = now.Add(6 * time.Second)
+			s.RoundOnce()
+		}
+		s.mu.Lock()
+		revoked := s.svc.ExecRevocations()
+		s.mu.Unlock()
+		if revoked > 0 {
+			return
+		}
+	}
+	t.Fatal("no executor revoked; the case needs one")
+}
+
 // TestHeartbeatRevocationSurvivesCrash is the daemon-side chaos case:
 // revoke a silent executor, kill -9 the daemon (no flush, no checkpoint),
 // and require the recovered incarnation — which replays the revoke-exec
@@ -127,30 +154,7 @@ func TestHeartbeatRevocationSurvivesCrash(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	client := ts.Client()
 
-	postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "a"}, nil)
-	for i := 0; i < 6; i++ {
-		postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "PageRank", "file": 0}, nil)
-	}
-	for i := 0; i < 40; i++ {
-		s.RoundOnce()
-		if tracked := ownedExecs(t, s); len(tracked) > 0 {
-			postJSON(t, client, ts.URL+"/v1/heartbeat", map[string]any{"tenant": 0, "execs": tracked}, nil)
-			now = now.Add(6 * time.Second)
-			s.RoundOnce()
-		}
-		s.mu.Lock()
-		revoked := s.svc.ExecRevocations()
-		s.mu.Unlock()
-		if revoked > 0 {
-			break
-		}
-	}
-	s.mu.Lock()
-	revoked := s.svc.ExecRevocations()
-	s.mu.Unlock()
-	if revoked == 0 {
-		t.Fatal("no executor revoked before the crash; chaos case needs one")
-	}
+	reapOne(t, s, client, ts.URL, &now)
 	pre := getStatus(t, client, ts.URL)
 	ts.Close()
 	s.Abort()
@@ -177,5 +181,35 @@ func TestHeartbeatRevocationSurvivesCrash(t *testing.T) {
 	s2.mu.Unlock()
 	if err != nil {
 		t.Fatalf("audit after recovered run: %v", err)
+	}
+}
+
+// TestReapedCountSurvivesKill9 pins that the reaped-executor count counts
+// logged revoke-exec ops from genesis: after a reap, an Abort and a reboot
+// with no clock and no heartbeat history, /v1/status execs_reaped and
+// custody_execs_reaped_total equal their pre-kill values.
+func TestReapedCountSurvivesKill9(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(3000, 0)
+	s := hbServer(t, dir, &now)
+	ts := httptest.NewServer(s.Handler())
+	client := ts.Client()
+	reapOne(t, s, client, ts.URL, &now)
+	pre := getStatus(t, client, ts.URL)
+	preMetric := scrapeCounters(t, client, ts.URL)["custody_execs_reaped_total"]
+	ts.Close()
+	s.Abort()
+	if pre.ExecsReaped == 0 || preMetric != float64(pre.ExecsReaped) {
+		t.Fatalf("before the kill: execs_reaped %d, custody_execs_reaped_total %v", pre.ExecsReaped, preMetric)
+	}
+
+	s2 := newTestServer(t, dir, nil)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if post := getStatus(t, ts2.Client(), ts2.URL); post.ExecsReaped != pre.ExecsReaped {
+		t.Fatalf("execs_reaped %d after recovery, %d before the kill", post.ExecsReaped, pre.ExecsReaped)
+	}
+	if got := scrapeCounters(t, ts2.Client(), ts2.URL)["custody_execs_reaped_total"]; got != preMetric {
+		t.Fatalf("custody_execs_reaped_total %v after recovery, %v before the kill", got, preMetric)
 	}
 }

@@ -102,8 +102,6 @@ type Server struct {
 	//custody:guardedby mu
 	boot BootInfo
 	//custody:guardedby mu
-	accepted int
-	//custody:guardedby mu
 	shed int
 	//custody:guardedby mu
 	degraded bool
@@ -115,8 +113,6 @@ type Server struct {
 	sinceCkpt int
 	//custody:guardedby mu
 	lastBeat map[int]time.Time
-	//custody:guardedby mu
-	reaped int
 	//custody:guardedby mu
 	lastErr error
 	//custody:guardedby mu
@@ -302,9 +298,7 @@ func (s *Server) reapSilentLocked(now time.Time) {
 		delete(s.lastBeat, id)
 		if err := s.svc.RevokeExec(id); err != nil {
 			s.lastErr = err
-			continue
 		}
-		s.reaped++
 	}
 }
 
@@ -334,11 +328,11 @@ func (s *Server) publishLocked() {
 	}
 	extras := []obsv.Metric{
 		{Name: "custody_queue_depth", Help: "accepted jobs not yet finished", Kind: "gauge", Val: float64(s.snap.JobsSubmitted - s.snap.JobsFinished)},
-		{Name: "custody_submissions_accepted", Help: "submissions committed to the intent log", Kind: "counter", Val: float64(s.accepted)},
+		{Name: "custody_submissions_accepted", Help: "submissions committed to the intent log, replay included", Kind: "counter", Val: float64(s.snap.JobsSubmitted)},
 		{Name: "custody_submissions_shed", Help: "submissions refused with 429", Kind: "counter", Val: float64(s.shed)},
 		{Name: "custody_degraded_mode", Help: "1 while the degraded-mode ladder is tripped", Kind: "gauge", Val: degraded},
 		{Name: "custody_wal_seq", Help: "last committed intent-log sequence number", Kind: "gauge", Val: float64(s.svc.Seq())},
-		{Name: "custody_execs_reaped", Help: "executors revoked for missing the heartbeat deadline", Kind: "counter", Val: float64(s.reaped)},
+		{Name: "custody_execs_reaped", Help: "executors released or failed by committed revoke-exec ops (heartbeat reaps), replay included", Kind: "counter", Val: float64(s.svc.ExecRevocations())},
 		{Name: "custody_broken", Help: "1 once a failed commit has stopped the service", Kind: "gauge", Val: broken},
 	}
 	if err := obsv.RenderOpenMetrics(&buf, s.svc.Driver().Collector(), s.svc.Hub().Flight, s.svc.Hub().Counts(), extras...); err != nil {
@@ -530,7 +524,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
-	s.accepted++
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -624,9 +617,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Degraded:           s.degraded,
 		ModeChanges:        s.svc.Hub().Counts().ModeChanges,
 		Queued:             s.svc.JobsSubmitted() - s.svc.JobsFinished(),
-		Accepted:           s.accepted,
+		Accepted:           s.svc.JobsSubmitted(),
 		Shed:               s.shed,
-		ExecsReaped:        s.reaped,
+		ExecsReaped:        s.svc.ExecRevocations(),
 		Draining:           s.draining,
 	}
 	if err := s.svc.Broken(); err != nil {

@@ -420,6 +420,39 @@ func TestMetricsCountersSurviveKill9(t *testing.T) {
 	}
 }
 
+// TestAcceptedCountSurvivesKill9 pins that the accepted-submission count
+// counts logged ops from genesis: four 202s, an Abort and a reboot leave
+// /v1/status accepted and custody_submissions_accepted_total at 4.
+func TestAcceptedCountSurvivesKill9(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir, nil)
+	ts := httptest.NewServer(s.Handler())
+	client := ts.Client()
+
+	postJSON(t, client, ts.URL+"/v1/register-app", map[string]string{"name": "a"}, nil)
+	for i := 0; i < 4; i++ {
+		resp := postJSON(t, client, ts.URL+"/v1/submit-job", map[string]any{"tenant": 0, "workload": "PageRank", "file": 0}, nil)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d, want 202", i, resp.StatusCode)
+		}
+	}
+	if st := getStatus(t, client, ts.URL); st.Accepted != 4 {
+		t.Fatalf("accepted %d before the kill, want 4", st.Accepted)
+	}
+	ts.Close()
+	s.Abort()
+
+	s2 := newTestServer(t, dir, nil)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if st := getStatus(t, ts2.Client(), ts2.URL); st.Accepted != 4 {
+		t.Fatalf("accepted %d after recovery, want 4", st.Accepted)
+	}
+	if got := scrapeCounters(t, ts2.Client(), ts2.URL)["custody_submissions_accepted_total"]; got != 4 {
+		t.Fatalf("custody_submissions_accepted_total %v after recovery, want 4", got)
+	}
+}
+
 // scrapeCounters fetches /metrics and returns its unlabeled samples by
 // name.
 func scrapeCounters(t *testing.T, client *http.Client, base string) map[string]float64 {

@@ -11,6 +11,7 @@
 //	go test -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 //	go test -tags custodymutate -run '^TestMutationSmoke$/^cluster-stale-owner$' ./internal/modelcheck
 //	go test -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
+//	go test -tags custodymutate -run '^TestTieCalmMutant$' ./internal/netsim
 //	go test -tags custodymutate -run '^TestTrustOrderMutant$' ./internal/core
 package mutant
 
@@ -37,6 +38,12 @@ const (
 	// level's, so a new flow that should become the bottleneck is frozen at
 	// a stale level: a divergence the fabric differential must catch.
 	NetsimWarmJoined Name = "netsim-warm-joined"
+	// NetsimTieCalm makes internal/netsim's tie-run check (Fabric.calm)
+	// report every freeze as calm, so a tie run keeps freezing its members
+	// after a freeze left another resource at or below the run's share,
+	// which the cold scan would have picked first: a divergence the fabric
+	// differential must catch.
+	NetsimTieCalm Name = "netsim-tie-calm"
 	// TrustOrder makes internal/core's executor pool skip its sort and
 	// trust the idle list to arrive in ascending executor ID, so an
 	// unsorted list breaks the lowest-ID tie-breaks: a divergence the

@@ -12,8 +12,13 @@
 //
 // The pass runs on dense state: every resource keeps its active flows in an
 // ID-ordered slice and carries its own per-pass residual and unfrozen count,
-// so freezing a bottleneck walks only that resource's flows. Batch defers
-// the pass across a burst of changes at one instant.
+// so freezing a bottleneck walks only that resource's flows. The fabric
+// indexes the resources that carry flows, so a pass sets up from that index
+// without walking the flows, and breaks ties between equal shares by a
+// first-touch key instead of walk order. One scan freezes every resource
+// tied at the smallest share, as consecutive levels, for as long as each
+// freeze leaves the other shares above it. Batch defers the pass across a
+// burst of changes at one instant.
 //
 // Passes are warm-started. Each pass keeps its bottleneck sequence (the
 // levels), and between passes the fabric logs the resources a new flow
@@ -25,10 +30,11 @@
 //
 // Flow completions are event-driven: after every rate change the fabric
 // advances each flow's remaining bytes and reschedules a single timer for the
-// earliest completion.
+// earliest completion, which the freezes find as they fix the rates.
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -77,6 +83,7 @@ type Resource struct {
 	capacity float64 // bytes per second; changed only through Fabric.scale
 
 	flows []*Flow // active flows crossing the resource, in ID order
+	slot  int     // 1 + its position in Fabric.active; 0 while flows is empty
 
 	// Progressive-filling state, meaningful while epoch equals the fabric's
 	// current pass.
@@ -103,8 +110,9 @@ type Flow struct {
 	done      func()
 	finished  bool
 	cancelled bool
-	src, dst  int // endpoint nodes
-	level     int // filling level the last pass froze it at; noLevel if none
+	src, dst  int    // endpoint nodes
+	level     int    // filling level the last pass froze it at; noLevel if none
+	frozen    uint64 // the pass that froze it; rate is fixed once it equals the fabric's epoch
 }
 
 // noLevel is the level of a flow no pass has frozen yet.
@@ -137,10 +145,21 @@ type Fabric struct {
 	onTimer    func() // onCompletion, bound once so a pass allocates only its timer
 	stamp      event.Stamp
 
+	// active holds every resource whose flow list is non-empty, in no
+	// particular order (Resource.slot is the back-index).
+	active []*Resource
+
 	// Scratch reused across passes: the pass counter that validates
-	// Resource state, and the resources a pass touched in first-touch order.
-	epoch   uint64
-	touched []*Resource
+	// Resource and Flow state, the positions in active of the resources a
+	// pass still scans, the tie run of its last scan, the earliest
+	// completion among the flows it froze, and the flows a completion event
+	// finished. live and run hold positions, not pointers, so they keep no
+	// finished flow's cap reachable and need no clearing.
+	epoch    uint64
+	live     []int32
+	run      []tie
+	soonest  float64
+	finished []*Flow
 
 	// The warm start. levels is the last pass's bottleneck sequence. The
 	// change log since then: joined holds the resources a new flow joined
@@ -177,6 +196,13 @@ type Fabric struct {
 	// ScanVisits counts the resources the bottleneck scans visited: the
 	// filling work the warm start saves.
 	ScanVisits int64
+}
+
+// tie is a member of a tie run: a resource's position in Fabric.active and
+// its first-touch key.
+type tie struct {
+	key int64
+	pos int32
 }
 
 // level is one step of a pass's progressive filling: the bottleneck whose
@@ -354,11 +380,35 @@ func (fb *Fabric) start(src, dst int, bytes, capBps float64, done func(), resour
 	fb.advance()
 	fb.flows = append(fb.flows, fl)
 	for _, r := range resources {
-		r.flows = append(r.flows, fl)
+		fb.join(r, fl)
 		fb.logChange(r)
 	}
 	fb.changed()
 	return fl
+}
+
+// join appends fl to r's flow list, entering r into the active index when
+// the list was empty.
+func (fb *Fabric) join(r *Resource, fl *Flow) {
+	if len(r.flows) == 0 {
+		fb.active = append(fb.active, r)
+		r.slot = len(fb.active)
+	}
+	r.flows = append(r.flows, fl)
+}
+
+// retire takes r out of the active index, if it is there.
+func (fb *Fabric) retire(r *Resource) {
+	if r.slot == 0 {
+		return
+	}
+	last := len(fb.active) - 1
+	moved := fb.active[last]
+	fb.active[r.slot-1] = moved
+	moved.slot = r.slot
+	fb.active[last] = nil
+	fb.active = fb.active[:last]
+	r.slot = 0
 }
 
 // logChange records that r gained a flow or changed capacity since the last
@@ -383,11 +433,15 @@ func (fb *Fabric) Cancel(fl *Flow) {
 	fb.changed()
 }
 
-// detach takes fl off its resources' flow lists and logs the level it left.
+// detach takes fl off its resources' flow lists, retires the resources it
+// leaves empty, and logs the level it left.
 func (fb *Fabric) detach(fl *Flow) {
 	fb.minRemoved = min(fb.minRemoved, fl.level)
 	for _, r := range fl.resources {
 		r.flows = removeFlow(r.flows, fl)
+		if len(r.flows) == 0 {
+			fb.retire(r)
+		}
 	}
 }
 
@@ -471,18 +525,26 @@ func (fb *Fabric) changed() {
 //
 // Every resource sees its subtractions in a fixed order (bottleneck by
 // bottleneck, and within one bottleneck in flow-ID order), and ties between
-// equal shares go to the resource touched first in flow-ID order, so the
-// rates are reproducible bit for bit.
+// equal shares go to the resource touched first in flow-ID order (see
+// firstTouch), so the rates are reproducible bit for bit.
 //
 // The pass first replays the last pass's levels while no logged change can
 // reach them. Level i is replayed only below the lowest level a removed flow
 // froze at, only if its bottleneck was neither joined nor rescaled, and only
 // while every joined or rescaled resource's current share is strictly above
 // the level's share. Inside that prefix the bottleneck keeps its flows, so
-// its share and its place in the touched order are unchanged; every other
-// unlogged resource only lost flows, so its share can only rise and its
-// place only move later. The cold scan would therefore pick the same
-// bottleneck at the same share, ties included.
+// its share and its first-touch key are unchanged; every other unlogged
+// resource only lost flows, so its share can only rise and its key only
+// grow. The cold scan would therefore pick the same bottleneck at the same
+// share, ties included.
+//
+// Each scan then collects every resource at the minimum share and freezes
+// them in first-touch order as consecutive levels, a tie run. A member
+// whose share moved since the scan is skipped, and the run ends at the
+// first freeze that is not calm (see calm), when the next scan resumes.
+// While every freeze is calm, the resources at the run's share are exactly
+// its members no freeze touched, so the next cold scan would pick the next
+// of them.
 func (fb *Fabric) reallocate() {
 	if fb.timer != nil {
 		fb.eng.Cancel(fb.timer)
@@ -495,23 +557,19 @@ func (fb *Fabric) reallocate() {
 	}
 	fb.Reallocations++
 
-	// Progressive filling. Each touched resource starts the pass with its
-	// full capacity as residual and counts its unfrozen flows.
+	// Progressive filling. Every resource with flows starts the pass with
+	// its full capacity as residual and all its flows unfrozen: its list
+	// holds exactly the active flows crossing it.
 	fb.epoch++
-	touched := fb.touched[:0]
-	for _, fl := range fb.flows {
-		fl.rate = -1 // unfrozen marker
-		for _, r := range fl.resources {
-			if r.epoch != fb.epoch {
-				r.epoch = fb.epoch
-				r.residual = r.capacity
-				r.unfrozen = 0
-				touched = append(touched, r)
-			}
-			r.unfrozen++
-		}
+	fb.soonest = math.Inf(1)
+	live := fb.live[:0]
+	for i, r := range fb.active {
+		r.epoch = fb.epoch
+		r.residual = r.capacity
+		r.unfrozen = len(r.flows)
+		live = append(live, int32(i))
 	}
-	fb.touched = touched
+	fb.live = live
 	remaining := len(fb.flows)
 
 	// Replay the levels no change can reach.
@@ -524,71 +582,100 @@ func (fb *Fabric) reallocate() {
 		if lv.r.epoch != fb.epoch || lv.r.residual/float64(lv.r.unfrozen) != lv.share {
 			panic("netsim: replayed level disagrees with the last pass")
 		}
-		remaining -= freeze(lv.r, lv.share, n)
+		remaining -= fb.freeze(lv.r, lv.share, n)
 	}
 	fb.keepLevels(n)
 	fb.resetLog()
 
-	for ; remaining > 0; n++ {
-		// Find the bottleneck: the resource with the smallest fair share
-		// (first touched wins ties). Resources with no unfrozen flows left
-		// drop out of the scan for the rest of the pass.
-		var bottleneck *Resource
+	for remaining > 0 {
+		// Find the bottlenecks: the resources with the smallest fair share.
+		// Resources with no unfrozen flows left drop out of the scan for
+		// the rest of the pass.
 		best := math.Inf(1)
-		fb.ScanVisits += int64(len(touched))
-		live := touched[:0]
-		for _, r := range touched {
+		run := fb.run[:0]
+		fb.ScanVisits += int64(len(live))
+		kept := live[:0]
+		for _, pos := range live {
+			r := fb.active[pos]
 			if r.unfrozen == 0 {
 				continue
 			}
-			live = append(live, r)
+			kept = append(kept, pos)
 			share := r.residual / float64(r.unfrozen)
 			if share < best {
 				best = share
-				bottleneck = r
+				run = append(run[:0], tie{pos: pos})
+			} else if share == best {
+				run = append(run, tie{pos: pos})
 			}
 		}
-		touched = live
-		if bottleneck == nil {
+		live = kept
+		if len(run) == 0 {
 			// No contended resources left; should not happen since every
 			// flow crosses at least one resource.
 			panic("netsim: progressive filling found no bottleneck")
 		}
-		fb.levels = append(fb.levels, level{bottleneck, best})
-		remaining -= freeze(bottleneck, best, n)
+		if len(run) > 1 {
+			for i := range run {
+				run[i].key = firstTouch(fb.active[run[i].pos])
+			}
+			slices.SortFunc(run, func(a, b tie) int { return cmp.Compare(a.key, b.key) })
+		}
+		for i, t := range run {
+			r := fb.active[t.pos]
+			if r.unfrozen == 0 || r.residual/float64(r.unfrozen) != best {
+				continue // an earlier freeze of the run moved its share up
+			}
+			fb.levels = append(fb.levels, level{r, best})
+			frozen := fb.freeze(r, best, n)
+			if frozen == 0 {
+				// Its unfrozen count says otherwise: its flow list is stale.
+				panic("netsim: bottleneck froze no flow")
+			}
+			remaining -= frozen
+			n++
+			if i == len(run)-1 || remaining == 0 || !fb.calm(r, best, n-1) {
+				break
+			}
+		}
+		fb.run = run
 	}
-	// Drop the scratch pointers so per-flow caps do not keep finished flows
-	// reachable.
-	clear(fb.touched)
 
-	// Schedule the earliest completion.
-	soonest := math.Inf(1)
-	for _, fl := range fb.flows {
-		if fl.rate <= 0 {
-			continue
-		}
-		t := fl.remaining / fl.rate
-		if t < soonest {
-			soonest = t
-		}
-	}
-	if math.IsInf(soonest, 1) {
+	if math.IsInf(fb.soonest, 1) {
 		panic("netsim: active flows but no positive rates")
 	}
-	fb.timer = fb.eng.AtStamp(fb.eng.Now()+soonest, fb.stamp, fb.onTimer)
+	fb.timer = fb.eng.AtStamp(fb.eng.Now()+fb.soonest, fb.stamp, fb.onTimer)
+}
+
+// firstTouch returns r's place in the order a walk over the active flows
+// in ID order, each flow's resources in list order, first reaches the
+// resources: the lowest flow ID crossing r, then r's place in that flow's
+// list. A flow lists at most five resources (a serving resource, two links,
+// its cap and the choke), so three bits hold the place.
+func firstTouch(r *Resource) int64 {
+	fl := r.flows[0]
+	return fl.ID<<3 | int64(slices.Index(fl.resources, r))
 }
 
 // freeze fixes every unfrozen flow crossing the bottleneck r at share, in
-// flow-ID order, stamps it with level n, and returns how many it froze.
-func freeze(r *Resource, share float64, n int) int {
+// flow-ID order, stamps it with level n and the pass, and returns how many
+// it froze. It lowers fb.soonest to the earliest completion among them:
+// dividing by one positive share keeps the order of the remaining bytes,
+// so the least of them over share is the least of their completion times.
+func (fb *Fabric) freeze(r *Resource, share float64, n int) int {
 	frozen := 0
+	least := math.Inf(1)
 	for _, fl := range r.flows {
-		if fl.rate >= 0 {
+		if fl.frozen == fb.epoch {
 			continue
 		}
+		fl.frozen = fb.epoch
 		fl.rate = share
 		fl.level = n
 		frozen++
+		if fl.remaining < least {
+			least = fl.remaining
+		}
 		for _, q := range fl.resources {
 			q.residual -= share
 			if q.residual < 0 {
@@ -597,7 +684,33 @@ func freeze(r *Resource, share float64, n int) int {
 			q.unfrozen--
 		}
 	}
+	if share > 0 && least/share < fb.soonest {
+		fb.soonest = least / share
+	}
 	return frozen
+}
+
+// calm reports whether freezing level n, the bottleneck r at share, left
+// every other resource its flows cross either without unfrozen flows or at
+// a share strictly above share. Taking flows at rate share off a resource
+// whose share was above it keeps the share above it in exact arithmetic, so
+// only a resource tied at share, or one that rounding pushed down, breaks
+// the calm.
+func (fb *Fabric) calm(r *Resource, share float64, n int) bool {
+	if mutant.Active == mutant.NetsimTieCalm { // seeded bug: every tie run runs to its end
+		return true
+	}
+	for _, fl := range r.flows {
+		if fl.level != n || fl.frozen != fb.epoch {
+			continue // not frozen at this level
+		}
+		for _, q := range fl.resources {
+			if q.unfrozen > 0 && q.residual/float64(q.unfrozen) <= share {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // logAbove reports whether every logged resource with unfrozen flows in
@@ -629,25 +742,41 @@ func (fb *Fabric) resetLog() {
 	fb.minRemoved = noLevel
 }
 
-// onCompletion fires when at least one flow should have drained.
+// onCompletion fires when at least one flow should have drained. One walk
+// advances every flow to now, as advance would, and sorts the finished
+// flows from the kept ones.
 func (fb *Fabric) onCompletion() {
 	fb.timer = nil
-	fb.advance()
 	const eps = 1e-9
 	now := fb.eng.Now()
-	var finished []*Flow
-	kept := fb.flows[:0]
-	for _, fl := range fb.flows {
+	dt := now - fb.lastUpdate
+	fb.lastUpdate = now
+	// A remainder below rate × 4 ulps of now takes under 4 ulps to drain;
+	// only such a flow can drain too fast to move the clock.
+	tick := 4 * (math.Nextafter(now, math.Inf(1)) - now)
+	finished := fb.finished[:0]
+	kept := 0
+	for i, fl := range fb.flows {
+		if dt > 0 {
+			fl.remaining -= fl.rate * dt
+			if fl.remaining < 0 {
+				fl.remaining = 0
+			}
+		}
 		// Done: the remainder is rounding noise, or it drains too fast to
 		// move the clock, so its timer would fire at now forever.
-		if fl.remaining <= fl.Bytes*eps+eps || now+fl.remaining/fl.rate == now {
+		if fl.remaining <= fl.Bytes*eps+eps ||
+			fl.remaining <= fl.rate*tick && now+fl.remaining/fl.rate == now {
 			finished = append(finished, fl)
-		} else {
-			kept = append(kept, fl)
+			continue
 		}
+		if kept != i { // only a finished flow opens a gap
+			fb.flows[kept] = fl
+		}
+		kept++
 	}
-	clear(fb.flows[len(kept):])
-	fb.flows = kept
+	clear(fb.flows[kept:])
+	fb.flows = fb.flows[:kept]
 	for _, fl := range finished {
 		fl.remaining = 0
 		fl.finished = true
@@ -663,6 +792,8 @@ func (fb *Fabric) onCompletion() {
 			fl.done()
 		}
 	}
+	clear(finished)
+	fb.finished = finished[:0]
 }
 
 // Flows returns the active flows ordered by ID (audits and tests).
@@ -698,7 +829,7 @@ func (fb *Fabric) SetPartition(groups []int, chokeBps float64) {
 	for _, fl := range fb.flows {
 		if fb.crossesPartition(fl.src, fl.dst) {
 			fl.resources = append(fl.resources, fb.choke)
-			fb.choke.flows = append(fb.choke.flows, fl)
+			fb.join(fb.choke, fl)
 		}
 	}
 	fb.keepLevels(0)
@@ -717,6 +848,7 @@ func (fb *Fabric) ClearPartition() {
 			fl.resources = slices.Delete(fl.resources, i, i+1)
 		}
 	}
+	fb.retire(fb.choke)
 	fb.partition = nil
 	fb.choke = nil
 	fb.keepLevels(0)

@@ -18,8 +18,9 @@ import (
 // reference, so the comparison after the batch also proves that deferring
 // the recompute changes nothing. After every operation the production
 // fabric's flow lists must also hold the structure its pass relies on: each
-// active flow lists each resource once, and a resource's list holds exactly
-// the active flows listing it, in strictly increasing ID order.
+// active flow lists each resource once, a resource's list holds exactly
+// the active flows listing it, in strictly increasing ID order, and the
+// active-resource index holds exactly the resources with a non-empty list.
 
 // opBytes feeds an operation sequence from a byte string; past its end it
 // reads zeros.
@@ -264,8 +265,9 @@ func (p *fabricPair) compare(op int) {
 
 // checkLists checks the production fabric's flow lists after operation op:
 // fb.flows is strictly ID-ordered, each active flow lists each resource
-// once, and every resource's list is exactly the active flows listing it,
-// in fb.flows order.
+// once, every resource's list is exactly the active flows listing it, in
+// fb.flows order, and fb.active holds each resource with a non-empty list
+// once, at the position its back-index names, and no other resource.
 func (p *fabricPair) checkLists(op int) {
 	t := p.t
 	t.Helper()
@@ -296,10 +298,26 @@ func (p *fabricPair) checkLists(op int) {
 			all = append(all, r)
 		}
 	}
+	known := map[*Resource]bool{}
 	for _, r := range all {
 		if !slices.Equal(r.flows, want[r]) {
 			t.Fatalf("op %d: %v resource of node %d holds flows %v, want %v",
 				op, r.Kind, r.Node, flowIDs(r.flows), flowIDs(want[r]))
+		}
+		if indexed := r.slot > 0 && r.slot <= len(fb.active) && fb.active[r.slot-1] == r; indexed != (len(r.flows) > 0) {
+			t.Fatalf("op %d: %v resource of node %d with %d flows has active-index slot %d (indexed %v)",
+				op, r.Kind, r.Node, len(r.flows), r.slot, indexed)
+		}
+		known[r] = true
+	}
+	for i, r := range fb.active {
+		if r.slot != i+1 {
+			t.Fatalf("op %d: active index holds the %v resource of node %d at %d, its slot says %d",
+				op, r.Kind, r.Node, i+1, r.slot)
+		}
+		if !known[r] || len(r.flows) == 0 {
+			t.Fatalf("op %d: active index holds the %v resource of node %d, which no active flow crosses",
+				op, r.Kind, r.Node)
 		}
 	}
 }
@@ -420,8 +438,25 @@ func TestBatchOnePass(t *testing.T) {
 }
 
 // TestPassAllocs pins the steady-state cost of a pass: with the scratch
-// slices warm, it allocates only the completion timer.
+// slices warm, it allocates only the completion timer. It measures a cold
+// pass (the levels dropped, so every level is scanned) on random remote
+// reads and transfers, then on a ring of equal transfers whose resources
+// all tie, which one scan's tie run fills, and then cold and warm passes
+// with a partition choking the crossing flows.
 func TestPassAllocs(t *testing.T) {
+	requireOneAlloc := func(name string, pass func()) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(200, pass); allocs > 1 {
+			t.Fatalf("%s: a pass allocates %v objects, want at most 1 (the completion timer)", name, allocs)
+		}
+	}
+	coldPass := func(fb *Fabric) func() {
+		return func() {
+			fb.keepLevels(0)
+			fb.changed()
+		}
+	}
+
 	eng := event.NewEngine()
 	fb := NewFabric(eng, 20, LinodeConfig())
 	rng := xrand.New(3)
@@ -430,10 +465,22 @@ func TestPassAllocs(t *testing.T) {
 		fb.RemoteReadCapTier(src, dst, 128e6, 50e6, TierDisk, nil)
 		fb.Transfer(dst, src, 64e6, nil)
 	}
-	fb.SetPartition(append(make([]int, 10), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 1e8)
-	if allocs := testing.AllocsPerRun(200, fb.changed); allocs > 1 {
-		t.Fatalf("a pass allocates %v objects, want at most 1 (the completion timer)", allocs)
+	requireOneAlloc("cold", coldPass(fb))
+
+	ring := NewFabric(event.NewEngine(), 8, Config{UplinkBps: 100, DownlinkBps: 100, DiskBps: 100})
+	for i := 0; i < 8; i++ {
+		ring.Transfer(i, (i+1)%8, 1e3, nil)
 	}
+	before := ring.ScanVisits
+	coldPass(ring)()
+	if got := ring.ScanVisits - before; got != int64(len(ring.active)) {
+		t.Fatalf("tie ring: a cold pass visited %d resources, want %d (one scan)", got, len(ring.active))
+	}
+	requireOneAlloc("tie run", coldPass(ring))
+
+	fb.SetPartition(append(make([]int, 10), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 1e8)
+	requireOneAlloc("cold, partitioned", coldPass(fb))
+	requireOneAlloc("warm, partitioned", fb.changed)
 }
 
 // TestWarmStartTies drives a symmetric fabric in which every filling level

@@ -30,14 +30,12 @@ func catchDivergence(data []byte) (msg string) {
 	return ""
 }
 
-// TestWarmJoinedMutant proves the fabric differential has teeth against the
-// warm start: with the replay's joined-resource check compiled out, a new
-// flow that should become a bottleneck is frozen at a stale level, and the
-// battery of TestFabricMatchesReference must see the divergence.
-//
-// Run with: go test -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
-func TestWarmJoinedMutant(t *testing.T) {
-	if !mutant.Select(mutant.NetsimWarmJoined) {
+// requireCaught selects the mutant m and runs the battery of
+// TestFabricMatchesReference until a case diverges from the reference; it
+// fails the test, saying what, when none does.
+func requireCaught(t *testing.T, m mutant.Name, what string) {
+	t.Helper()
+	if !mutant.Select(m) {
 		t.Skip("requires -tags custodymutate (seeded bugs not compiled in)")
 	}
 	defer mutant.Select(mutant.None)
@@ -49,5 +47,25 @@ func TestWarmJoinedMutant(t *testing.T) {
 			}
 		}
 	}
-	t.Fatal("the fabric differential never caught the warm start ignoring joined resources")
+	t.Fatalf("the fabric differential never caught %s", what)
+}
+
+// TestWarmJoinedMutant proves the fabric differential has teeth against the
+// warm start: with the replay's joined-resource check compiled out, a new
+// flow that should become a bottleneck is frozen at a stale level, and the
+// battery of TestFabricMatchesReference must see the divergence.
+//
+// Run with: go test -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
+func TestWarmJoinedMutant(t *testing.T) {
+	requireCaught(t, mutant.NetsimWarmJoined, "the warm start ignoring joined resources")
+}
+
+// TestTieCalmMutant proves the differential has teeth against tie runs:
+// with every freeze reported calm, a run keeps freezing its members after a
+// freeze left another resource at or below the run's share, which the cold
+// scan would have picked, and the battery must see the divergence.
+//
+// Run with: go test -tags custodymutate -run '^TestTieCalmMutant$' ./internal/netsim
+func TestTieCalmMutant(t *testing.T) {
+	requireCaught(t, mutant.NetsimTieCalm, "tie runs that ignore the calm check")
 }
