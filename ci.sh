@@ -75,6 +75,7 @@ go test -run='^$' -fuzz='^FuzzSessionChurnEquivalence$' -fuzztime=10s ./internal
 go test -run='^$' -fuzz='^FuzzMinCostFlow$' -fuzztime=10s ./internal/maxflow
 go test -run='^$' -fuzz='^FuzzFabricEquivalence$' -fuzztime=10s ./internal/netsim
 go test -run='^$' -fuzz='^FuzzDelayEquivalence$' -fuzztime=10s ./internal/scheduler
+go test -run='^$' -fuzz='^FuzzAuditEquivalence$' -fuzztime=10s ./internal/driver
 go test -run='^$' -fuzz='^FuzzMaxWeightAssignment$' -fuzztime=10s ./internal/matching
 
 echo "== modelcheck mutation smoke"
@@ -85,7 +86,8 @@ echo "== modelcheck mutation smoke"
 # inverted Quincy edge-cost sign (only the policy-generic invariant core can
 # see it, DESIGN.md §16), and a crashed executor left in its old owner's
 # owned-executor index (the driver audit's cluster.Validate must report
-# it). The first two are hunted in both harness modes,
+# it), and a retried task left out of the driver's per-state task tally
+# (the audit's tally cross-check must report it). The first two are hunted in both harness modes,
 # the bare driver and the custodyd service, since both run the same check
 # battery, and each shrunk counterexample must replay from its .repro on the
 # stack it came from. With no mutant selected a tagged build behaves

@@ -171,7 +171,7 @@ func Load(root, modPath string) (*Module, error) {
 
 	imp := &moduleImporter{
 		m:        m,
-		fallback: importer.ForCompiler(m.Fset, "source", nil),
+		fallback: importer.ForCompiler(m.Fset, "gc", nil),
 		checking: map[string]bool{},
 	}
 	for _, pkg := range m.Packages {
@@ -182,7 +182,8 @@ func Load(root, modPath string) (*Module, error) {
 
 // moduleImporter resolves module-local import paths against the loaded
 // packages (type-checking them on demand) and everything else — in practice
-// the standard library — through the stdlib source importer.
+// the standard library — through the compiled export data the go command
+// keeps in its build cache.
 type moduleImporter struct {
 	m        *Module
 	fallback types.Importer

@@ -2,9 +2,11 @@ package driver
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/app"
+	"repro/internal/hdfs"
 )
 
 // Audit checks the cross-layer invariants that faults must never break:
@@ -12,9 +14,13 @@ import (
 //   - cluster slot conservation, dead-executor state and the owned-executor
 //     index (cluster.Validate);
 //   - task conservation: every task is exactly one of done, running with a
-//     live attempt on a live executor, ready (queued with its scheduler or
-//     waiting out a retry backoff), or waiting on an unready stage — no
-//     task is lost or duplicated across those states;
+//     live attempt on a live executor, ready (queued once with its own
+//     scheduler or waiting out a retry backoff, not both), or waiting on an
+//     unready stage — no task is lost or duplicated across those states.
+//     The check walks only what is live (running attempts, scheduler
+//     queues, backoff) against per-state task tallies; when that fails, a
+//     walk over every task of every submitted job words the violations, and
+//     a clean walk means the tally itself drifted;
 //   - replica bounds: every block keeps at least one registered replica,
 //     registered replicas never exceed the initial placement plus committed
 //     re-replications, and pending re-replication targets are not dead;
@@ -31,49 +37,15 @@ func (d *Driver) Audit() error {
 		fail("cluster: %v", err)
 	}
 
-	// Task conservation.
 	now := d.eng.Now()
-	for _, a := range d.apps {
-		queued := map[*app.Task]bool{}
-		for _, t := range d.scheds[a.ID].PendingTasks() {
-			queued[t] = true
-		}
-		for _, j := range a.Jobs {
-			for _, s := range j.Stages {
-				for _, t := range s.Tasks {
-					live := d.liveAttempts(t)
-					_, waiting := d.backoff[t]
-					switch t.State {
-					case app.TaskDone:
-						if live > 0 || queued[t] || waiting {
-							fail("%v done but live=%d queued=%v backoff=%v", t, live, queued[t], waiting)
-						}
-					case app.TaskRunning:
-						if live == 0 {
-							fail("%v running with no live attempt", t)
-						}
-						if queued[t] || waiting {
-							fail("%v running but also queued=%v backoff=%v", t, queued[t], waiting)
-						}
-						for _, at := range d.running[t] {
-							if !at.dead && !at.exec.Alive() {
-								fail("%v has a live attempt on dead executor %d", t, at.exec.ID)
-							}
-						}
-					case app.TaskReady:
-						if live > 0 {
-							fail("%v ready but has %d live attempts", t, live)
-						}
-						if !queued[t] && !waiting {
-							fail("%v ready but neither queued nor in backoff", t)
-						}
-					case app.TaskWaiting:
-						if live > 0 || queued[t] || waiting {
-							fail("%v waiting but live=%d queued=%v backoff=%v", t, live, queued[t], waiting)
-						}
-					}
-				}
-			}
+
+	// Task conservation: the live walk settles a clean state; only a
+	// failed one pays for the full walk, which words the violations.
+	if !d.liveTasksConserved() {
+		n := len(v)
+		counted := d.walkTasks(fail)
+		if len(v) == n {
+			fail("task tally [waiting ready running done] %v, counted %v", d.tally, counted)
 		}
 	}
 
@@ -91,7 +63,9 @@ func (d *Driver) Audit() error {
 			if reg < 1 {
 				fail("block %d of %s has no registered replica (data lost)", b.ID, name)
 			}
-			if _, ok := d.replBase[b.ID]; !ok {
+			d.replBase = growBlocks(d.replBase, b.ID, unaudited)
+			d.replDone = growBlocks(d.replDone, b.ID, 0)
+			if d.replBase[b.ID] == unaudited {
 				d.replBase[b.ID] = reg - d.replDone[b.ID]
 			}
 			if limit := d.replBase[b.ID] + d.replDone[b.ID]; reg > limit {
@@ -166,4 +140,122 @@ func (d *Driver) Audit() error {
 		return nil
 	}
 	return fmt.Errorf("audit at t=%.3f: %d violation(s):\n  %s", now, len(v), strings.Join(v, "\n  "))
+}
+
+// liveTasksConserved checks task conservation from the live structures and
+// the per-state tally alone: every task with a live attempt is running with
+// no live attempt on a dead executor, every task queued with its own
+// application's scheduler or in backoff is ready and listed once, and those
+// counts equal the running and ready tallies. With a true tally that is the
+// full walk's verdict; a false result sends Audit to the walk.
+func (d *Driver) liveTasksConserved() bool {
+	running := 0
+	for t, ats := range d.running {
+		live := 0
+		for _, at := range ats {
+			if at.dead {
+				continue
+			}
+			if !at.exec.Alive() {
+				return false
+			}
+			live++
+		}
+		if live == 0 {
+			continue
+		}
+		if t.State != app.TaskRunning {
+			return false
+		}
+		running++
+	}
+	if running != d.tally[app.TaskRunning] {
+		return false
+	}
+	seen := d.auditSeen
+	clear(seen)
+	for _, a := range d.apps {
+		for _, t := range d.scheds[a.ID].PendingTasks() {
+			if t.State != app.TaskReady || t.Job.App != a || seen[t] {
+				return false
+			}
+			seen[t] = true
+		}
+	}
+	for t := range d.backoff {
+		if t.State != app.TaskReady || seen[t] {
+			return false
+		}
+	}
+	return len(seen)+len(d.backoff) == d.tally[app.TaskReady]
+}
+
+// walkTasks checks every task of every submitted job against the running,
+// queued and backoff structures, reporting each violation through fail, and
+// returns the tasks counted in each state.
+func (d *Driver) walkTasks(fail func(string, ...any)) (counted [4]int) {
+	for _, a := range d.apps {
+		queued := map[*app.Task]int{}
+		for _, t := range d.scheds[a.ID].PendingTasks() {
+			if t.Job.App != a {
+				fail("%v queued with application %d", t, a.ID)
+			}
+			queued[t]++
+		}
+		for _, j := range a.Jobs {
+			for _, s := range j.Stages {
+				for _, t := range s.Tasks {
+					counted[t.State]++
+					live := d.liveAttempts(t)
+					q := queued[t]
+					_, waiting := d.backoff[t]
+					switch t.State {
+					case app.TaskDone:
+						if live > 0 || q > 0 || waiting {
+							fail("%v done but live=%d queued=%v backoff=%v", t, live, q > 0, waiting)
+						}
+					case app.TaskRunning:
+						if live == 0 {
+							fail("%v running with no live attempt", t)
+						}
+						if q > 0 || waiting {
+							fail("%v running but also queued=%v backoff=%v", t, q > 0, waiting)
+						}
+						for _, at := range d.running[t] {
+							if !at.dead && !at.exec.Alive() {
+								fail("%v has a live attempt on dead executor %d", t, at.exec.ID)
+							}
+						}
+					case app.TaskReady:
+						if live > 0 {
+							fail("%v ready but has %d live attempts", t, live)
+						}
+						if q == 0 && !waiting {
+							fail("%v ready but neither queued nor in backoff", t)
+						}
+						if q > 1 || q == 1 && waiting {
+							fail("%v ready but queued %d times and backoff=%v", t, q, waiting)
+						}
+					case app.TaskWaiting:
+						if live > 0 || q > 0 || waiting {
+							fail("%v waiting but live=%d queued=%v backoff=%v", t, live, q > 0, waiting)
+						}
+					}
+				}
+			}
+		}
+	}
+	return counted
+}
+
+// unaudited marks a block whose replica baseline no audit has captured yet.
+const unaudited = math.MinInt
+
+// growBlocks returns s extended with fill until block id indexes it; the
+// NameNode hands out block IDs sequentially from zero.
+func growBlocks(s []int, id hdfs.BlockID, fill int) []int {
+	for len(s) <= int(id) {
+		s = append(s, fill)
+	}
+	return s
 }

@@ -52,6 +52,13 @@ type Driver struct {
 	fetchTally []float64
 	fetchNodes []int
 
+	// tally counts the tasks of submitted jobs in each app.TaskState. Every
+	// state change goes through setState or is counted where it happens
+	// (submitJob, attemptFinished); Audit checks the live structures
+	// against it. auditSeen is the audit's reused set of ready tasks.
+	tally     [4]int
+	auditSeen map[*app.Task]bool
+
 	// Chaos/resilience state. All maps stay empty (and cost nothing) until
 	// faults are injected or resilience knobs are enabled.
 	failedNodes map[int]bool               // nodes taken down via InjectNodeFail
@@ -64,8 +71,8 @@ type Driver struct {
 	blacklist   map[int]float64            // node → excluded-until time
 	recovering  map[*app.Task]float64      // fault-interrupted task → fault time
 	repl        []*replFlow                // tracked re-replication transfers
-	replBase    map[hdfs.BlockID]int       // registered replicas at first audit, minus commits
-	replDone    map[hdfs.BlockID]int       // committed re-replications per block
+	replBase    []int                      // block ID → registered replicas at first audit, minus commits
+	replDone    []int                      // block ID → committed re-replications
 }
 
 // replFlow tracks one in-flight re-replication transfer; on completion the
@@ -149,8 +156,7 @@ func New(cfg Config) *Driver {
 		failTimes:   map[int][]float64{},
 		blacklist:   map[int]float64{},
 		recovering:  map[*app.Task]float64{},
-		replBase:    map[hdfs.BlockID]int{},
-		replDone:    map[hdfs.BlockID]int{},
+		auditSeen:   map[*app.Task]bool{},
 	}
 }
 
@@ -231,6 +237,11 @@ func (d *Driver) Run() *metrics.Collector {
 func (d *Driver) submitJob(a *app.Application, j *app.Job) {
 	now := d.eng.Now()
 	a.AddJob(j, now)
+	for _, s := range j.Stages {
+		for _, t := range s.Tasks {
+			d.tally[t.State]++
+		}
+	}
 	// Queue the ready input tasks with the app's scheduler.
 	var ready []*app.Task
 	for _, s := range j.Stages {
@@ -248,6 +259,13 @@ func (d *Driver) submitJob(a *app.Application, j *app.Job) {
 	d.tr.Emit(trace.Event{Time: now, Kind: trace.JobSubmit, App: int(a.ID), Job: j.ID, Stage: -1, Task: -1, Exec: -1, Node: -1})
 	d.managerCall(func() { d.cfg.Manager.OnJobSubmit(d, a, j) })
 	d.dispatch()
+}
+
+// setState moves a task to state s, keeping the per-state tally.
+func (d *Driver) setState(t *app.Task, s app.TaskState) {
+	d.tally[t.State]--
+	d.tally[s]++
+	t.State = s
 }
 
 // dispatch offers idle executors to their owners' schedulers until no more

@@ -47,7 +47,7 @@ func (d *Driver) launch(t *app.Task, e *cluster.Executor, spec bool) {
 		delete(d.recovering, t)
 	}
 	if !spec {
-		t.State = app.TaskRunning
+		d.setState(t, app.TaskRunning)
 		t.LaunchedAt = now
 		t.RanOnNode = e.Node.ID
 	}
@@ -280,7 +280,10 @@ func (d *Driver) attemptFinished(at *attempt) {
 
 	d.tr.Emit(trace.Event{Time: now, Kind: trace.TaskFinish, App: int(t.Job.App.ID),
 		Job: t.Job.ID, Stage: t.Stage.ID, Task: t.Index, Exec: e.ID, Node: e.Node.ID, Local: t.RanLocal})
+	prev := t.State
 	stageDone, jobDone := t.Job.MarkTaskDone(t, now)
+	d.tally[prev]--
+	d.tally[t.State]++
 	if stageDone {
 		d.onStageComplete(t.Job)
 	}
@@ -325,7 +328,7 @@ func (d *Driver) onStageComplete(j *app.Job) {
 	for _, s := range j.ReadyStages() {
 		for _, t := range s.Tasks {
 			if t.State == app.TaskWaiting {
-				t.State = app.TaskReady
+				d.setState(t, app.TaskReady)
 				t.ReadyAt = now
 				ready = append(ready, t)
 			}

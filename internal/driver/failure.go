@@ -182,6 +182,7 @@ func (d *Driver) replicaRestored(rf *replFlow) {
 		d.tr.Emit(trace.Event{Time: d.eng.Now(), Kind: trace.ReplicationStall, App: -1, Job: -1, Stage: -1, Task: -1, Exec: -1, Node: rf.cp.To})
 		return
 	}
+	d.replDone = growBlocks(d.replDone, rf.cp.Block, 0)
 	d.replDone[rf.cp.Block]++
 	d.col.ReplicasRestored++
 	d.tr.Emit(trace.Event{Time: d.eng.Now(), Kind: trace.ReplicaRestored, App: -1, Job: -1, Stage: -1, Task: -1, Exec: -1, Node: rf.cp.To})
@@ -205,7 +206,8 @@ func taskLess(a, b *app.Task) bool {
 	return a.Index < b.Index
 }
 
-// failNodeSanity panics if internal accounting drifted (used in tests).
+// failNodeSanity returns an error if internal accounting drifted: a task
+// is tracked in running with no live attempt (used in tests).
 func (d *Driver) failNodeSanity() error {
 	for task, attempts := range d.running {
 		live := 0

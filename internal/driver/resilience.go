@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/mutant"
 	"repro/internal/trace"
 )
 
@@ -54,7 +55,11 @@ func (d *Driver) requeueFailed(ts []*app.Task) {
 	sortTasks(ts)
 	immediate := map[cluster.AppID][]*app.Task{}
 	for _, t := range ts {
-		t.State = app.TaskReady
+		if mutant.Active == mutant.DriverTallyDrift { // seeded bug: bypass the tally
+			t.State = app.TaskReady
+		} else {
+			d.setState(t, app.TaskReady)
+		}
 		t.ReadyAt = now
 		t.RanOnNode = -1
 		t.RanLocal = false

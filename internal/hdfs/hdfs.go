@@ -73,6 +73,7 @@ func (d *DataNode) Suspended() bool { return d.suspended }
 // NameNode is the metadata service: file → blocks and block → replicas.
 type NameNode struct {
 	files     map[string]*File
+	names     []string // file names, sorted; Create keeps it
 	blocks    map[BlockID]*Block
 	locations map[BlockID][]int // registered replicas; only grow (Create, CommitReplica)
 	pending   map[BlockID][]int // re-replication targets in flight, not yet readable
@@ -224,6 +225,8 @@ func (nn *NameNode) Create(name string, size int64) (*File, error) {
 		idx++
 	}
 	nn.files[name] = f
+	i, _ := slices.BinarySearch(nn.names, name)
+	nn.names = slices.Insert(nn.names, i, name)
 	return f, nil
 }
 
@@ -509,12 +512,5 @@ func (nn *NameNode) pickNode(exclude map[int]bool) (int, error) {
 	return candidates[nn.rng.Intn(len(candidates))], nil
 }
 
-// Files returns the names of all files, sorted.
-func (nn *NameNode) Files() []string {
-	out := make([]string, 0, len(nn.files))
-	for name := range nn.files {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Files returns the names of all files, sorted, in a fresh slice.
+func (nn *NameNode) Files() []string { return slices.Clone(nn.names) }

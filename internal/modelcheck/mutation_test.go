@@ -52,6 +52,17 @@ func TestMutationSmoke(t *testing.T) {
 			}
 			t.Fatalf("the audit rule did not fire; violations: %v", min.Violations)
 		}},
+		// A retried task is marked ready without moving it in the driver's
+		// per-state tally. Every task is where its state says, so only the
+		// audit's tally cross-check can see it.
+		{mutant: mutant.DriverTallyDrift, check: func(t *testing.T, min *Result) {
+			for _, v := range min.Violations {
+				if v.Rule == "audit" && strings.Contains(v.Detail, "task tally") {
+					return
+				}
+			}
+			t.Fatalf("the audit rule did not report the tally; violations: %v", min.Violations)
+		}},
 		// Quincy starves every application. The set-policy prefix arms the
 		// mutated policy before any generated command runs. The
 		// Custody-specific invariants are detached while quincy is active, so

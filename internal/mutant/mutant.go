@@ -10,6 +10,7 @@
 //
 //	go test -tags custodymutate -run '^TestMutationSmoke$' ./internal/modelcheck
 //	go test -tags custodymutate -run '^TestMutationSmoke$/^cluster-stale-owner$' ./internal/modelcheck
+//	go test -tags custodymutate -run '^TestMutationSmoke$/^driver-tally-drift$' ./internal/modelcheck
 //	go test -tags custodymutate -run '^TestWarmJoinedMutant$' ./internal/netsim
 //	go test -tags custodymutate -run '^TestTieCalmMutant$' ./internal/netsim
 //	go test -tags custodymutate -run '^TestTrustOrderMutant$' ./internal/core
@@ -54,4 +55,9 @@ const (
 	// so the crashed executor stays listed as its old owner's: a drift the
 	// driver's audit (cluster.Validate) must catch.
 	ClusterStaleOwner Name = "cluster-stale-owner"
+	// DriverTallyDrift makes internal/driver's requeueFailed mark a retried
+	// task ready without moving it in the driver's per-state task tally, so
+	// the tally keeps counting it as running: a drift the driver's audit
+	// must catch even though every task is where its state says.
+	DriverTallyDrift Name = "driver-tally-drift"
 )
